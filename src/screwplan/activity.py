@@ -48,10 +48,6 @@ class MalformedReportError(ActivityError):
     pass
 
 
-def _identity_pose():
-    return Pose(np.eye(3), np.zeros(3))
-
-
 # ----------------------------------------------------------------- types
 
 
@@ -136,7 +132,7 @@ class ActivitySpec:
     pick_station: PickStation
     base_policy: object
     robot: object = field(default_factory=panda_model)
-    grasp_offset: Pose = field(default_factory=_identity_pose)
+    grasp_offset: Pose = field(default_factory=Pose.identity)
     planner_config: PlannerConfig = field(default_factory=PlannerConfig)
     q_start: np.ndarray = field(default_factory=lambda: PANDA_READY.copy())
 
@@ -275,22 +271,17 @@ def run_activity(spec, keep_trajectories=False):
         if not reached:
             break
         q = traj.final_q
-    placed = 0
-    for p in placements:
-        if p.trajectory_outcome is not Outcome.REACHED:
-            break
-        placed += 1
-    pos_errs = [p.position_error for p in placements
-                if p.trajectory_outcome is Outcome.REACHED]
-    yaw_errs = [p.yaw_error for p in placements
-                if p.trajectory_outcome is Outcome.REACHED]
+    # the run stopped at the first placement that was not reached
+    done = [p for p in placements if p.trajectory_outcome is Outcome.REACHED]
+    pos_errs = [p.position_error for p in done]
+    yaw_errs = [p.yaw_error for p in done]
     return ActivityReport(
         robot=spec.robot.name,
         layout_kind=spec.layout.kind.value,
         mode2_enabled=spec.planner_config.mode2_enabled,
         goals_total=len(goals),
         placements=tuple(placements),
-        bricks_placed_before_failure=placed,
+        bricks_placed_before_failure=len(done),
         mean_position_error=float(np.mean(pos_errs)) if pos_errs else None,
         max_yaw_error=max(yaw_errs) if yaw_errs else None,
         runtime_seconds=time.perf_counter() - t0,

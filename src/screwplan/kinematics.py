@@ -11,6 +11,7 @@ plane spanned by that line and the base vertical.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from importlib import resources
 
@@ -21,6 +22,8 @@ from .screws import Pose, hat, pose_from_record, pose_to_record
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
 REFERENCE_AXIS_TOL = 1e-6
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 class InvalidRobotError(ValueError):
@@ -37,10 +40,6 @@ class LimitZone(Enum):
     OUTSIDE_OUTER = "outside_outer"
 
 
-def _identity_pose():
-    return Pose.identity()
-
-
 @dataclass(frozen=True)
 class RobotModel:
     name: str
@@ -49,13 +48,19 @@ class RobotModel:
     lower: np.ndarray
     upper: np.ndarray
     sew_indices: tuple
-    base_pose: Pose = field(default_factory=_identity_pose)
+    base_pose: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
         twists = np.array(self.twists, dtype=float)
         if twists.ndim != 2 or twists.shape[1] != 6:
             raise InvalidRobotError("twists must be an (n, 6) array")
         n = twists.shape[0]
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
+        if lower.shape != (n,) or upper.shape != (n,):
+            raise InvalidRobotError("joint limits must match joint count")
+        if not all(np.isfinite(a).all() for a in (twists, lower, upper)):
+            raise InvalidRobotError("twists and joint limits must be finite")
         for row in twists:
             wn = np.linalg.norm(row[3:])
             if abs(wn - 1.0) > 1e-9 and not (
@@ -63,10 +68,6 @@ class RobotModel:
                 raise InvalidRobotError(
                     "each twist needs a unit rotation axis, or none and a "
                     "unit translation direction")
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise InvalidRobotError("joint limits must match joint count")
         if np.any(lower >= upper):
             raise InvalidRobotError("lower limits must be below upper")
         sew = tuple(int(i) for i in self.sew_indices)
@@ -75,21 +76,24 @@ class RobotModel:
             raise InvalidRobotError(
                 "sew_indices must be three increasing joint indices")
         axis_points = np.cross(twists[:, 3:], twists[:, :3])
-        for arr in (twists, lower, upper, axis_points):
+        # per-joint exp constants: hat(w), hat(w)^2, prismatic or not
+        hats = np.array([hat(w) for w in twists[:, 3:]])
+        hats2 = hats @ hats
+        prismatic = np.sum(twists[:, 3:] ** 2, axis=1) < 1e-24
+        for arr in (twists, lower, upper, axis_points, hats, hats2):
             arr.setflags(write=False)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "sew_indices", sew)
+        # reference point on each joint axis nearest the origin
         object.__setattr__(self, "_axis_points", axis_points)
+        object.__setattr__(self, "_joints", tuple(zip(
+            twists[:, :3], twists[:, 3:], hats, hats2, prismatic.tolist())))
 
     @property
     def n_joints(self):
         return self.twists.shape[0]
-
-    def axis_point(self, i):
-        """Reference point on joint i's axis nearest the origin."""
-        return self._axis_points[i]
 
     def clamp(self, q):
         return np.clip(q, self.lower, self.upper)
@@ -165,20 +169,15 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _cross_cols(a, cols):
-    """Cross of a fixed 3-vector with each column of a (3, n) array."""
-    return hat(a) @ cols
-
-
-def _exp_twist(v, w, q):
-    """Rigid displacement of the joint twist [v; w] at coordinate q."""
-    if np.dot(w, w) < 1e-24:
-        return np.eye(3), v * q
-    wh = hat(w)
-    s, c = math.sin(q), math.cos(q)
+def _exp_twist(joint, q):
+    """Rigid displacement of a RobotModel._joints entry at q."""
+    v, _, wh, wh2, prismatic = joint
+    if prismatic:
+        return _EYE3, v * q
+    s = math.sin(q)
     one_c = 2.0 * math.sin(q / 2.0) ** 2
-    rot = np.eye(3) + s * wh + one_c * (wh @ wh)
-    vmat = q * np.eye(3) + one_c * wh + (q - s) * (wh @ wh)
+    rot = _EYE3 + s * wh + one_c * wh2
+    vmat = q * _EYE3 + one_c * wh + (q - s) * wh2
     return rot, vmat @ v
 
 
@@ -194,12 +193,10 @@ class _Chain:
             raise ValueError(
                 f"expected {model.n_joints} joint values, got {q.shape}")
         self.model = model
-        self.q = q
         rots = [model.base_pose.rotation]
         trans = [model.base_pose.translation]
-        for i in range(model.n_joints):
-            r, p = _exp_twist(model.twists[i, :3], model.twists[i, 3:],
-                              q[i])
+        for joint, qi in zip(model._joints, q):
+            r, p = _exp_twist(joint, qi)
             rots.append(rots[-1] @ r)
             trans.append(rots[-2] @ p + trans[-1])
         self.partial_rots = rots
@@ -212,24 +209,21 @@ class _Chain:
              + self.partial_trans[-1])
         return Pose(r, p)
 
-    @property
+    @cached_property
     def jacobian(self):
-        """World-frame Jacobian, columns are joint twists [v; w]."""
-        n = self.model.n_joints
-        jac = np.empty((6, n))
-        for i in range(n):
+        """World-frame Jacobian, columns are joint twists [v; w]; built
+        on first use, then shared."""
+        jac = np.empty((6, self.model.n_joints))
+        for i, (v, w, *_) in enumerate(self.model._joints):
             r = self.partial_rots[i]
-            p = self.partial_trans[i]
-            w = r @ self.model.twists[i, 3:]
-            jac[:3, i] = r @ self.model.twists[i, :3] + _cross(p, w)
-            jac[3:, i] = w
+            wi = r @ w
+            jac[:3, i] = r @ v + _cross(self.partial_trans[i], wi)
+            jac[3:, i] = wi
         return jac
 
-    def moved_point(self, joint_index):
-        """World position of the reference axis point of a joint."""
-        r = self.model.axis_point(joint_index)
-        return (self.partial_rots[joint_index] @ r
-                + self.partial_trans[joint_index])
+    def sew_points(self):
+        return tuple(self.partial_rots[i] @ self.model._axis_points[i]
+                     + self.partial_trans[i] for i in self.model.sew_indices)
 
 
 def forward_kinematics(model, q):
@@ -260,13 +254,7 @@ def sew_points(model, q):
     """World shoulder, elbow and wrist points: the reference axis
     points of the three marker joints, carried by the links ahead of
     them."""
-    chain = _Chain(model, q)
-    return _sew_points(chain)
-
-
-def _sew_points(chain):
-    s, e, w = (chain.moved_point(i) for i in chain.model.sew_indices)
-    return s, e, w
+    return _Chain(model, q).sew_points()
 
 
 def _reference_direction(model, u):
@@ -298,14 +286,14 @@ def _point_jacobian(jac, point, upto):
     if upto:
         v, w = jac[:3, :upto], jac[3:, :upto]
         # w_j x point column-wise
-        jp[:, :upto] = v - _cross_cols(point, w)
+        jp[:, :upto] = v - hat(point) @ w
     return jp
 
 
 def _sew_jacobian(chain):
     model = chain.model
     jac = chain.jacobian
-    s, e, w = _sew_points(chain)
+    s, e, w = chain.sew_points()
     js, je, jw = (_point_jacobian(jac, p, i)
                   for p, i in zip((s, e, w), model.sew_indices))
 
@@ -328,7 +316,7 @@ def _sew_jacobian(chain):
     y = np.dot(u, rxf)
     x = np.dot(r, f)
     # columnwise dr x f and r x df
-    dy = rxf @ du + u @ (_cross_cols(f, dr) * -1.0 + _cross_cols(r, df))
+    dy = rxf @ du + u @ (hat(f) @ dr * -1.0 + hat(r) @ df)
     dx = f @ dr + r @ df
     jpsi = (x * dy - y * dx) / (x * x + y * y)
     psi = math.atan2(y, x)
@@ -375,6 +363,18 @@ def limit_status(model, q, eps_inner, eps_outer):
         else:
             zones.append(LimitZone.OUTSIDE_OUTER)
     return zones
+
+
+def limit_band(model, eps):
+    """Per-joint (lower, upper) of the limit interval shrunk by eps; with
+    within() it masks limit_status zones without the per-call checks."""
+    return model.lower + eps, model.upper - eps
+
+
+def within(q, band):
+    """Per-joint mask of q inside the closed band; NaN is outside."""
+    lo, hi = band
+    return (lo <= q) & (q <= hi)
 
 
 def limit_margin(model, q):

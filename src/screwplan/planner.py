@@ -23,10 +23,12 @@ from .kinematics import (
     check_eps,
     fk_jacobian,
     forward_kinematics,
+    limit_band,
     limit_margin,
     limit_status,
     pseudoinverse,
     self_motion_direction,
+    within,
     LimitZone,
 )
 from .screws import (
@@ -82,6 +84,10 @@ class PlannerConfig:
     mode2_enabled: bool = True
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.eps_in, self.eps_out, self.kappa, self.lam,
+                self.delta_t, *self.goal_tol, *self.sew_search))):
+            raise InvalidPlannerConfigError("settings must be finite")
         if min(self.kappa, self.lam, self.delta_t) <= 0.0:
             raise InvalidPlannerConfigError(
                 "kappa, lam and delta_t must be positive")
@@ -141,17 +147,26 @@ def _wrap(angle):
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
+def _reached(pose, gd, config):
+    rot, trans = pose_error(pose, gd)
+    return rot < config.goal_tol[0] and trans < config.goal_tol[1]
+
+
+def _track(q, pose, jac, gd, config):
+    """Tentative mode-1 update from q at flange pose: (q + dq, damped)."""
+    xi = _log_coords(compose(gd, inverse(pose)))
+    pinv, damped = pseudoinverse(jac)
+    return q + _clamp(config.kappa * config.delta_t * (pinv @ xi)), damped
+
+
 def mode1_step(q, gd, model, config):
     """One tracking update toward gd; q unchanged when already within
     goal tolerance."""
     q = np.asarray(q, dtype=float)
     pose, jac = fk_jacobian(model, q)
-    rot, trans = pose_error(pose, gd)
-    if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
+    if _reached(pose, gd, config):
         return q.copy()
-    xi = _log_coords(compose(gd, inverse(pose)))
-    pinv, _ = pseudoinverse(jac)
-    return q + _clamp(config.kappa * config.delta_t * (pinv @ xi))
+    return _track(q, pose, jac, gd, config)[0]
 
 
 def calculate_sew_change(q, model, config):
@@ -225,17 +240,12 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     outcome = None
     psi_prev = None
     psi_cont = 0.0  # unwrapped angle relative to entry
-    pending_damped = False
-    first = True
     while True:
         pose, jac, psi_raw, jpsi = arm_state(model, q_c)
         if psi_prev is not None:
             psi_cont += _wrap(psi_raw - psi_prev)
+            steps.append(TrajectoryStep(q_c.copy(), Mode.MODE2, pose))
         psi_prev = psi_raw
-        if not first:
-            steps.append(TrajectoryStep(q_c.copy(), Mode.MODE2, pose,
-                                        pending_damped))
-        first = False
         if abs(psi_d - psi_cont) < PSI_TOL:
             outcome = Outcome.REACHED
             break
@@ -259,7 +269,6 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         q_c = candidate
-        pending_damped = damped
     return JointTrajectory(steps=steps, outcome=outcome)
 
 
@@ -268,32 +277,27 @@ def plan_to_pose(q0, gd, model, config):
     the elbow out of joint-limit trouble when allowed.  Never raises
     for planning failures; the outcome says how it ended."""
     check_eps(model, config.eps_in, config.eps_out)
+    inner = limit_band(model, config.eps_in)
     q_c = np.asarray(q0, dtype=float).copy()
     steps = []
     pending = (q_c.copy(), False)
     iterations = 0
     outcome = None
     while True:
-        pose, jac, psi_raw, jpsi = arm_state(model, q_c)
+        pose, jac = fk_jacobian(model, q_c)
         if pending is not None:
             steps.append(TrajectoryStep(pending[0], Mode.MODE1, pose,
                                         pending[1]))
             pending = None
-        rot, trans = pose_error(pose, gd)
-        if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
+        if _reached(pose, gd, config):
             outcome = Outcome.REACHED
             break
         if iterations >= config.max_steps:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        xi = _log_coords(compose(gd, inverse(pose)))
-        pinv, damped = pseudoinverse(jac)
-        dq = _clamp(config.kappa * config.delta_t * (pinv @ xi))
-        candidate = q_c + dq
+        candidate, damped = _track(q_c, pose, jac, gd, config)
         iterations += 1
-        zones = limit_status(model, candidate, config.eps_in,
-                             config.eps_out)
-        if all(z is LimitZone.WITHIN_INNER for z in zones):
+        if within(candidate, inner).all():
             q_c = candidate
             pending = (q_c.copy(), damped)
             continue
@@ -321,8 +325,7 @@ def plan_to_pose(q0, gd, model, config):
             # target inside tolerance of current angle: nothing to swing
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        after = limit_status(model, q_c, config.eps_in, config.eps_out)
-        if not all(z is LimitZone.WITHIN_INNER for z in after):
+        if not within(q_c, inner).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
     return JointTrajectory(steps=steps, outcome=outcome,
@@ -437,7 +440,8 @@ def load_trajectory(path):
             rec = json.loads(line)
             steps.append(TrajectoryStep(
                 q=np.array(rec["q"], dtype=float),
-                mode=Mode(rec["mode"]),
+                mode=Mode[rec["mode"].upper()] if isinstance(
+                    rec["mode"], str) else Mode(rec["mode"]),
                 end_effector=pose_from_record(rec["pose"]),
                 damped=bool(rec.get("damped", False))))
     return JointTrajectory(steps=steps,

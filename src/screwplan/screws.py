@@ -360,8 +360,12 @@ def pose_to_record(pose):
 
 
 def pose_from_record(record):
-    return Pose(quat_to_rot(np.asarray(record["q"], float)),
-                np.asarray(record["t"], float))
+    q = np.asarray(record["q"], float)
+    t = np.asarray(record["t"], float)
+    if not (np.isfinite(q).all() and np.isfinite(t).all() and q.any()):
+        raise ValueError("pose record needs finite t and a nonzero, "
+                         "finite q")
+    return Pose(quat_to_rot(q), t)
 
 
 def save_pose_sequence(poses, path):

@@ -1,6 +1,7 @@
 """Arm kinematics against the frame-by-frame DH oracle and finite
 differences."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import panda_oracle
@@ -17,9 +19,11 @@ from screwplan.kinematics import (
     InvalidRobotError,
     LimitZone,
     RobotModel,
+    arm_state,
     augmented_jacobian,
     fk_jacobian,
     forward_kinematics,
+    limit_band,
     limit_margin,
     limit_status,
     load_robot_model,
@@ -31,6 +35,7 @@ from screwplan.kinematics import (
     sew_points,
     sew_state,
     spatial_jacobian,
+    within,
 )
 from screwplan.screws import Pose, compose, pose_error
 from util import rand_pose
@@ -270,6 +275,88 @@ def test_limit_status_zones():
     assert limit_margin(model, q) == pytest.approx(0.005)
 
 
+def _masks_and_zones(model, q, eps_in, eps_out):
+    inner = within(q, limit_band(model, eps_in))
+    outer = within(q, limit_band(model, eps_out))
+    zones = limit_status(model, q, eps_in, eps_out)
+    return inner, outer, zones
+
+
+@st.composite
+def _limit_probe(draw, model=panda_model()):
+    """An eps pair and a q whose joints sit on the band edges, next to
+    them, anywhere around the limits, or at NaN."""
+    eps_out = draw(st.floats(1e-3, 0.1))
+    eps_in = draw(st.floats(0.11, 1.0))
+    q = []
+    for lo, hi in zip(model.lower, model.upper):
+        edge = draw(st.sampled_from([lo + eps_in, hi - eps_in,
+                                     lo + eps_out, hi - eps_out]))
+        q.append(draw(st.one_of(
+            st.just(edge),
+            st.sampled_from([np.nextafter(edge, -np.inf),
+                             np.nextafter(edge, np.inf)]),
+            st.floats(lo - 0.5, hi + 0.5),
+            st.just(math.nan))))
+    return eps_in, eps_out, np.array(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_limit_probe())
+def test_limit_masks_agree_with_limit_status(probe):
+    eps_in, eps_out, q = probe
+    inner, outer, zones = _masks_and_zones(panda_model(), q, eps_in,
+                                           eps_out)
+    assert list(inner) == [z is LimitZone.WITHIN_INNER for z in zones]
+    assert list(outer) == [z is not LimitZone.OUTSIDE_OUTER for z in zones]
+
+
+def test_limit_masks_on_band_edges_and_nan():
+    model = panda_model()
+    lo, hi = model.lower, model.upper
+    for q, zone in ((lo + 0.2, LimitZone.WITHIN_INNER),
+                    (hi - 0.2, LimitZone.WITHIN_INNER),
+                    (lo + 0.01, LimitZone.BETWEEN_BOUNDS),
+                    (hi - 0.01, LimitZone.BETWEEN_BOUNDS),
+                    (np.full(7, math.nan), LimitZone.OUTSIDE_OUTER)):
+        inner, outer, zones = _masks_and_zones(model, q, 0.2, 0.01)
+        assert zones == [zone] * 7
+        assert inner.all() == (zone is LimitZone.WITHIN_INNER)
+        assert outer.all() == (zone is not LimitZone.OUTSIDE_OUTER)
+
+
+def test_fused_pass_matches_oracle_under_moved_base():
+    rng = np.random.default_rng(44)
+    base = rand_pose(rng)
+    model = panda_model(base_pose=base)
+    h = 1e-6
+
+    def oracle(q):
+        return compose(base, oracle_pose(q))
+
+    for _ in range(10):
+        q = rand_q(rng, model)
+        pose, jac = fk_jacobian(model, q)
+        fused_pose, fused_jac, psi, jpsi = arm_state(model, q)
+        assert np.array_equal(fused_pose.rotation, pose.rotation)
+        assert np.array_equal(fused_pose.translation, pose.translation)
+        assert np.array_equal(fused_jac, jac)
+        assert psi == sew_angle(model, q)
+        rot, trans = pose_error(pose, oracle(q))
+        assert rot < 1e-9 and trans < 1e-9
+        for i in range(7):
+            dq = np.zeros(7)
+            dq[i] = h
+            a, b = oracle(q - dq), oracle(q + dq)
+            wh = (b.rotation - a.rotation) / (2.0 * h) @ b.rotation.T
+            omega = np.array([wh[2, 1] - wh[1, 2], wh[0, 2] - wh[2, 0],
+                              wh[1, 0] - wh[0, 1]]) / 2.0
+            v = ((b.translation - a.translation) / (2.0 * h)
+                 - np.cross(omega, b.translation))
+            assert_allclose(jac[:3, i], v, atol=1e-5)
+            assert_allclose(jac[3:, i], omega, atol=1e-5)
+
+
 def test_limit_status_rejects_bad_eps():
     model = panda_model()
     with pytest.raises(BadEpsError):
@@ -310,6 +397,15 @@ def test_model_validation_and_file_errors(tmp_path):
                    twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 2.0]]),
                    home_pose=Pose.identity(), lower=np.array([-1.0]),
                    upper=np.array([1.0]), sew_indices=(0,))
+    good = panda_model()
+    for field, value in (("twists", np.where(np.eye(7, 6) > 0, np.nan,
+                                             good.twists)),
+                         ("lower", np.where(np.arange(7) == 2, np.nan,
+                                            good.lower)),
+                         ("upper", np.where(np.arange(7) == 4, np.inf,
+                                            good.upper))):
+        with pytest.raises(InvalidRobotError):
+            dataclasses.replace(good, **{field: value})
     f = tmp_path / "robot.json"
     f.write_text("{not json")
     with pytest.raises(InvalidRobotError):

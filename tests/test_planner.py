@@ -1,7 +1,9 @@
 """Planner behavior: geodesic tracking, limit recovery, outcomes."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,12 @@ def test_config_validation():
         PlannerConfig(sew_search=(0.5, 0.1))
     with pytest.raises(InvalidPlannerConfigError):
         PlannerConfig(eps_in=0.01, eps_out=0.2)
+    for bad in (dict(kappa=math.nan), dict(lam=math.nan),
+                dict(delta_t=math.inf), dict(eps_in=math.nan),
+                dict(eps_out=math.nan), dict(goal_tol=(math.nan, 1e-4)),
+                dict(sew_search=(0.01, math.inf))):
+        with pytest.raises(InvalidPlannerConfigError):
+            PlannerConfig(**bad)
 
 
 def test_goal_at_start_is_immediate():
@@ -338,3 +346,31 @@ def test_trajectory_file_round_trip(tmp_path):
     assert [s.mode for s in back.steps] == [s.mode for s in traj.steps]
     rot, trans = pose_error(back.final_pose, traj.final_pose)
     assert rot < 1e-12 and trans < 1e-12
+
+
+def test_trajectory_mode_reads_both_spellings(tmp_path):
+    traj = plan_to_pose(READY, LIMIT_GOAL, LIMIT_MODEL, PlannerConfig())
+    f = tmp_path / "traj.jsonl"
+    save_trajectory(traj, f, robot="panda")
+    header, *records = f.read_text().splitlines()
+    assert {json.loads(r)["mode"] for r in records} == {1, 2}
+    spelled = [json.dumps({**json.loads(r),
+                           "mode": f"mode{json.loads(r)['mode']}"})
+               for r in records]
+    f.write_text("\n".join([header, *spelled]) + "\n")
+    back = load_trajectory(f)
+    assert [s.mode for s in back.steps] == [s.mode for s in traj.steps]
+
+
+def test_committed_trajectory_file_loads_and_replans():
+    # gallery/05_limit_aware_planning.py wrote it; modes are stored as 1/2
+    path = (Path(__file__).parent.parent / "gallery" / "out"
+            / "comfortable_goal.jsonl")
+    back = load_trajectory(path)
+    q_goal = READY + np.array([0.3, -0.2, 0.25, -0.3, 0.2, 0.25, -0.3])
+    traj = plan_to_pose(READY, forward_kinematics(MODEL, q_goal), MODEL,
+                        PlannerConfig())
+    assert back.outcome is traj.outcome is Outcome.REACHED
+    assert back.segment_starts == [0]
+    assert [s.mode for s in back.steps] == [Mode.MODE1] * len(traj.steps)
+    assert_allclose(back.joint_path(), traj.joint_path(), atol=1e-9)

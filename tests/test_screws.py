@@ -286,6 +286,14 @@ def test_pose_record_round_trip():
     assert rot < 1e-12 and trans < 1e-12
 
 
+def test_pose_record_rejects_non_finite_and_zero_quaternion():
+    for rec in ({"t": [0.0, 0.0, 0.0], "q": [math.nan, 0.0, 0.0, 0.0]},
+                {"t": [0.0, math.inf, 0.0], "q": [1.0, 0.0, 0.0, 0.0]},
+                {"t": [0.0, 0.0, 0.0], "q": [0.0, 0.0, 0.0, 0.0]}):
+        with pytest.raises(ValueError):
+            pose_from_record(rec)
+
+
 def test_adjoint_transforms_twists_consistently():
     # Ad_g (xi theta) must equal log(g exp(xi theta) g^-1)
     rng = np.random.default_rng(17)
