@@ -11,7 +11,6 @@ a report whose results section round-trips through JSON byte for byte
 under a fixed seed.
 """
 
-import json
 import math
 import os
 import time
@@ -28,7 +27,7 @@ from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
                       layout_spec_to_record, pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
 from .screws import (Pose, compose, inverse, pose_error, pose_from_record,
-                     pose_to_record)
+                     pose_to_record, read_document, write_document)
 
 # placement is scored on translation distance and heading alone; the
 # full rotation error is recorded but does not gate success
@@ -477,21 +476,13 @@ def emit_report(report, destination):
         "results": report_to_record(report),
         "timing": {"runtime_seconds": report.runtime_seconds},
     }
-    with open(destination, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_document(doc, destination, indent=2)
     with open(_table_path(destination), "w", encoding="utf-8") as f:
         f.write(summary_table(report))
 
 
 def load_report(source):
-    with open(source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedReportError(f"not valid JSON: {e}") from e
-    if doc.get("format") != "activity_report":
-        raise MalformedReportError('expected format "activity_report"')
+    doc = read_document(source, MalformedReportError, "activity_report")
     runtime = doc.get("timing", {}).get("runtime_seconds", 0.0)
     return report_from_record(doc["results"], runtime_seconds=runtime)
 
@@ -510,9 +501,7 @@ def emit_paired_report(paired, destination):
             "baseline_runtime_seconds": paired.baseline.runtime_seconds,
         },
     }
-    with open(destination, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_document(doc, destination, indent=2)
     rows = ["method    placed  successes",
             f"ours      {paired.ours.bricks_placed_before_failure}"
             f"/{paired.ours.goals_total}    "
@@ -525,14 +514,8 @@ def emit_paired_report(paired, destination):
 
 
 def load_paired_report(source):
-    with open(source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedReportError(f"not valid JSON: {e}") from e
-    if doc.get("format") != "paired_activity_report":
-        raise MalformedReportError(
-            'expected format "paired_activity_report"')
+    doc = read_document(source, MalformedReportError,
+                        "paired_activity_report")
     timing = doc.get("timing", {})
     return PairedReport(
         ours=report_from_record(
@@ -662,15 +645,9 @@ def activity_spec_from_record(doc):
 
 
 def save_activity_spec(spec, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(activity_spec_to_record(spec), f, indent=2)
-        f.write("\n")
+    write_document(activity_spec_to_record(spec), path, indent=2)
 
 
 def load_activity_spec(path):
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidActivitySpecError(f"not valid JSON: {e}") from e
-    return activity_spec_from_record(doc)
+    return activity_spec_from_record(
+        read_document(path, InvalidActivitySpecError))

@@ -29,8 +29,10 @@ from .screws import (
     quat_to_rot,
     pose_from_record,
     pose_to_record,
+    read_document,
     sclerp_path,
     screw_from_pose,
+    write_document,
     ScrewDisplacement,
 )
 
@@ -153,6 +155,9 @@ def _parse_pose_record(rec, lineno):
         raise MalformedDemonstrationError(
             f"line {lineno}: pose needs 3 translation and 4 quaternion "
             "components")
+    if not (np.isfinite(t).all() and np.isfinite(q).all()):
+        raise MalformedDemonstrationError(
+            f"line {lineno}: pose has a non-finite component")
     drift = abs(np.linalg.norm(q) - 1.0)
     if drift > 1e-3:
         raise BadQuaternionError(
@@ -241,18 +246,12 @@ def constraint_model_from_record(doc):
 
 
 def save_constraint_model(model, destination):
-    with open(destination, "w", encoding="utf-8") as f:
-        json.dump(constraint_model_to_record(model), f, indent=2)
-        f.write("\n")
+    write_document(constraint_model_to_record(model), destination, indent=2)
 
 
 def load_constraint_model(source):
-    with open(source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedModelError(f"not valid JSON: {e}") from e
-    return constraint_model_from_record(doc)
+    return constraint_model_from_record(
+        read_document(source, MalformedModelError))
 
 
 def _screw_record(screw):
@@ -283,19 +282,11 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
     }
     if fit_tol is not None:
         doc["fit_tol"] = {"rotation": fit_tol[0], "translation": fit_tol[1]}
-    with open(destination, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_document(doc, destination)
 
 
 def load_segments(source):
-    with open(source, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MalformedDemonstrationError(f"not valid JSON: {e}") from e
-    if doc.get("format") != "segments":
-        raise MalformedDemonstrationError("not a segments file")
+    doc = read_document(source, MalformedDemonstrationError, "segments")
     out = []
     for rec in doc["segments"]:
         start = pose_from_record(rec["start_pose"])

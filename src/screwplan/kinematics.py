@@ -8,7 +8,6 @@ rotation of the elbow about the shoulder-wrist line, measured from the
 plane spanned by that line and the base vertical.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,7 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .screws import Pose, hat, pose_from_record, pose_to_record
+from .screws import (Pose, hat, pose_from_record, pose_to_record,
+                     read_document, write_document)
 
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
@@ -75,37 +75,33 @@ class RobotModel:
                 0 <= i < n for i in sew) or list(sew) != sorted(sew):
             raise InvalidRobotError(
                 "sew_indices must be three increasing joint indices")
-        axis_points = np.cross(twists[:, 3:], twists[:, :3])
-        # per-joint exp constants: hat(w), hat(w)^2, prismatic or not
+        # stacked per-joint constants of the chain: hat(w), hat(w)^2, the
+        # columns v and w, prismatic joints by index, and the point on
+        # each joint axis nearest the origin
         hats = np.array([hat(w) for w in twists[:, 3:]])
-        hats2 = hats @ hats
-        prismatic = np.sum(twists[:, 3:] ** 2, axis=1) < 1e-24
-        for arr in (twists, lower, upper, axis_points, hats, hats2):
+        consts = dict(
+            _hats=hats, _hats2=hats @ hats,
+            _v=twists[:, :3, None].copy(), _w=twists[:, 3:, None].copy(),
+            _prismatic=np.flatnonzero(
+                np.sum(twists[:, 3:] ** 2, axis=1) < 1e-24),
+            _axis_points=np.cross(twists[:, 3:], twists[:, :3]))
+        for arr in (twists, lower, upper, *consts.values()):
             arr.setflags(write=False)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "sew_indices", sew)
-        # reference point on each joint axis nearest the origin
-        object.__setattr__(self, "_axis_points", axis_points)
-        object.__setattr__(self, "_joints", tuple(zip(
-            twists[:, :3], twists[:, 3:], hats, hats2, prismatic.tolist())))
+        for name, arr in consts.items():
+            object.__setattr__(self, name, arr)
 
     @property
     def n_joints(self):
         return self.twists.shape[0]
 
-    def clamp(self, q):
-        return np.clip(q, self.lower, self.upper)
-
 
 def load_robot_model(path, base_pose=None):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidRobotError(f"not valid JSON: {e}") from e
-    return robot_from_record(doc, base_pose=base_pose)
+    return robot_from_record(read_document(path, InvalidRobotError),
+                             base_pose=base_pose)
 
 
 def robot_from_record(doc, base_pose=None):
@@ -144,9 +140,7 @@ def robot_to_record(model):
 
 
 def save_robot_model(model, path):
-    with open(path, "w") as f:
-        json.dump(robot_to_record(model), f, indent=1)
-        f.write("\n")
+    write_document(robot_to_record(model), path)
 
 
 def panda_model(base_pose=None):
@@ -169,23 +163,18 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _exp_twist(joint, q):
-    """Rigid displacement of a RobotModel._joints entry at q."""
-    v, _, wh, wh2, prismatic = joint
-    if prismatic:
-        return _EYE3, v * q
-    s = math.sin(q)
-    one_c = 2.0 * math.sin(q / 2.0) ** 2
-    rot = _EYE3 + s * wh + one_c * wh2
-    vmat = q * _EYE3 + one_c * wh + (q - s) * wh2
-    return rot, vmat @ v
-
-
 class _Chain:
     """One pass down the arm: partial products, flange pose, world
-    Jacobian.  partial[i] is the transform ahead of joint i, so it
-    carries both joint i's axis and the frame its link-(i-1) points
-    live in."""
+    Jacobian.  partial_rots (n+1, 3, 3) and partial_trans (n+1, 3) are
+    stacked; entry i is the transform ahead of joint i, so it carries
+    both joint i's axis and the frame its link-(i-1) points live in.
+
+    Every joint's exponential is built at once by broadcasting over the
+    model's stacked hat(w), hat(w)^2 and v, in the per-joint term order.
+    The rotation chain stays a loop of 3x3 products: a cumulative matrix
+    product has no batched form that rounds the same way.  Translations
+    then take one stacked product and one cumulative sum, the same adds
+    in the same order."""
 
     def __init__(self, model, q):
         q = np.asarray(q, dtype=float)
@@ -193,14 +182,30 @@ class _Chain:
             raise ValueError(
                 f"expected {model.n_joints} joint values, got {q.shape}")
         self.model = model
-        rots = [model.base_pose.rotation]
-        trans = [model.base_pose.translation]
-        for joint, qi in zip(model._joints, q):
-            r, p = _exp_twist(joint, qi)
-            rots.append(rots[-1] @ r)
-            trans.append(rots[-2] @ p + trans[-1])
+        # libm sines: numpy's vectorized sin need not round like them
+        ql = q.tolist()
+        s = np.array([math.sin(x) for x in ql])[:, None, None]
+        one_c = np.array([2.0 * math.sin(x / 2.0) ** 2
+                          for x in ql])[:, None, None]
+        qc = q[:, None, None]
+        W, W2 = model._hats, model._hats2
+        rot = _EYE3 + s * W + one_c * W2
+        vmat = qc * _EYE3 + one_c * W + (qc - s) * W2
+        p = (vmat @ model._v)[:, :, 0]
+        pri = model._prismatic
+        if pri.size:
+            rot[pri] = _EYE3
+            p[pri] = model._v[pri, :, 0] * q[pri, None]
+        rots = np.empty((len(ql) + 1, 3, 3))
+        rots[0] = model.base_pose.rotation
+        for i in range(len(ql)):
+            # the BLAS product that @ makes, with half its dispatch cost
+            np.dot(rots[i], rot[i], rots[i + 1])
+        trans = np.empty((len(ql) + 1, 3))
+        trans[0] = model.base_pose.translation
+        trans[1:] = (rots[:-1] @ p[:, :, None])[:, :, 0]
         self.partial_rots = rots
-        self.partial_trans = trans
+        self.partial_trans = np.cumsum(trans, axis=0)
 
     @property
     def pose(self):
@@ -213,13 +218,10 @@ class _Chain:
     def jacobian(self):
         """World-frame Jacobian, columns are joint twists [v; w]; built
         on first use, then shared."""
-        jac = np.empty((6, self.model.n_joints))
-        for i, (v, w, *_) in enumerate(self.model._joints):
-            r = self.partial_rots[i]
-            wi = r @ w
-            jac[:3, i] = r @ v + _cross(self.partial_trans[i], wi)
-            jac[3:, i] = wi
-        return jac
+        rots = self.partial_rots[:-1]
+        w = (rots @ self.model._w)[:, :, 0].T
+        v = (rots @ self.model._v)[:, :, 0].T
+        return np.concatenate([v + _cross(self.partial_trans[:-1].T, w), w])
 
     def sew_points(self):
         return tuple(self.partial_rots[i] @ self.model._axis_points[i]

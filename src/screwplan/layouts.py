@@ -11,14 +11,14 @@ Ceiling grids emit (i, j, 1) row-major with i the row (breadth axis) and
 j the column (length axis).
 """
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .screws import Pose, compose, pose_from_record, pose_to_record
+from .screws import (Pose, compose, pose_from_record, pose_to_record,
+                     read_document, write_document)
 
 
 class InvalidLayoutError(ValueError):
@@ -282,18 +282,11 @@ def layout_spec_from_record(doc):
 
 
 def save_layout_spec(spec, path):
-    with open(path, "w") as f:
-        json.dump(layout_spec_to_record(spec), f, indent=2)
-        f.write("\n")
+    write_document(layout_spec_to_record(spec), path, indent=2)
 
 
 def load_layout_spec(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidLayoutError(f"not valid JSON: {e}") from e
-    return layout_spec_from_record(doc)
+    return layout_spec_from_record(read_document(path, InvalidLayoutError))
 
 
 def save_goal_sequence(goals, path):
@@ -302,16 +295,11 @@ def save_goal_sequence(goals, path):
            "units": {"length": "m"},
            "goals": [{"index": [g.i, g.j, g.k],
                       "pose": pose_to_record(g.pose)} for g in goals]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    write_document(doc, path)
 
 
 def load_goal_sequence(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "goal_sequence":
-        raise InvalidLayoutError("not a goal sequence file")
+    doc = read_document(path, InvalidLayoutError, "goal_sequence")
     return [LayoutGoal(i=rec["index"][0], j=rec["index"][1],
                        k=rec["index"][2], pose=pose_from_record(rec["pose"]))
             for rec in doc["goals"]]

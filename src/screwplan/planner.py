@@ -34,6 +34,7 @@ from .kinematics import (
 from .screws import (
     Pose,
     compose,
+    error_twist,
     exp_screw,
     inverse,
     log_pose,
@@ -131,11 +132,6 @@ class JointTrajectory:
         return self.steps[-1].end_effector
 
 
-def _log_coords(g):
-    xi, theta = log_pose(g)
-    return xi.array() * theta
-
-
 def _clamp(dq):
     worst = float(np.max(np.abs(dq)))
     if worst > STEP_CLAMP:
@@ -154,7 +150,7 @@ def _reached(pose, gd, config):
 
 def _track(q, pose, jac, gd, config):
     """Tentative mode-1 update from q at flange pose: (q + dq, damped)."""
-    xi = _log_coords(compose(gd, inverse(pose)))
+    xi = error_twist(gd, pose)
     pinv, damped = pseudoinverse(jac)
     return q + _clamp(config.kappa * config.delta_t * (pinv @ xi)), damped
 
@@ -259,7 +255,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         correction = np.concatenate([
-            config.kappa * _log_coords(compose(hold, inverse(pose))),
+            config.kappa * error_twist(hold, pose),
             [psi_d - psi_cont]])
         dq = _clamp(config.lam * config.delta_t * (pinv @ correction))
         candidate = q_c + dq
@@ -380,7 +376,7 @@ def geodesic_deviation(start, goal, poses, translation_scale=1.0):
         if denom < 1e-18:
             tau = 0.0
         else:
-            sigma = _log_coords(compose(pose, inverse(start)))
+            sigma = error_twist(pose, start)
             tau = float(sigma @ (weights * chord)) / denom
         tau = min(max(tau, 0.0), 1.0)
         best = at(tau, pose)

@@ -39,12 +39,23 @@ def hat(v):
     ])
 
 
-def twist_hat(twist):
-    """6-vector [v; omega] to its 4x4 matrix form [[hat(omega), v], [0, 0]]."""
-    out = np.zeros((4, 4))
-    out[:3, :3] = hat(twist[3:])
-    out[:3, 3] = twist[:3]
-    return out
+def _norm(x):
+    # np.linalg.norm's own arithmetic for a real array, without its
+    # dispatch: sqrt of the ravelled dot product
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _check_rotation(R):
+    """ValueError unless R is orthonormal within _ORTHO_TOL with positive
+    determinant; NaN fails."""
+    dev = np.abs(R.T @ R - _EYE3).max()
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    # once dev <= tol, det is within ~2e-9 of +-1, so the sign of the
+    # triple product is the sign of det
+    if not dev <= _ORTHO_TOL or (a * (e * i - f * h) - b * (d * i - f * g)
+                                 + c * (d * h - e * g)) < 0.0:
+        raise ValueError(f"rotation not orthonormal (deviation {dev:.3e})")
 
 
 @dataclass(frozen=True)
@@ -59,10 +70,9 @@ class Pose:
         p = np.array(self.translation, dtype=float)
         if R.shape != (3, 3) or p.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector")
-        dev = np.abs(R.T @ R - _EYE3).max()
-        if dev > _ORTHO_TOL or np.linalg.det(R) < 0.0:
-            raise ValueError(
-                f"rotation not orthonormal (deviation {dev:.3e})")
+        _check_rotation(R)
+        if not np.isfinite(p).all():
+            raise ValueError("pose translation must be finite")
         R.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "rotation", R)
@@ -72,31 +82,22 @@ class Pose:
     def identity():
         return Pose(_EYE3, np.zeros(3))
 
-    @staticmethod
-    def from_matrix(T):
-        T = np.asarray(T, float)
-        return Pose(T[:3, :3], T[:3, 3])
-
-    def matrix(self):
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-
     def apply(self, point):
         """Transform a 3-point (or an (n, 3) stack of points)."""
         return np.asarray(point, float) @ self.rotation.T + self.translation
 
-    def __matmul__(self, other):
-        return compose(self, other)
+
+def _compose(Ra, pa, Rb, pb):
+    R = Ra @ Rb
+    # one Newton step keeps long chains orthonormal
+    R = R @ (1.5 * _EYE3 - 0.5 * (R.T @ R))
+    return R, Ra @ pb + pa
 
 
 def compose(a, b):
     """a then b is NOT this: compose(a, b) maps x to a(b(x))."""
-    R = a.rotation @ b.rotation
-    # one Newton step keeps long chains orthonormal
-    R = R @ (1.5 * _EYE3 - 0.5 * (R.T @ R))
-    return Pose(R, a.rotation @ b.translation + a.translation)
+    return Pose(*_compose(a.rotation, a.translation, b.rotation,
+                          b.translation))
 
 
 def inverse(a):
@@ -111,10 +112,10 @@ def pose_error(a, b):
     stays accurate near 0 and near pi.
     """
     R = a.rotation.T @ b.rotation
-    s = np.linalg.norm(R - R.T) / math.sqrt(8.0)
+    s = _norm(R - R.T) / math.sqrt(8.0)
     c = (np.trace(R) - 1.0) / 2.0
     rot = math.atan2(min(s, 1.0), max(-1.0, min(c, 1.0)))
-    return rot, float(np.linalg.norm(a.translation - b.translation))
+    return rot, _norm(a.translation - b.translation)
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,7 @@ class ScrewDisplacement:
     def __post_init__(self):
         axis = np.array(self.axis, dtype=float)
         moment = np.array(self.moment, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > _ORTHO_TOL:
-            raise ValueError("screw axis must be a unit vector")
-        if math.isinf(self.pitch):
-            if np.linalg.norm(moment) > 1e-12:
-                raise ValueError("pure translation must have zero moment")
-        elif abs(axis @ moment) > _ORTHO_TOL:
-            raise ValueError("moment must be orthogonal to the axis")
-        if self.magnitude < 0.0:
-            raise ValueError("magnitude must be nonnegative")
+        _check_screw(axis, moment, self.pitch, self.magnitude)
         axis.setflags(write=False)
         moment.setflags(write=False)
         object.__setattr__(self, "axis", axis)
@@ -163,13 +156,7 @@ class UnitTwist:
     def __post_init__(self):
         lin = np.array(self.linear, dtype=float)
         ang = np.array(self.angular, dtype=float)
-        na = np.linalg.norm(ang)
-        if abs(na - 1.0) > _ORTHO_TOL:
-            if na > _ORTHO_TOL:
-                raise ValueError("angular part must be unit or zero")
-            if abs(np.linalg.norm(lin) - 1.0) > _ORTHO_TOL:
-                raise ValueError(
-                    "zero angular part requires a unit linear part")
+        _check_unit_twist(lin, ang)
         lin.setflags(write=False)
         ang.setflags(write=False)
         object.__setattr__(self, "linear", lin)
@@ -179,12 +166,38 @@ class UnitTwist:
         return np.concatenate([self.linear, self.angular])
 
 
+def _check_screw(axis, moment, pitch, magnitude):
+    if abs(_norm(axis) - 1.0) > _ORTHO_TOL:
+        raise ValueError("screw axis must be a unit vector")
+    if math.isinf(pitch):
+        if _norm(moment) > 1e-12:
+            raise ValueError("pure translation must have zero moment")
+    elif abs(axis @ moment) > _ORTHO_TOL:
+        raise ValueError("moment must be orthogonal to the axis")
+    if magnitude < 0.0:
+        raise ValueError("magnitude must be nonnegative")
+
+
+def _check_unit_twist(lin, ang):
+    na = _norm(ang)
+    if abs(na - 1.0) > _ORTHO_TOL:
+        if na > _ORTHO_TOL:
+            raise ValueError("angular part must be unit or zero")
+        if abs(_norm(lin) - 1.0) > _ORTHO_TOL:
+            raise ValueError(
+                "zero angular part requires a unit linear part")
+
+
+def _twist_parts(axis, moment, pitch):
+    """(linear, angular) of the unit twist of a screw: [moment + pitch *
+    axis; axis], or [axis; 0] for infinite pitch."""
+    if math.isinf(pitch):
+        return axis, np.zeros(3)
+    return moment + pitch * axis, axis
+
+
 def unit_twist(screw):
-    """Unit twist of a screw: [moment + pitch * axis; axis], or [axis; 0]
-    for infinite pitch."""
-    if math.isinf(screw.pitch):
-        return UnitTwist(screw.axis, np.zeros(3))
-    return UnitTwist(screw.moment + screw.pitch * screw.axis, screw.axis)
+    return UnitTwist(*_twist_parts(screw.axis, screw.moment, screw.pitch))
 
 
 def _rodrigues(theta, W, W2):
@@ -215,7 +228,7 @@ def exp_screw(xi, theta):
 
     theta is radians for rotational twists, meters for translational ones.
     """
-    if np.linalg.norm(xi.angular) > 0.5:
+    if _norm(xi.angular) > 0.5:
         W = hat(xi.angular)
         W2 = W @ W
         return Pose(_rodrigues(theta, W, W2), _v_mat(theta, W, W2) @ xi.linear)
@@ -228,28 +241,29 @@ def rot_to_quat(R):
     Pivots on the largest of trace and diagonal entries, so the axis stays
     accurate for rotations arbitrarily close to pi.
     """
-    t = R[0, 0] + R[1, 1] + R[2, 2]
-    if t >= R[0, 0] and t >= R[1, 1] and t >= R[2, 2]:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
+    t = r00 + r11 + r22
+    if t >= r00 and t >= r11 and t >= r22:
         r = math.sqrt(1.0 + t)
         s = 0.5 / r
-        q = np.array([0.5 * r, (R[2, 1] - R[1, 2]) * s,
-                      (R[0, 2] - R[2, 0]) * s, (R[1, 0] - R[0, 1]) * s])
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        r = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2])
+        q = np.array([0.5 * r, (r21 - r12) * s,
+                      (r02 - r20) * s, (r10 - r01) * s])
+    elif r00 >= r11 and r00 >= r22:
+        r = math.sqrt(1.0 + r00 - r11 - r22)
         s = 0.5 / r
-        q = np.array([(R[2, 1] - R[1, 2]) * s, 0.5 * r,
-                      (R[0, 1] + R[1, 0]) * s, (R[0, 2] + R[2, 0]) * s])
-    elif R[1, 1] >= R[2, 2]:
-        r = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2])
+        q = np.array([(r21 - r12) * s, 0.5 * r,
+                      (r01 + r10) * s, (r02 + r20) * s])
+    elif r11 >= r22:
+        r = math.sqrt(1.0 - r00 + r11 - r22)
         s = 0.5 / r
-        q = np.array([(R[0, 2] - R[2, 0]) * s, (R[0, 1] + R[1, 0]) * s,
-                      0.5 * r, (R[1, 2] + R[2, 1]) * s])
+        q = np.array([(r02 - r20) * s, (r01 + r10) * s,
+                      0.5 * r, (r12 + r21) * s])
     else:
-        r = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2])
+        r = math.sqrt(1.0 - r00 - r11 + r22)
         s = 0.5 / r
-        q = np.array([(R[1, 0] - R[0, 1]) * s, (R[0, 2] + R[2, 0]) * s,
-                      (R[1, 2] + R[2, 1]) * s, 0.5 * r])
-    q /= np.linalg.norm(q)
+        q = np.array([(r10 - r01) * s, (r02 + r20) * s,
+                      (r12 + r21) * s, 0.5 * r])
+    q /= _norm(q)
     if q[0] < 0.0:
         q = -q
     return q
@@ -258,7 +272,7 @@ def rot_to_quat(R):
 def quat_to_rot(q):
     """Quaternion [w, x, y, z] (any nonzero norm) to a rotation matrix."""
     q = np.asarray(q, float)
-    w, x, y, z = q / np.linalg.norm(q)
+    w, x, y, z = q / _norm(q)
     return np.array([
         [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
         [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
@@ -269,15 +283,16 @@ def quat_to_rot(q):
 def _axis_angle(R):
     # quaternion route: stable at both ends of [0, pi]
     q = rot_to_quat(R)
-    n = np.linalg.norm(q[1:])
+    n = _norm(q[1:])
     theta = 2.0 * math.atan2(n, q[0])
     if n == 0.0:
         return np.array([0.0, 0.0, 1.0]), theta
     return q[1:] / n, theta
 
 
-def screw_from_pose(pose):
-    """Chasles decomposition of a displacement.
+def _chasles(R, p):
+    """Unchecked (axis, moment, pitch, magnitude) of the displacement
+    (R, p): the one log behind screw_from_pose, log_pose and log_coords.
 
     Rotations with angle below ROT_IDENTITY_TOL are treated as pure
     translations; the exact identity yields the canonical zero screw
@@ -285,27 +300,52 @@ def screw_from_pose(pose):
     land in [0, pi]; at exactly pi the axis sign follows the quaternion
     pivot convention.
     """
-    omega, theta = _axis_angle(pose.rotation)
-    p = pose.translation
+    omega, theta = _axis_angle(R)
     if theta < ROT_IDENTITY_TOL:
-        d = float(np.linalg.norm(p))
+        d = _norm(p)
         if d == 0.0:
-            return ScrewDisplacement(np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                                     0.0, 0.0)
-        return ScrewDisplacement(p / d, np.zeros(3), INFINITE_PITCH, d)
+            return np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0, 0.0
+        return p / d, np.zeros(3), INFINITE_PITCH, d
     W = hat(omega)
     v = _v_inv(theta, W, W @ W) @ p
     h = float(omega @ v)
     m = v - h * omega
     # the closed-form inverse leaves a ~1e-16 component along the axis
     m -= (m @ omega) * omega
-    return ScrewDisplacement(omega, m, h, theta)
+    return omega, m, h, theta
+
+
+def screw_from_pose(pose):
+    """Chasles decomposition of a displacement (see _chasles)."""
+    return ScrewDisplacement(*_chasles(pose.rotation, pose.translation))
 
 
 def log_pose(pose):
     """(unit twist, magnitude) such that exp_screw reproduces the pose."""
     s = screw_from_pose(pose)
     return unit_twist(s), s.magnitude
+
+
+def log_coords(R, p):
+    """Log coordinates xi * theta of the displacement (R, p): what
+    log_pose gives, with the same checks, but no screw or twist object."""
+    axis, moment, pitch, theta = _chasles(R, p)
+    _check_screw(axis, moment, pitch, theta)
+    lin, ang = _twist_parts(axis, moment, pitch)
+    _check_unit_twist(lin, ang)
+    return np.concatenate([lin, ang]) * theta
+
+
+def error_twist(goal, pose):
+    """Log coordinates of compose(goal, inverse(pose)), the spatial twist
+    that carries pose onto goal in unit time.  Runs the rotation checks
+    of those two poses without building them."""
+    Rt = pose.rotation.T
+    _check_rotation(Rt)
+    R, p = _compose(goal.rotation, goal.translation, Rt,
+                    -(Rt @ pose.translation))
+    _check_rotation(R)
+    return log_coords(R, p)
 
 
 def sclerp(start, goal, tau):
@@ -322,7 +362,7 @@ def sclerp_path(start, goal, taus):
     taus = np.asarray(taus, float)
     xi, theta = log_pose(compose(goal, inverse(start)))
     ang = theta * taus
-    if np.linalg.norm(xi.angular) > 0.5:
+    if _norm(xi.angular) > 0.5:
         W = hat(xi.angular)
         W2 = W @ W
         sin = np.sin(ang)
@@ -339,16 +379,6 @@ def sclerp_path(start, goal, taus):
         R = np.broadcast_to(_EYE3, (len(taus), 3, 3)).copy()
         p = ang[:, None] * xi.linear
     return R @ start.rotation, R @ start.translation + p
-
-
-def adjoint(pose):
-    """6x6 adjoint for [v; omega] twists: blocks [[R, hat(p) R], [0, R]]."""
-    R, p = pose.rotation, pose.translation
-    out = np.zeros((6, 6))
-    out[:3, :3] = R
-    out[:3, 3:] = hat(p) @ R
-    out[3:, 3:] = R
-    return out
 
 
 def pose_to_record(pose):
@@ -368,20 +398,33 @@ def pose_from_record(record):
     return Pose(quat_to_rot(q), t)
 
 
-def save_pose_sequence(poses, path):
-    """Ordered poses as one JSON document; the format the planner's
-    guiding-pose input rides in."""
-    doc = {"format": "pose_sequence",
-           "units": {"length": "m"},
-           "poses": [pose_to_record(p) for p in poses]}
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
+def write_document(doc, path, indent=1):
+    """One JSON document and a closing newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=indent)
         f.write("\n")
 
 
+def read_document(path, error, fmt=None):
+    """One JSON document; the caller's `error` class for invalid JSON
+    or, when fmt is given, for a "format" tag other than fmt."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise error(f"not valid JSON: {e}") from e
+    if fmt is not None and doc.get("format") != fmt:
+        raise error(f'expected format "{fmt}"')
+    return doc
+
+
+def save_pose_sequence(poses, path):
+    """Ordered poses as one JSON document; the format the planner's
+    guiding-pose input rides in."""
+    write_document({"format": "pose_sequence", "units": {"length": "m"},
+                    "poses": [pose_to_record(p) for p in poses]}, path)
+
+
 def load_pose_sequence(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "pose_sequence":
-        raise ValueError("not a pose sequence file")
+    doc = read_document(path, ValueError, "pose_sequence")
     return [pose_from_record(rec) for rec in doc["poses"]]

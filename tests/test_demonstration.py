@@ -135,6 +135,21 @@ def test_load_quaternion_drift_policy(tmp_path):
         load_demonstration(f)
 
 
+def test_load_rejects_non_finite_pose(tmp_path):
+    f = tmp_path / "demo.jsonl"
+    for bad in ('{"t": [0, 0, 0], "q": [NaN, 0, 0, 0]}',
+                '{"t": [0, 0, NaN], "q": [1, 0, 0, 0]}',
+                '{"t": [0, Infinity, 0], "q": [1, 0, 0, 0]}',
+                '{"t": [0, 0, 0], "q": [1, -Infinity, 0, 0]}'):
+        f.write_text(
+            '{"object_id": "b", "units": "m"}\n'
+            '{"t": 0.0, "pose": {"t": [0,0,0], "q": [1,0,0,0]}}\n'
+            f'{{"t": 0.1, "pose": {bad}}}\n'
+        )
+        with pytest.raises(MalformedDemonstrationError, match="line 3"):
+            load_demonstration(f)
+
+
 def test_save_load_round_trip(tmp_path):
     demo = synthesize_demonstration(pick_place_keys(), samples_per_leg=5,
                                     object_id="brick")

@@ -36,8 +36,9 @@ from screwplan.kinematics import (
     sew_state,
     spatial_jacobian,
     within,
+    _Chain,
 )
-from screwplan.screws import Pose, compose, pose_error
+from screwplan.screws import Pose, compose, hat, pose_error
 from util import rand_pose
 
 READY = np.array([0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2,
@@ -171,6 +172,68 @@ def test_pseudoinverse_identities():
     assert damped
     assert np.all(np.isfinite(pinv))
     assert np.linalg.norm(pinv) < 1e4
+    # the packaged arm stretched straight up: sigma_min ~ 3e-17, so
+    # J J^T alone is numerically singular and only the damping saves it
+    jac = spatial_jacobian(model, np.zeros(7))
+    assert np.linalg.svd(jac, compute_uv=False)[-1] < 1e-12
+    pinv, damped = pseudoinverse(jac)
+    assert damped
+    assert np.all(np.isfinite(pinv))
+
+
+def reference_chain(model, q):
+    """The chain one joint at a time, each exponential built on its own:
+    the stacked kernel must reproduce it bit for bit.  Returns (partial
+    rotations, partial translations, flange pose, Jacobian)."""
+    eye = np.eye(3)
+    rots = [model.base_pose.rotation]
+    trans = [model.base_pose.translation]
+    for (v, w), qi in zip(zip(model.twists[:, :3], model.twists[:, 3:]), q):
+        if np.sum(w ** 2) < 1e-24:
+            r, p = eye, v * qi
+        else:
+            wh = hat(w)
+            wh2 = wh @ wh
+            s = math.sin(qi)
+            one_c = 2.0 * math.sin(qi / 2.0) ** 2
+            r = eye + s * wh + one_c * wh2
+            p = (qi * eye + one_c * wh + (qi - s) * wh2) @ v
+        rots.append(rots[-1] @ r)
+        trans.append(rots[-2] @ p + trans[-1])
+    jac = np.empty((6, len(q)))
+    for i, (v, w) in enumerate(zip(model.twists[:, :3], model.twists[:, 3:])):
+        wi = rots[i] @ w
+        t = trans[i]
+        jac[:3, i] = rots[i] @ v + np.array([t[1] * wi[2] - t[2] * wi[1],
+                                             t[2] * wi[0] - t[0] * wi[2],
+                                             t[0] * wi[1] - t[1] * wi[0]])
+        jac[3:, i] = wi
+    home = model.home_pose
+    pose = Pose(rots[-1] @ home.rotation,
+                rots[-1] @ home.translation + trans[-1])
+    return np.array(rots), np.array(trans), pose, jac
+
+
+def _assert_chain_bitwise(model, q):
+    rots, trans, pose, jac = reference_chain(model, q)
+    chain = _Chain(model, q)
+    assert np.array_equal(chain.partial_rots, rots)
+    assert np.array_equal(chain.partial_trans, trans)
+    got_pose, got_jac = fk_jacobian(model, q)
+    assert np.array_equal(got_pose.rotation, pose.rotation)
+    assert np.array_equal(got_pose.translation, pose.translation)
+    assert np.array_equal(got_jac, jac)
+
+
+def test_stacked_chain_matches_per_joint_chain_bitwise():
+    rng = np.random.default_rng(71)
+    model = dataclasses.replace(panda_model(), base_pose=rand_pose(rng))
+    for _ in range(200):
+        _assert_chain_bitwise(model, rand_q(rng, model, shrink=0.0))
+    _assert_chain_bitwise(model, np.zeros(7))
+    toy = prismatic_toy()
+    for _ in range(50):
+        _assert_chain_bitwise(toy, rng.uniform(toy.lower, toy.upper))
 
 
 def test_sew_points_frozen_at_zero():
@@ -368,8 +431,8 @@ def test_limit_status_rejects_bad_eps():
         limit_status(model, READY, 1.6, 0.01)
 
 
-def test_prismatic_joint_supported():
-    model = RobotModel(
+def prismatic_toy():
+    return RobotModel(
         name="toy",
         twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
                          [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
@@ -379,6 +442,10 @@ def test_prismatic_joint_supported():
         upper=np.array([3.0, 1.0, 1.0]),
         sew_indices=(0, 1, 2),
     )
+
+
+def test_prismatic_joint_supported():
+    model = prismatic_toy()
     pose = forward_kinematics(model, np.array([np.pi / 2.0, 0.3, 0.2]))
     # yaw by 90 degrees, then rise 0.3 and slide 0.2 along the rotated x
     assert_allclose(pose.translation, [0.0, 0.2, 0.3], atol=1e-12)

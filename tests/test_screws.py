@@ -17,11 +17,14 @@ from screwplan.screws import (
     Pose,
     ScrewDisplacement,
     UnitTwist,
-    adjoint,
+    ROT_IDENTITY_TOL,
     compose,
+    error_twist,
     exp_screw,
+    hat,
     inverse,
     load_pose_sequence,
+    log_coords,
     log_pose,
     pose_error,
     pose_from_record,
@@ -32,10 +35,27 @@ from screwplan.screws import (
     sclerp,
     sclerp_path,
     screw_from_pose,
-    twist_hat,
     unit_twist,
 )
 from util import expm_dense, rand_pose, rand_screw, rand_unit
+
+
+def adjoint(pose):
+    """6x6 adjoint for [v; omega] twists: blocks [[R, hat(p) R], [0, R]]."""
+    R, p = pose.rotation, pose.translation
+    out = np.zeros((6, 6))
+    out[:3, :3] = R
+    out[:3, 3:] = hat(p) @ R
+    out[3:, 3:] = R
+    return out
+
+
+def twist_hat(twist):
+    """6-vector [v; omega] to its 4x4 matrix form [[hat(omega), v], [0, 0]]."""
+    out = np.zeros((4, 4))
+    out[:3, :3] = hat(twist[3:])
+    out[:3, 3] = twist[:3]
+    return out
 
 
 def test_exp_half_turn_about_offset_axis():
@@ -314,6 +334,79 @@ def test_pose_rejects_non_orthonormal_rotation():
         Pose(np.eye(3) * 1.001, np.zeros(3))
     with pytest.raises(ValueError):
         Pose(-np.eye(3), np.zeros(3))  # det = -1
+
+
+def test_pose_rejects_non_finite_rotation_and_translation():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Pose(np.full((3, 3), bad), np.zeros(3))
+        rot = np.eye(3)
+        rot[1, 2] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Pose(rot, np.zeros(3))
+        with pytest.raises(ValueError, match="translation must be finite"):
+            Pose(np.eye(3), np.array([0.0, 0.0, bad]))
+    # a reflection that passes the orthonormality test is still refused
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+
+def _object_error_twist(goal, pose):
+    xi, theta = log_pose(compose(goal, inverse(pose)))
+    return xi.array() * theta
+
+
+def _bitwise(a, b):
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_error_twist_matches_object_path_bitwise():
+    rng = np.random.default_rng(41)
+    pairs = [(rand_pose(rng), rand_pose(rng)) for _ in range(200)]
+    for angle in (0.0, 1e-12, 0.3 * ROT_IDENTITY_TOL, 0.99 * ROT_IDENTITY_TOL,
+                  1.01 * ROT_IDENTITY_TOL, 1e-5, math.pi - 1e-6,
+                  math.pi - 1e-12, math.pi):
+        for _ in range(10):
+            goal = rand_pose(rng)
+            step = exp_screw(UnitTwist(rng.normal(size=3) * 0.1,
+                                       rand_unit(rng)), angle)
+            pairs.append((goal, compose(inverse(step), goal)))
+    g = rand_pose(rng)
+    pairs += [(g, g), (Pose.identity(), Pose.identity()),
+              (Pose(np.diag([-1.0, -1.0, 1.0]), np.array([0.1, 0.0, 0.0])),
+               Pose.identity())]
+    small = 0
+    for goal, pose in pairs:
+        ours = error_twist(goal, pose)
+        assert _bitwise(ours, _object_error_twist(goal, pose))
+        small += np.linalg.norm(ours[3:]) < ROT_IDENTITY_TOL
+    assert small >= 30  # the translation branch was exercised
+
+
+def test_log_coords_matches_log_pose_bitwise():
+    rng = np.random.default_rng(42)
+    poses = [rand_pose(rng) for _ in range(100)]
+    poses += [Pose.identity(), Pose(np.eye(3), np.array([0.0, 0.2, 0.0])),
+              Pose(quat_to_rot([1.0, 1e-10, 0.0, 0.0]), np.ones(3)),
+              Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.3, 0.1]))]
+    for pose in poses:
+        xi, theta = log_pose(pose)
+        assert _bitwise(log_coords(pose.rotation, pose.translation),
+                        xi.array() * theta)
+    assert _bitwise(log_coords(np.eye(3), np.zeros(3)), np.zeros(6))
+
+
+def test_error_twist_rejects_what_the_poses_reject():
+    goal = Pose.identity()
+    for rot in (np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0])):
+        # a pose that skipped validation, as a caller could hand in
+        bad = object.__new__(Pose)
+        object.__setattr__(bad, "rotation", rot)
+        object.__setattr__(bad, "translation", np.zeros(3))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            _object_error_twist(goal, bad)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            error_twist(goal, bad)
 
 
 def test_screw_displacement_validation():
