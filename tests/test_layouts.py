@@ -301,3 +301,6 @@ def test_goal_sequence_round_trip(tmp_path):
     path.write_text(json.dumps({"format": "goals", "goals": []}))
     with pytest.raises(InvalidLayoutError):
         load_goal_sequence(path)
+    path.write_text('{"format": "goal_sequence", ')
+    with pytest.raises(InvalidLayoutError, match="not valid JSON"):
+        load_goal_sequence(path)
