@@ -25,7 +25,7 @@ from .layouts import (LayoutGoal, LayoutKind, LayoutSpec, ObjectDims,
 from .kinematics import (PANDA_READY, RobotModel, arm_state, fk_jacobian,
                          forward_kinematics, limit_margin, load_robot_model,
                          panda_model, save_robot_model, self_motion_rollout,
-                         sew_angle, sew_state, spatial_jacobian)
+                         sew_angle)
 from .planner import (JointTrajectory, Mode, Outcome, PlannerConfig,
                       TrajectoryStep, geodesic_deviation, load_trajectory,
                       plan_through_guiding_poses, plan_to_pose,
@@ -52,8 +52,7 @@ __all__ = [
     "pick_stack", "save_goal_sequence", "save_layout_spec",
     "PANDA_READY", "RobotModel", "arm_state", "fk_jacobian",
     "forward_kinematics", "limit_margin", "load_robot_model", "panda_model",
-    "save_robot_model", "self_motion_rollout", "sew_angle", "sew_state",
-    "spatial_jacobian",
+    "save_robot_model", "self_motion_rollout", "sew_angle",
     "JointTrajectory", "Mode", "Outcome", "PlannerConfig", "TrajectoryStep",
     "geodesic_deviation", "load_trajectory", "plan_through_guiding_poses",
     "plan_to_pose", "save_trajectory",

@@ -143,6 +143,8 @@ class ActivitySpec:
         if q.shape != (self.robot.n_joints,):
             raise InvalidActivitySpecError(
                 f"q_start needs {self.robot.n_joints} joint values")
+        if not np.isfinite(q).all():
+            raise InvalidActivitySpecError("q_start must be finite")
         object.__setattr__(self, "q_start", q)
 
 

@@ -46,6 +46,9 @@ def _cmd_layout(args):
 def _cmd_plan(args):
     model = load_robot_model(args.robot)
     guiding = load_pose_sequence(args.guiding)
+    if len(args.q0) != model.n_joints:
+        raise ValueError(f"--q0 has {len(args.q0)} values, robot "
+                         f"{model.name!r} has {model.n_joints} joints")
     config = PlannerConfig(mode2_enabled=not args.no_mode2)
     traj = plan_through_guiding_poses(np.array(args.q0), guiding, model,
                                       config)
@@ -98,8 +101,8 @@ def build_parser():
                        help="plan joint motion through guiding poses")
     p.add_argument("--robot", required=True, help="robot model file")
     p.add_argument("--guiding", required=True, help="pose sequence file")
-    p.add_argument("--q0", required=True, type=float, nargs=7,
-                   metavar="Q", help="start configuration, radians")
+    p.add_argument("--q0", required=True, type=float, nargs="+", metavar="Q",
+                   help="start configuration, one value per joint, radians")
     p.add_argument("--no-mode2", action="store_true",
                    help="baseline planner: fail at joint limits")
     p.add_argument("--out", required=True, help="trajectory file to write")

@@ -26,6 +26,7 @@ from .screws import (
     compose,
     inverse,
     pose_error,
+    pose_errors,
     quat_to_rot,
     pose_from_record,
     pose_to_record,
@@ -312,14 +313,8 @@ def _deviation_from_chord(Rs, ps, start, end, cum):
     taus = (cum[start + 1:end] - cum[start]) / span
     gi = Pose(Rs[start], ps[start])
     gf = Pose(Rs[end], ps[end])
-    Ri, pi = sclerp_path(gi, gf, taus)
-    rel = np.einsum("nji,njk->nik", Ri, Rs[start + 1:end])
-    tr = np.einsum("nii->n", rel)
-    skew = rel - np.transpose(rel, (0, 2, 1))
-    s = np.sqrt((skew * skew).sum(axis=(1, 2))) / math.sqrt(8.0)
-    c = (tr - 1.0) / 2.0
-    rot = np.arctan2(np.minimum(s, 1.0), np.clip(c, -1.0, 1.0))
-    trans = np.linalg.norm(pi - ps[start + 1:end], axis=1)
+    rot, trans = pose_errors(*sclerp_path(gi, gf, taus), Rs[start + 1:end],
+                             ps[start + 1:end])
     return float(rot.max(initial=0.0)), float(trans.max(initial=0.0))
 
 

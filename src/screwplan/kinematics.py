@@ -224,16 +224,14 @@ class _Chain:
         return np.concatenate([v + _cross(self.partial_trans[:-1].T, w), w])
 
     def sew_points(self):
+        """World shoulder, elbow and wrist points: the marker joints'
+        axis points, carried by the links ahead of them."""
         return tuple(self.partial_rots[i] @ self.model._axis_points[i]
                      + self.partial_trans[i] for i in self.model.sew_indices)
 
 
 def forward_kinematics(model, q):
     return _Chain(model, q).pose
-
-
-def spatial_jacobian(model, q):
-    return _Chain(model, q).jacobian
 
 
 def fk_jacobian(model, q):
@@ -252,13 +250,6 @@ def pseudoinverse(jac):
     return np.linalg.solve(jjt, jac).T, damped
 
 
-def sew_points(model, q):
-    """World shoulder, elbow and wrist points: the reference axis
-    points of the three marker joints, carried by the links ahead of
-    them."""
-    return _Chain(model, q).sew_points()
-
-
 def _reference_direction(model, u):
     """In-plane zero reference for the elbow angle: base vertical,
     or base x when the shoulder-wrist line is vertical."""
@@ -266,20 +257,6 @@ def _reference_direction(model, u):
     if np.linalg.norm(_cross(zhat, u)) < REFERENCE_AXIS_TOL:
         return model.base_pose.rotation[:, 0]
     return zhat
-
-
-def _sew_angle_from_points(model, s, e, w):
-    u = w - s
-    u = u / np.linalg.norm(u)
-    ref = _reference_direction(model, u)
-    r = ref - np.dot(ref, u) * u
-    ew = e - s
-    f = ew - np.dot(ew, u) * u
-    return math.atan2(np.dot(u, _cross(r, f)), np.dot(r, f))
-
-
-def sew_angle(model, q):
-    return _sew_angle_from_points(model, *sew_points(model, q))
 
 
 def _point_jacobian(jac, point, upto):
@@ -293,6 +270,7 @@ def _point_jacobian(jac, point, upto):
 
 
 def _sew_jacobian(chain):
+    """(psi, dpsi/dq) at the chain: the one definition of psi."""
     model = chain.model
     jac = chain.jacobian
     s, e, w = chain.sew_points()
@@ -325,9 +303,8 @@ def _sew_jacobian(chain):
     return psi, jpsi
 
 
-def sew_state(model, q):
-    """(psi, dpsi/dq) in one chain pass."""
-    return _sew_jacobian(_Chain(model, q))
+def sew_angle(model, q):
+    return _sew_jacobian(_Chain(model, q))[0]
 
 
 def arm_state(model, q):
@@ -335,13 +312,6 @@ def arm_state(model, q):
     chain = _Chain(model, q)
     psi, jpsi = _sew_jacobian(chain)
     return chain.pose, chain.jacobian, psi, jpsi
-
-
-def augmented_jacobian(model, q):
-    """World Jacobian with the elbow-angle gradient appended, square
-    for a seven-joint arm."""
-    pose, jac, psi, jpsi = arm_state(model, q)
-    return np.vstack([jac, jpsi])
 
 
 def check_eps(model, eps_inner, eps_outer):
@@ -355,21 +325,16 @@ def check_eps(model, eps_inner, eps_outer):
 def limit_status(model, q, eps_inner, eps_outer):
     """Zone of each joint relative to the shrunk limit intervals."""
     check_eps(model, eps_inner, eps_outer)
-    q = np.asarray(q, dtype=float)
-    zones = []
-    for qi, lo, hi in zip(q, model.lower, model.upper):
-        if lo + eps_inner <= qi <= hi - eps_inner:
-            zones.append(LimitZone.WITHIN_INNER)
-        elif lo + eps_outer <= qi <= hi - eps_outer:
-            zones.append(LimitZone.BETWEEN_BOUNDS)
-        else:
-            zones.append(LimitZone.OUTSIDE_OUTER)
-    return zones
+    inner = within(q, limit_band(model, eps_inner))
+    outer = within(q, limit_band(model, eps_outer))
+    return [LimitZone.WITHIN_INNER if i else LimitZone.BETWEEN_BOUNDS if o
+            else LimitZone.OUTSIDE_OUTER for i, o in zip(inner, outer)]
 
 
 def limit_band(model, eps):
-    """Per-joint (lower, upper) of the limit interval shrunk by eps; with
-    within() it masks limit_status zones without the per-call checks."""
+    """Per-joint (lower, upper) of the limit interval shrunk by eps: the
+    one definition of the inner and outer bands, which within() tests
+    and limit_status reads; callers run check_eps once per eps pair."""
     return model.lower + eps, model.upper - eps
 
 
@@ -388,8 +353,9 @@ def limit_margin(model, q):
 def self_motion_direction(model, q):
     """dq/dpsi along the flange-preserving self-motion: the augmented
     Jacobian mapped back from a pure elbow-angle rate."""
-    ja = augmented_jacobian(model, q)
-    pinv, damped = pseudoinverse(ja)
+    chain = _Chain(model, q)
+    pinv, damped = pseudoinverse(
+        np.vstack([chain.jacobian, _sew_jacobian(chain)[1]]))
     return pinv[:, -1].copy(), damped
 
 

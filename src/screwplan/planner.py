@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+# limit_status and log_pose go uncalled: perfbench's tracer rebinds them
 from .kinematics import (
     arm_state,
     check_eps,
@@ -29,18 +30,16 @@ from .kinematics import (
     pseudoinverse,
     self_motion_direction,
     within,
-    LimitZone,
 )
 from .screws import (
     Pose,
-    compose,
     error_twist,
-    exp_screw,
-    inverse,
     log_pose,
     pose_error,
+    pose_errors,
     pose_from_record,
     pose_to_record,
+    sclerp_path,
 )
 
 STEP_CLAMP = 0.05  # per-joint displacement cap per iteration, radians
@@ -143,28 +142,6 @@ def _wrap(angle):
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _reached(pose, gd, config):
-    rot, trans = pose_error(pose, gd)
-    return rot < config.goal_tol[0] and trans < config.goal_tol[1]
-
-
-def _track(q, pose, jac, gd, config):
-    """Tentative mode-1 update from q at flange pose: (q + dq, damped)."""
-    xi = error_twist(gd, pose)
-    pinv, damped = pseudoinverse(jac)
-    return q + _clamp(config.kappa * config.delta_t * (pinv @ xi)), damped
-
-
-def mode1_step(q, gd, model, config):
-    """One tracking update toward gd; q unchanged when already within
-    goal tolerance."""
-    q = np.asarray(q, dtype=float)
-    pose, jac = fk_jacobian(model, q)
-    if _reached(pose, gd, config):
-        return q.copy()
-    return _track(q, pose, jac, gd, config)[0]
-
-
 def calculate_sew_change(q, model, config):
     """Signed elbow-angle change that relieves the joint limits.
 
@@ -178,8 +155,10 @@ def calculate_sew_change(q, model, config):
     retreat); zero when neither direction helps or nothing is wrong.
     """
     q = np.asarray(q, dtype=float)
-    zones = limit_status(model, q, config.eps_in, config.eps_out)
-    if all(z is LimitZone.WITHIN_INNER for z in zones):
+    check_eps(model, config.eps_in, config.eps_out)
+    inner = limit_band(model, config.eps_in)
+    outer = limit_band(model, config.eps_out)
+    if within(q, inner).all():
         return 0.0
     step, span = config.sew_search
     fallback_margin = limit_margin(model, q)
@@ -197,14 +176,12 @@ def calculate_sew_change(q, model, config):
                 alive[sign] = False
                 continue
             candidate = state[sign] + sign * step * direction
-            zones = limit_status(model, candidate, config.eps_in,
-                                 config.eps_out)
-            if any(z is LimitZone.OUTSIDE_OUTER for z in zones):
+            if not within(candidate, outer).all():
                 alive[sign] = False
                 continue
             state[sign] = candidate
             margin = limit_margin(model, candidate)
-            if all(z is LimitZone.WITHIN_INNER for z in zones):
+            if within(candidate, inner).all():
                 if best_margin is None or margin > best_margin + 1e-12:
                     best_margin = margin
                     best_dpsi = sign * k * step
@@ -230,6 +207,8 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     configuration.
     """
     q_c = np.asarray(q, dtype=float).copy()
+    check_eps(model, config.eps_in, config.eps_out)
+    outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
     hold = forward_kinematics(model, q_c)
     steps = []
@@ -259,9 +238,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             [psi_d - psi_cont]])
         dq = _clamp(config.lam * config.delta_t * (pinv @ correction))
         candidate = q_c + dq
-        zones = limit_status(model, candidate, config.eps_in,
-                             config.eps_out)
-        if any(z is LimitZone.OUTSIDE_OUTER for z in zones):
+        if not within(candidate, outer).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         q_c = candidate
@@ -285,13 +262,17 @@ def plan_to_pose(q0, gd, model, config):
             steps.append(TrajectoryStep(pending[0], Mode.MODE1, pose,
                                         pending[1]))
             pending = None
-        if _reached(pose, gd, config):
+        rot, trans = pose_error(pose, gd)
+        if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
             outcome = Outcome.REACHED
             break
         if iterations >= config.max_steps:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        candidate, damped = _track(q_c, pose, jac, gd, config)
+        # tentative mode-1 update along the error twist
+        xi = error_twist(gd, pose)
+        pinv, damped = pseudoinverse(jac)
+        candidate = q_c + _clamp(config.kappa * config.delta_t * (pinv @ xi))
         iterations += 1
         if within(candidate, inner).all():
             q_c = candidate
@@ -351,7 +332,8 @@ def plan_through_guiding_poses(q0, guiding, model, config):
 
 def geodesic_deviation(start, goal, poses, translation_scale=1.0):
     """Worst distance from a pose sequence to the screw geodesic
-    between start and goal: (max rotation, max translation).
+    between start and goal: (max rotation, max translation), zero for
+    no poses.
 
     Each pose is matched to its closest geodesic point: a weighted
     twist projection seeds the parameter (second-order accurate near
@@ -359,47 +341,44 @@ def geodesic_deviation(start, goal, poses, translation_scale=1.0):
     tighten it.  The reported deviation is an upper bound that is tight
     for near-geodesic sequences.
     """
-    xi, theta = log_pose(compose(goal, inverse(start)))
-    chord = xi.array() * theta
-    weights = np.concatenate([np.full(3, 1.0 / translation_scale ** 2),
-                              np.ones(3)])
-    denom = float(chord @ (weights * chord))
+    poses = list(poses)
+    if not poses:
+        return 0.0, 0.0
+    Rs = np.stack([p.rotation for p in poses])
+    ps = np.stack([p.translation for p in poses])
+    chord = error_twist(goal, start)
+    weighted = np.concatenate([np.full(3, 1.0 / translation_scale ** 2),
+                               np.ones(3)]) * chord
+    denom = float(chord @ weighted)
 
-    def at(tau, pose):
-        rot, trans = pose_error(pose,
-                                compose(exp_screw(xi, tau * theta), start))
-        return rot + trans / translation_scale, rot, trans
+    def at(taus):
+        # rows: score, rotation, translation; one column per pose
+        rot, trans = pose_errors(*sclerp_path(start, goal, taus), Rs, ps)
+        return np.stack([rot + trans / translation_scale, rot, trans])
 
-    max_rot = 0.0
-    max_trans = 0.0
-    for pose in poses:
-        if denom < 1e-18:
-            tau = 0.0
-        else:
-            sigma = error_twist(pose, start)
-            tau = float(sigma @ (weights * chord)) / denom
-        tau = min(max(tau, 0.0), 1.0)
-        best = at(tau, pose)
-        width = 0.004
-        for _ in range(2):
-            lo = at(tau - width, pose)
-            hi = at(tau + width, pose)
-            # parabola through the three samples
-            curve = lo[0] - 2.0 * best[0] + hi[0]
-            if curve > 1e-18:
-                shift = 0.5 * width * (lo[0] - hi[0]) / curve
-                shift = min(max(shift, -width), width)
-                trial = at(tau + shift, pose)
-                candidates = [(best, 0.0), (lo, -width), (hi, width),
-                              (trial, shift)]
-            else:
-                candidates = [(best, 0.0), (lo, -width), (hi, width)]
-            best, offset = min(candidates, key=lambda c: c[0][0])
-            tau += offset
-            width *= 0.2
-        max_rot = max(max_rot, best[1])
-        max_trans = max(max_trans, best[2])
-    return max_rot, max_trans
+    if denom < 1e-18:
+        tau = np.zeros(len(poses))
+    else:
+        tau = np.clip(np.array([float(error_twist(p, start) @ weighted)
+                                for p in poses]) / denom, 0.0, 1.0)
+    best = at(tau)
+    width = 0.004
+    for _ in range(2):
+        lo = at(tau - width)
+        hi = at(tau + width)
+        # parabola through the three samples; its vertex is a candidate
+        # only where the parabola opens upward
+        curve = lo[0] - 2.0 * best[0] + hi[0]
+        bent = curve > 1e-18
+        shift = np.clip(0.5 * width * (lo[0] - hi[0])
+                        / np.where(bent, curve, 1.0), -width, width)
+        trial = at(tau + shift)
+        trial[0, ~bent] = np.inf
+        pick = np.argmin([best[0], lo[0], hi[0], trial[0]], axis=0)
+        best = np.choose(pick, [best, lo, hi, trial])
+        tau = tau + np.choose(pick, [0.0, -width, width, shift])
+        width *= 0.2
+    return float(best[1].max()), float(best[2].max())
 
 
 def save_trajectory(traj, path, robot=""):
@@ -430,16 +409,25 @@ def load_trajectory(path):
         if header.get("format") != "trajectory":
             raise ValueError("not a trajectory file")
         steps = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            steps.append(TrajectoryStep(
-                q=np.array(rec["q"], dtype=float),
-                mode=Mode[rec["mode"].upper()] if isinstance(
-                    rec["mode"], str) else Mode(rec["mode"]),
-                end_effector=pose_from_record(rec["pose"]),
-                damped=bool(rec.get("damped", False))))
+            try:
+                rec = json.loads(line)
+                # by name ("mode1" in any case) or by value (1)
+                mode = Mode(Mode.__members__.get(str(rec["mode"]).upper(),
+                                                 rec["mode"]))
+                q = np.array(rec["q"], dtype=float)
+                if not np.isfinite(q).all():
+                    raise ValueError("joint values must be finite")
+                steps.append(TrajectoryStep(
+                    q, mode, pose_from_record(rec["pose"]),
+                    bool(rec.get("damped", False))))
+            except KeyError as e:
+                raise ValueError(
+                    f"trajectory line {lineno}: missing field {e}") from e
+            except ValueError as e:
+                raise ValueError(f"trajectory line {lineno}: {e}") from e
     return JointTrajectory(steps=steps,
                            outcome=Outcome(header["outcome"]),
                            segment_starts=list(header["segment_starts"]))

@@ -18,7 +18,7 @@ from .activity import (ActivitySpec, FixedBase, FrameGeometry, MovingBase,
 from .demonstration import (TaskInstance, extract_guiding_poses,
                             segment_demonstration, synthesize_demonstration)
 from .kinematics import PANDA_READY, forward_kinematics, panda_model
-from .layouts import LayoutKind, LayoutSpec, ObjectDims
+from .layouts import LayoutKind, LayoutSpec, ObjectDims, yaw_rotation
 from .planner import PlannerConfig
 from .screws import Pose, compose, inverse
 
@@ -32,14 +32,9 @@ def _rot_x(theta):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _rot_z(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def flat_pose(t, yaw=0.0):
     """A pose with z up and the given heading."""
-    return Pose(_rot_z(yaw), np.asarray(t, dtype=float))
+    return Pose(yaw_rotation(yaw).rotation, np.asarray(t, dtype=float))
 
 
 def top_grasp(dims, standoff=0.15):
@@ -197,7 +192,7 @@ def _turntable_activity(turn, joint, lower, upper):
     grasp = top_grasp(BRICK)
     start = forward_kinematics(panda_model(), PANDA_READY)
     obj_pick = compose(start, inverse(grasp))
-    goal = compose(Pose(_rot_z(turn), np.zeros(3)), obj_pick)
+    goal = compose(yaw_rotation(turn), obj_pick)
     layout = LayoutSpec(kind=LayoutKind.STRAIGHT_WALL, base=goal,
                         dims=BRICK, layers=1, per_layer=1)
     demo = pick_place_demo(obj_pick, goal, clearance=0.05)

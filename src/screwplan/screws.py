@@ -118,6 +118,18 @@ def pose_error(a, b):
     return rot, _norm(a.translation - b.translation)
 
 
+def pose_errors(Ra, pa, Rb, pb):
+    """pose_error over stacks of poses a and b, rotations (n, 3, 3) and
+    translations (n, 3): arrays of n angles and n distances."""
+    rel = np.einsum("nji,njk->nik", Ra, Rb)
+    tr = np.einsum("nii->n", rel)
+    skew = rel - np.transpose(rel, (0, 2, 1))
+    s = np.sqrt((skew * skew).sum(axis=(1, 2))) / math.sqrt(8.0)
+    c = (tr - 1.0) / 2.0
+    rot = np.arctan2(np.minimum(s, 1.0), np.clip(c, -1.0, 1.0))
+    return rot, np.linalg.norm(pa - pb, axis=1)
+
+
 @dataclass(frozen=True)
 class ScrewDisplacement:
     """Finite rigid displacement in Chasles form.

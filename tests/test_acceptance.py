@@ -21,8 +21,7 @@ from screwplan.demonstration import (segment_demonstration,
                                      transfer_constraints, TaskInstance)
 from screwplan.kinematics import (arm_state, fk_jacobian, forward_kinematics,
                                   panda_model, pseudoinverse, sew_angle,
-                                  self_motion_rollout, spatial_jacobian,
-                                  PANDA_READY)
+                                  self_motion_rollout, PANDA_READY)
 from screwplan.layouts import (layout_goals, LayoutKind, LayoutSpec,
                                ObjectDims)
 from screwplan.planner import (geodesic_deviation, plan_to_pose, Mode,

@@ -423,6 +423,8 @@ def test_activity_spec_rejects_noise(tmp_path):
             {"robot": {"name": "ur5"}},
             {"base_policy": {"kind": "teleport"}},
             {"q_start": [0.0, 0.0]},
+            {"q_start": good["q_start"][:3] + [math.nan]
+             + good["q_start"][4:]},
     ]:
         doc = json.loads(json.dumps(good))
         doc.update(breakage)
@@ -454,6 +456,9 @@ def test_spec_validation():
         replace(one_brick_spec(), base_policy="somewhere")
     with pytest.raises(InvalidActivitySpecError):
         replace(one_brick_spec(), q_start=np.zeros(6))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidActivitySpecError):
+            replace(one_brick_spec(), q_start=np.full(7, bad))
     with pytest.raises(InvalidActivitySpecError):
         FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=0.0,
                       opening_breadth=0.3)

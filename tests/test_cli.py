@@ -7,14 +7,17 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from screwplan.activity import (load_paired_report, load_report,
                                 save_activity_spec)
 from screwplan.cli import main
 from screwplan.demonstration import (load_segments, save_demonstration,
                                      segment_demonstration)
-from screwplan.kinematics import PANDA_READY, forward_kinematics, panda_model
-from screwplan.layouts import layout_goals, load_goal_sequence, save_layout_spec
+from screwplan.kinematics import (PANDA_READY, RobotModel, forward_kinematics,
+                                  panda_model, save_robot_model)
+from screwplan.layouts import (layout_goals, load_goal_sequence,
+                               save_layout_spec, yaw_rotation)
 from screwplan.planner import load_trajectory, Outcome, PlannerConfig
 from screwplan.screws import (compose, pose_error, pose_to_record,
                               save_pose_sequence, Pose)
@@ -102,7 +105,7 @@ def test_plan_no_mode2_fails_on_pinched_joint(tmp_path):
     }
     robot_file.write_text(json.dumps(doc))
 
-    turn = Pose(sc._rot_z(0.5), np.zeros(3))
+    turn = yaw_rotation(0.5)
     goal = compose(turn, forward_kinematics(panda_model(), PANDA_READY))
     guiding_file = tmp_path / "guiding.json"
     save_pose_sequence([goal], guiding_file)
@@ -168,7 +171,41 @@ def test_bad_inputs_exit_two(tmp_path):
     assert main(["run-activity", "--spec", str(junk), "--out", out]) == 2
 
 
-def test_q0_must_have_seven_values():
-    with pytest.raises(SystemExit):
-        main(["plan", "--robot", "r.json", "--guiding", "g.json",
-              "--q0", "0.0", "0.1", "--out", "t.jsonl"])
+def test_q0_count_must_match_robot_joints(tmp_path, capsys):
+    guiding_file, out = tmp_path / "guiding.json", tmp_path / "traj.jsonl"
+    save_pose_sequence([forward_kinematics(panda_model(), PANDA_READY)],
+                       guiding_file)
+    assert main(["plan", "--robot", panda_file(),
+                 "--guiding", str(guiding_file), "--q0", "0.0", "0.1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--q0 has 2 values" in err and "has 7 joints" in err
+    assert not out.exists()
+
+
+def test_plan_takes_one_q0_value_per_joint(tmp_path):
+    # a yaw joint and two slides; the guiding pose is the start pose,
+    # so the plan holds q0 (a right pseudoinverse needs six joints or
+    # more to move)
+    robot = RobotModel(
+        name="slider",
+        twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+        home_pose=Pose.identity(), lower=np.array([-3.0, -1.0, -1.0]),
+        upper=np.array([3.0, 1.0, 1.0]), sew_indices=(0, 1, 2))
+    q0 = np.array([0.3, 0.2, -0.1])
+    robot_file, guiding_file = tmp_path / "r.json", tmp_path / "g.json"
+    out = tmp_path / "traj.jsonl"
+    save_robot_model(robot, robot_file)
+    save_pose_sequence([forward_kinematics(robot, q0)], guiding_file)
+    assert main(["plan", "--robot", str(robot_file),
+                 "--guiding", str(guiding_file),
+                 "--q0", *[str(v) for v in q0], "--out", str(out)]) == 0
+    traj = load_trajectory(out)
+    assert traj.outcome is Outcome.REACHED
+    assert_allclose(traj.final_q, q0, atol=0.0)
+    assert main(["plan", "--robot", str(robot_file),
+                 "--guiding", str(guiding_file),
+                 "--q0", *[str(v) for v in PANDA_READY],
+                 "--out", str(out)]) == 2

@@ -19,8 +19,8 @@ from screwplan.kinematics import (
     InvalidRobotError,
     LimitZone,
     RobotModel,
+    REFERENCE_AXIS_TOL,
     arm_state,
-    augmented_jacobian,
     fk_jacobian,
     forward_kinematics,
     limit_band,
@@ -30,11 +30,9 @@ from screwplan.kinematics import (
     panda_model,
     pseudoinverse,
     save_robot_model,
+    self_motion_direction,
     self_motion_rollout,
     sew_angle,
-    sew_points,
-    sew_state,
-    spatial_jacobian,
     within,
     _Chain,
 )
@@ -139,7 +137,7 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(20):
         q = rand_q(rng, model)
-        jac = spatial_jacobian(model, q)
+        jac = fk_jacobian(model, q)[1]
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
@@ -162,7 +160,7 @@ def test_pseudoinverse_identities():
     assert_allclose(pinv, np.vstack([np.eye(6), np.zeros((1, 6))]),
                     atol=1e-12)
     model = panda_model()
-    jac = spatial_jacobian(model, READY)
+    jac = fk_jacobian(model, READY)[1]
     pinv, damped = pseudoinverse(jac)
     assert not damped
     assert_allclose(jac @ pinv, np.eye(6), atol=1e-9)
@@ -174,7 +172,7 @@ def test_pseudoinverse_identities():
     assert np.linalg.norm(pinv) < 1e4
     # the packaged arm stretched straight up: sigma_min ~ 3e-17, so
     # J J^T alone is numerically singular and only the damping saves it
-    jac = spatial_jacobian(model, np.zeros(7))
+    jac = fk_jacobian(model, np.zeros(7))[1]
     assert np.linalg.svd(jac, compute_uv=False)[-1] < 1e-12
     pinv, damped = pseudoinverse(jac)
     assert damped
@@ -238,14 +236,14 @@ def test_stacked_chain_matches_per_joint_chain_bitwise():
 
 def test_sew_points_frozen_at_zero():
     model = panda_model()
-    s, e, w = sew_points(model, np.zeros(7))
+    s, e, w = _Chain(model, np.zeros(7)).sew_points()
     assert_allclose(s, [0.0, 0.0, 0.333], atol=1e-12)
     assert_allclose(e, [0.0825, 0.0, 0.649], atol=1e-12)
     assert_allclose(w, [0.0, 0.0, 1.033], atol=1e-12)
     # points ride the links: spinning the base yaw moves elbow x to y
     q = np.zeros(7)
     q[0] = np.pi / 2.0
-    _, e2, _ = sew_points(model, q)
+    _, e2, _ = _Chain(model, q).sew_points()
     assert_allclose(e2, [0.0, 0.0825, 0.649], atol=1e-12)
 
 
@@ -256,6 +254,38 @@ def test_sew_angle_zero_in_reference_plane():
     assert abs(sew_angle(model, READY)) < 1e-12
 
 
+def reference_sew_angle(model, q):
+    """The elbow angle straight from the three points, without the
+    gradient: sew_angle must reproduce it bit for bit."""
+    s, e, w = _Chain(model, q).sew_points()
+    u = w - s
+    u = u / np.linalg.norm(u)
+    zhat = model.base_pose.rotation[:, 2]
+    zxu = np.array([zhat[1] * u[2] - zhat[2] * u[1],
+                    zhat[2] * u[0] - zhat[0] * u[2],
+                    zhat[0] * u[1] - zhat[1] * u[0]])
+    ref = (model.base_pose.rotation[:, 0]
+           if np.linalg.norm(zxu) < REFERENCE_AXIS_TOL else zhat)
+    r = ref - np.dot(ref, u) * u
+    ew = e - s
+    f = ew - np.dot(ew, u) * u
+    rxf = np.array([r[1] * f[2] - r[2] * f[1], r[2] * f[0] - r[0] * f[2],
+                    r[0] * f[1] - r[1] * f[0]])
+    return math.atan2(np.dot(u, rxf), np.dot(r, f))
+
+
+def test_sew_angle_matches_point_formula_bitwise():
+    rng = np.random.default_rng(72)
+    model = dataclasses.replace(panda_model(), base_pose=rand_pose(rng))
+    for _ in range(500):
+        q = rand_q(rng, model, shrink=0.0)
+        assert sew_angle(model, q) == reference_sew_angle(model, q)
+        assert arm_state(model, q)[2] == reference_sew_angle(model, q)
+    # shoulder-wrist line along the base vertical: the x reference
+    assert sew_angle(model, np.zeros(7)) == reference_sew_angle(
+        model, np.zeros(7))
+
+
 def test_sew_jacobian_matches_finite_differences():
     model = panda_model()
     rng = np.random.default_rng(43)
@@ -263,13 +293,13 @@ def test_sew_jacobian_matches_finite_differences():
     checked = 0
     for _ in range(40):
         q = rand_q(rng, model)
-        s, e, w = sew_points(model, q)
+        s, e, w = _Chain(model, q).sew_points()
         u = (w - s) / np.linalg.norm(w - s)
         f = (e - s) - np.dot(e - s, u) * u
         # skip near-degenerate geometries where psi itself is ill posed
         if np.linalg.norm(f) < 0.05 or np.linalg.norm(w - s) < 0.1:
             continue
-        psi, jpsi = sew_state(model, q)
+        psi, jpsi = arm_state(model, q)[2:]
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
@@ -283,12 +313,18 @@ def test_sew_jacobian_matches_finite_differences():
 
 
 def test_augmented_jacobian_shape_and_rows():
-    model = panda_model()
-    ja = augmented_jacobian(model, READY)
-    assert ja.shape == (7, 7)
-    assert_allclose(ja[:6], spatial_jacobian(model, READY), atol=1e-12)
-    _, jpsi = sew_state(model, READY)
-    assert_allclose(ja[6], jpsi, atol=1e-12)
+    # self_motion_direction is the last column of the pseudoinverse of
+    # the world Jacobian with the elbow-angle gradient stacked under it
+    rng = np.random.default_rng(73)
+    model = dataclasses.replace(panda_model(), base_pose=rand_pose(rng))
+    for q in [READY, np.zeros(7)] + [rand_q(rng, model) for _ in range(50)]:
+        _, jac, _, jpsi = arm_state(model, q)
+        ja = np.vstack([jac, jpsi])
+        assert ja.shape == (7, 7)
+        pinv, damped = pseudoinverse(ja)
+        direction, got_damped = self_motion_direction(model, q)
+        assert np.array_equal(direction, pinv[:, -1])
+        assert got_damped == damped
 
 
 def test_self_motion_holds_pose_and_tracks_psi():
@@ -313,7 +349,6 @@ def test_self_motion_rides_the_roll_joints():
     # wrist point sits 0.088 m off the last axis, so the shoulder to
     # wrist distance breathes slightly as the elbow orbits)
     model = panda_model()
-    from screwplan.kinematics import self_motion_direction
     d, damped = self_motion_direction(model, READY)
     assert not damped
     assert_allclose(d[[1, 3, 5]], 0.0, atol=1e-9)
@@ -338,10 +373,25 @@ def test_limit_status_zones():
     assert limit_margin(model, q) == pytest.approx(0.005)
 
 
+def reference_limit_zones(model, q, eps_inner, eps_outer):
+    """Joint by joint against the shrunk intervals: the masks and
+    limit_status must agree with it."""
+    zones = []
+    for qi, lo, hi in zip(q, model.lower, model.upper):
+        if lo + eps_inner <= qi <= hi - eps_inner:
+            zones.append(LimitZone.WITHIN_INNER)
+        elif lo + eps_outer <= qi <= hi - eps_outer:
+            zones.append(LimitZone.BETWEEN_BOUNDS)
+        else:
+            zones.append(LimitZone.OUTSIDE_OUTER)
+    return zones
+
+
 def _masks_and_zones(model, q, eps_in, eps_out):
     inner = within(q, limit_band(model, eps_in))
     outer = within(q, limit_band(model, eps_out))
-    zones = limit_status(model, q, eps_in, eps_out)
+    zones = reference_limit_zones(model, q, eps_in, eps_out)
+    assert limit_status(model, q, eps_in, eps_out) == zones
     return inner, outer, zones
 
 
@@ -449,7 +499,7 @@ def test_prismatic_joint_supported():
     pose = forward_kinematics(model, np.array([np.pi / 2.0, 0.3, 0.2]))
     # yaw by 90 degrees, then rise 0.3 and slide 0.2 along the rotated x
     assert_allclose(pose.translation, [0.0, 0.2, 0.3], atol=1e-12)
-    jac = spatial_jacobian(model, np.array([np.pi / 2.0, 0.3, 0.2]))
+    jac = fk_jacobian(model, np.array([np.pi / 2.0, 0.3, 0.2]))[1]
     assert_allclose(jac[:, 1], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert_allclose(jac[:, 2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 

@@ -28,7 +28,6 @@ from screwplan.planner import (
     calculate_sew_change,
     geodesic_deviation,
     load_trajectory,
-    mode1_step,
     mode2_recovery,
     plan_through_guiding_poses,
     plan_to_pose,
@@ -39,7 +38,10 @@ from screwplan.screws import (
     ScrewDisplacement,
     UnitTwist,
     compose,
+    error_twist,
     exp_screw,
+    inverse,
+    log_pose,
     pose_error,
     unit_twist,
 )
@@ -106,11 +108,15 @@ def test_goal_at_start_is_immediate():
 
 
 def test_mode1_step_basics():
-    config = PlannerConfig()
-    assert_allclose(mode1_step(READY, START, MODEL, config), READY)
+    # a one-step budget makes plan_to_pose a single tracking update
+    config = PlannerConfig(max_steps=1)
+    assert_allclose(plan_to_pose(READY, START, MODEL, config).final_q,
+                    READY)
     goal = compose(Pose(np.eye(3), np.array([0.0, 0.0, -0.01])), START)
-    q1 = mode1_step(READY, goal, MODEL, config)
-    moved = forward_kinematics(MODEL, q1)
+    traj = plan_to_pose(READY, goal, MODEL, config)
+    assert traj.outcome is Outcome.STEP_BUDGET_EXHAUSTED
+    assert len(traj.steps) == 2
+    moved = forward_kinematics(MODEL, traj.final_q)
     _, before = pose_error(START, goal)
     _, after = pose_error(moved, goal)
     assert after < before
@@ -140,6 +146,73 @@ def test_tracking_stays_on_geodesic():
                                     [s.end_effector for s in traj.steps])
     assert rot < SCREW_TRACK_TOL[0]
     assert trans < SCREW_TRACK_TOL[1]
+
+
+def reference_geodesic_deviation(start, goal, poses, translation_scale=1.0):
+    """geodesic_deviation one pose at a time through pose objects: the
+    batched version must agree with it within 1e-12."""
+    xi, theta = log_pose(compose(goal, inverse(start)))
+    chord = xi.array() * theta
+    weights = np.concatenate([np.full(3, 1.0 / translation_scale ** 2),
+                              np.ones(3)])
+    denom = float(chord @ (weights * chord))
+
+    def at(tau, pose):
+        rot, trans = pose_error(pose,
+                                compose(exp_screw(xi, tau * theta), start))
+        return rot + trans / translation_scale, rot, trans
+
+    max_rot = 0.0
+    max_trans = 0.0
+    for pose in poses:
+        if denom < 1e-18:
+            tau = 0.0
+        else:
+            sigma = error_twist(pose, start)
+            tau = float(sigma @ (weights * chord)) / denom
+        tau = min(max(tau, 0.0), 1.0)
+        best = at(tau, pose)
+        width = 0.004
+        for _ in range(2):
+            lo = at(tau - width, pose)
+            hi = at(tau + width, pose)
+            curve = lo[0] - 2.0 * best[0] + hi[0]
+            if curve > 1e-18:
+                shift = 0.5 * width * (lo[0] - hi[0]) / curve
+                shift = min(max(shift, -width), width)
+                trial = at(tau + shift, pose)
+                candidates = [(best, 0.0), (lo, -width), (hi, width),
+                              (trial, shift)]
+            else:
+                candidates = [(best, 0.0), (lo, -width), (hi, width)]
+            best, offset = min(candidates, key=lambda c: c[0][0])
+            tau += offset
+            width *= 0.2
+        max_rot = max(max_rot, best[1])
+        max_trans = max(max_trans, best[2])
+    return max_rot, max_trans
+
+
+def test_geodesic_deviation_matches_scalar_reference():
+    plans = [(MODEL, screw_goal([0.1, 0.8, 0.5], START.translation - 0.1,
+                                -0.04, 0.8), 1.0),
+             (MODEL, compose(world_turn(0.3), START), 0.1),
+             (LIMIT_MODEL, LIMIT_GOAL, 1.0),
+             (MODEL, compose(Pose(np.eye(3), np.array([0.05, -0.04, 0.03])),
+                             START), 1.0)]
+    for model, goal, scale in plans:
+        traj = plan_to_pose(READY, goal, model, PlannerConfig())
+        poses = [s.end_effector for s in traj.steps]
+        got = geodesic_deviation(START, goal, poses, scale)
+        want = reference_geodesic_deviation(START, goal, poses, scale)
+        assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert geodesic_deviation(START, goal, iter(poses), scale) == got
+    # start == goal: a zero chord, every pose matched to the start
+    assert_allclose(geodesic_deviation(START, START, poses),
+                    reference_geodesic_deviation(START, START, poses),
+                    rtol=0.0, atol=1e-12)
+    assert geodesic_deviation(START, goal, []) == (0.0, 0.0)
+    assert reference_geodesic_deviation(START, goal, []) == (0.0, 0.0)
 
 
 def test_mode1_error_is_monotone():
@@ -360,6 +433,31 @@ def test_trajectory_mode_reads_both_spellings(tmp_path):
     f.write_text("\n".join([header, *spelled]) + "\n")
     back = load_trajectory(f)
     assert [s.mode for s in back.steps] == [s.mode for s in traj.steps]
+
+
+def test_trajectory_loader_rejects_malformed_records(tmp_path):
+    traj = plan_to_pose(READY, compose(world_turn(0.02), START), MODEL,
+                        PlannerConfig())
+    f = tmp_path / "traj.jsonl"
+    save_trajectory(traj, f, robot="panda")
+    header, first, second, *rest = f.read_text().splitlines()
+    rec = json.loads(second)
+    for bad, message in (
+            ({**rec, "q": [math.nan] + rec["q"][1:]},
+             "line 3: joint values must be finite"),
+            ({**rec, "q": rec["q"][:-1] + [math.inf]},
+             "line 3: joint values must be finite"),
+            ({**rec, "mode": "mode9"},
+             "line 3: 'mode9' is not a valid Mode"),
+            ({**rec, "mode": 9}, "line 3: 9 is not a valid Mode"),
+            ({k: v for k, v in rec.items() if k != "q"},
+             "line 3: missing field 'q'"),
+            ({k: v for k, v in rec.items() if k != "mode"},
+             "line 3: missing field 'mode'")):
+        f.write_text("\n".join([header, first, json.dumps(bad), *rest])
+                     + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_trajectory(f)
 
 
 def test_committed_trajectory_file_loads_and_replans():

@@ -27,6 +27,7 @@ from screwplan.screws import (
     log_coords,
     log_pose,
     pose_error,
+    pose_errors,
     pose_from_record,
     pose_to_record,
     quat_to_rot,
@@ -200,6 +201,28 @@ def test_pose_error_symmetric():
     rng = np.random.default_rng(9)
     a, b = rand_pose(rng), rand_pose(rng)
     assert_allclose(pose_error(a, b), pose_error(b, a), atol=1e-12)
+
+
+def test_pose_errors_matches_pose_error():
+    rng = np.random.default_rng(11)
+    a = [rand_pose(rng) for _ in range(200)]
+    b = [rand_pose(rng) for _ in range(200)]
+    # near-coincident pairs and half turns
+    for g in a[:20]:
+        b.append(compose(g, Pose(quat_to_rot([1.0, 1e-9, 0.0, 0.0]),
+                                 np.array([1e-9, 0.0, 0.0]))))
+        b.append(compose(g, Pose(quat_to_rot([0.0, 0.0, 1.0, 0.0]),
+                                 np.zeros(3))))
+        a += [g, g]
+    b[-1] = a[-1]
+    rot, trans = pose_errors(np.stack([g.rotation for g in a]),
+                             np.stack([g.translation for g in a]),
+                             np.stack([g.rotation for g in b]),
+                             np.stack([g.translation for g in b]))
+    want = np.array([pose_error(x, y) for x, y in zip(a, b)])
+    assert_allclose(rot, want[:, 0], rtol=0.0, atol=1e-15)
+    assert_allclose(trans, want[:, 1], rtol=0.0, atol=1e-15)
+    assert rot[-1] == trans[-1] == 0.0
 
 
 def test_sclerp_endpoints_exact():

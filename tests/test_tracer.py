@@ -1,0 +1,45 @@
+"""perfbench's span tracer against the library: every name it rebinds
+must exist, and an installed tracer must put the originals back."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+
+def _load_spans():
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def _bound():
+    return [getattr(importlib.import_module(module), attr, None)
+            for _, module, attr in spans.BINDINGS]
+
+
+def test_every_binding_resolves_to_a_callable():
+    for (name, module, attr), fn in zip(spans.BINDINGS, _bound()):
+        assert callable(fn), f"{name}: {module}.{attr} is missing"
+
+
+def test_installed_tracer_restores_the_originals():
+    originals = _bound()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert all(w is not o for w, o in zip(_bound(), originals))
+        kinematics = importlib.import_module("screwplan.kinematics")
+        kinematics.pseudoinverse(np.hstack([np.eye(6), np.zeros((6, 1))]))
+    assert [s[0] for s in tracer.spans] == ["kinematics.pseudoinverse"]
+    assert all(r is o for r, o in zip(_bound(), originals))
+    with pytest.raises(RuntimeError):
+        with tracer.installed():
+            raise RuntimeError("interrupted run")
+    assert all(r is o for r, o in zip(_bound(), originals))
