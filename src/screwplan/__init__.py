@@ -20,8 +20,7 @@ from .demonstration import (ConstraintModel, Demonstration, ScrewSegment,
                             transfer_constraints)
 from .layouts import (LayoutGoal, LayoutKind, LayoutSpec, ObjectDims,
                       layout_goals, load_goal_sequence, load_layout_spec,
-                      make_task_instances, pick_stack, save_goal_sequence,
-                      save_layout_spec)
+                      pick_stack, save_goal_sequence, save_layout_spec)
 from .kinematics import (PANDA_READY, RobotModel, arm_state, fk_jacobian,
                          forward_kinematics, limit_margin, load_robot_model,
                          panda_model, save_robot_model, self_motion_rollout,
@@ -48,8 +47,8 @@ __all__ = [
     "save_segments", "segment_demonstration", "synthesize_demonstration",
     "transfer_constraints",
     "LayoutGoal", "LayoutKind", "LayoutSpec", "ObjectDims", "layout_goals",
-    "load_goal_sequence", "load_layout_spec", "make_task_instances",
-    "pick_stack", "save_goal_sequence", "save_layout_spec",
+    "load_goal_sequence", "load_layout_spec", "pick_stack",
+    "save_goal_sequence", "save_layout_spec",
     "PANDA_READY", "RobotModel", "arm_state", "fk_jacobian",
     "forward_kinematics", "limit_margin", "load_robot_model", "panda_model",
     "save_robot_model", "self_motion_rollout", "sew_angle",

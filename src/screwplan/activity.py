@@ -26,8 +26,9 @@ from .kinematics import (PANDA_READY, load_robot_model, panda_model,
 from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
                       layout_spec_to_record, pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
-from .screws import (Pose, compose, inverse, pose_error, pose_from_record,
-                     pose_to_record, read_document, write_document)
+from .screws import (UNITS, Pose, compose, decode, inverse, pose_error,
+                     pose_from_record, pose_to_record, read_document,
+                     write_document)
 
 # placement is scored on translation distance and heading alone; the
 # full rotation error is recorded but does not gate success
@@ -406,33 +407,34 @@ def report_to_record(report):
     }
 
 
+def _placement_from_record(rec):
+    return PlacementResult(
+        index=tuple(rec["index"]),
+        goal=pose_from_record(rec["goal"]),
+        achieved=pose_from_record(rec["achieved"]),
+        position_error=float(rec["position_error"]),
+        yaw_error=float(rec["yaw_error"]),
+        rotation_error=float(rec["rotation_error"]),
+        success=bool(rec["success"]),
+        trajectory_outcome=Outcome(rec["outcome"]),
+        steps=int(rec["steps"]))
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def report_from_record(doc, runtime_seconds=0.0):
-    try:
-        placements = tuple(PlacementResult(
-            index=tuple(rec["index"]),
-            goal=pose_from_record(rec["goal"]),
-            achieved=pose_from_record(rec["achieved"]),
-            position_error=float(rec["position_error"]),
-            yaw_error=float(rec["yaw_error"]),
-            rotation_error=float(rec["rotation_error"]),
-            success=bool(rec["success"]),
-            trajectory_outcome=Outcome(rec["outcome"]),
-            steps=int(rec["steps"])) for rec in doc["placements"])
-        mean_pos = doc["mean_position_error"]
-        max_yaw = doc["max_yaw_error"]
-        return ActivityReport(
-            robot=str(doc["robot"]),
-            layout_kind=str(doc["layout_kind"]),
-            mode2_enabled=bool(doc["mode2_enabled"]),
-            goals_total=int(doc["goals_total"]),
-            placements=placements,
-            bricks_placed_before_failure=int(
-                doc["bricks_placed_before_failure"]),
-            mean_position_error=None if mean_pos is None else float(mean_pos),
-            max_yaw_error=None if max_yaw is None else float(max_yaw),
-            runtime_seconds=float(runtime_seconds))
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedReportError(f"bad activity report: {e}") from e
+    return decode(doc, MalformedReportError, lambda doc: ActivityReport(
+        robot=str(doc["robot"]),
+        layout_kind=str(doc["layout_kind"]),
+        mode2_enabled=bool(doc["mode2_enabled"]),
+        goals_total=int(doc["goals_total"]),
+        placements=tuple(map(_placement_from_record, doc["placements"])),
+        bricks_placed_before_failure=int(doc["bricks_placed_before_failure"]),
+        mean_position_error=_optional_float(doc["mean_position_error"]),
+        max_yaw_error=_optional_float(doc["max_yaw_error"]),
+        runtime_seconds=float(runtime_seconds)))
 
 
 def summary_table(report):
@@ -465,67 +467,57 @@ def summary_table(report):
     return "\n".join(lines) + "\n"
 
 
-def _table_path(destination):
+def _emit(fmt, results, timing, table, destination):
+    """The report envelope as one JSON document, and the plain-text
+    table beside it (.txt)."""
+    write_document({"format": fmt, "units": {"length": "m", "angle": "rad"},
+                    "results": results, "timing": timing},
+                   destination, indent=2)
     base, _ = os.path.splitext(str(destination))
-    return base + ".txt"
+    with open(base + ".txt", "w", encoding="utf-8") as f:
+        f.write(table)
 
 
 def emit_report(report, destination):
     """One JSON document plus a summary table beside it (.txt)."""
-    doc = {
-        "format": "activity_report",
-        "units": {"length": "m", "angle": "rad"},
-        "results": report_to_record(report),
-        "timing": {"runtime_seconds": report.runtime_seconds},
-    }
-    write_document(doc, destination, indent=2)
-    with open(_table_path(destination), "w", encoding="utf-8") as f:
-        f.write(summary_table(report))
+    _emit("activity_report", report_to_record(report),
+          {"runtime_seconds": report.runtime_seconds},
+          summary_table(report), destination)
 
 
 def load_report(source):
-    doc = read_document(source, MalformedReportError, "activity_report")
-    runtime = doc.get("timing", {}).get("runtime_seconds", 0.0)
-    return report_from_record(doc["results"], runtime_seconds=runtime)
+    return decode(read_document(source, MalformedReportError),
+                  MalformedReportError, lambda doc: report_from_record(
+                      doc["results"],
+                      doc.get("timing", {}).get("runtime_seconds", 0.0)),
+                  "activity_report", UNITS)
 
 
 def emit_paired_report(paired, destination):
     """Both runs side by side, plus a two-row comparison table."""
-    doc = {
-        "format": "paired_activity_report",
-        "units": {"length": "m", "angle": "rad"},
-        "results": {
-            "ours": report_to_record(paired.ours),
-            "baseline": report_to_record(paired.baseline),
-        },
-        "timing": {
-            "ours_runtime_seconds": paired.ours.runtime_seconds,
-            "baseline_runtime_seconds": paired.baseline.runtime_seconds,
-        },
-    }
-    write_document(doc, destination, indent=2)
-    rows = ["method    placed  successes",
-            f"ours      {paired.ours.bricks_placed_before_failure}"
-            f"/{paired.ours.goals_total}    "
-            f"{sum(1 for p in paired.ours.placements if p.success)}",
-            f"baseline  {paired.baseline.bricks_placed_before_failure}"
-            f"/{paired.baseline.goals_total}    "
-            f"{sum(1 for p in paired.baseline.placements if p.success)}"]
-    with open(_table_path(destination), "w", encoding="utf-8") as f:
-        f.write("\n".join(rows) + "\n")
+    rows = ["method    placed  successes"]
+    for name, run in (("ours", paired.ours), ("baseline", paired.baseline)):
+        rows.append(f"{name:<10}{run.bricks_placed_before_failure}"
+                    f"/{run.goals_total}    "
+                    f"{sum(1 for p in run.placements if p.success)}")
+    _emit("paired_activity_report",
+          {"ours": report_to_record(paired.ours),
+           "baseline": report_to_record(paired.baseline)},
+          {"ours_runtime_seconds": paired.ours.runtime_seconds,
+           "baseline_runtime_seconds": paired.baseline.runtime_seconds},
+          "\n".join(rows) + "\n", destination)
 
 
 def load_paired_report(source):
-    doc = read_document(source, MalformedReportError,
-                        "paired_activity_report")
-    timing = doc.get("timing", {})
-    return PairedReport(
-        ours=report_from_record(
-            doc["results"]["ours"],
-            runtime_seconds=timing.get("ours_runtime_seconds", 0.0)),
-        baseline=report_from_record(
-            doc["results"]["baseline"],
-            runtime_seconds=timing.get("baseline_runtime_seconds", 0.0)))
+    def build(doc):
+        timing = doc.get("timing", {})
+        return PairedReport(*(report_from_record(
+            doc["results"][run], timing.get(f"{run}_runtime_seconds", 0.0))
+            for run in ("ours", "baseline")))
+
+    return decode(read_document(source, MalformedReportError),
+                  MalformedReportError, build, "paired_activity_report",
+                  UNITS)
 
 
 # ------------------------------------------------------------ spec files
@@ -568,18 +560,10 @@ def activity_spec_to_record(spec):
 def _robot_record(robot):
     """Compact reference for the packaged arm, full description for
     anything else (renamed limits, custom twists)."""
-    stock = panda_model()
-    if (robot.name == stock.name
-            and np.array_equal(robot.twists, stock.twists)
-            and np.array_equal(robot.lower, stock.lower)
-            and np.array_equal(robot.upper, stock.upper)
-            and robot.sew_indices == stock.sew_indices
-            and np.array_equal(robot.home_pose.rotation,
-                               stock.home_pose.rotation)
-            and np.array_equal(robot.home_pose.translation,
-                               stock.home_pose.translation)):
+    record = robot_to_record(robot)
+    if record == robot_to_record(panda_model()):
         return {"name": "panda"}
-    return robot_to_record(robot)
+    return record
 
 
 def _robot_from_record(rec):
@@ -593,31 +577,37 @@ def _robot_from_record(rec):
         f"unknown robot {rec!r}; give a model_file or the packaged name")
 
 
-def activity_spec_from_record(doc):
-    try:
-        if doc.get("format") != "activity_spec":
-            raise InvalidActivitySpecError('expected format "activity_spec"')
-        units = doc["units"]
-        if units["length"] != "m" or units["angle"] != "rad":
-            raise InvalidActivitySpecError(f"expected units m/rad, got {units}")
-        pol = doc["base_policy"]
-        if pol["kind"] == "fixed":
-            policy = FixedBase(base=pose_from_record(pol["base"]))
-        elif pol["kind"] == "moving":
-            lap = pol.get("stations_per_lap")
-            policy = MovingBase(
-                initial=pose_from_record(pol["initial"]),
-                step=pose_from_record(pol["step"]),
-                seed=int(pol["seed"]),
-                relocate_every=int(pol.get("relocate_every", 3)),
-                radius=float(pol.get("radius", 0.05)),
-                yaw_range=float(pol.get("yaw_range", math.radians(5.0))),
-                stations_per_lap=None if lap is None else int(lap))
-        else:
-            raise InvalidActivitySpecError(
-                f"unknown base policy kind {pol.get('kind')!r}")
-        planner = doc["planner"]
-        cfg = PlannerConfig(
+def _policy_from_record(pol):
+    if pol["kind"] == "fixed":
+        return FixedBase(base=pose_from_record(pol["base"]))
+    if pol["kind"] == "moving":
+        lap = pol.get("stations_per_lap")
+        return MovingBase(
+            initial=pose_from_record(pol["initial"]),
+            step=pose_from_record(pol["step"]),
+            seed=int(pol["seed"]),
+            relocate_every=int(pol.get("relocate_every", 3)),
+            radius=float(pol.get("radius", 0.05)),
+            yaw_range=float(pol.get("yaw_range", math.radians(5.0))),
+            stations_per_lap=None if lap is None else int(lap))
+    raise InvalidActivitySpecError(
+        f"unknown base policy kind {pol.get('kind')!r}")
+
+
+def _spec_from_record(doc):
+    planner = doc["planner"]
+    station = doc["pick_station"]
+    return ActivitySpec(
+        layout=layout_spec_from_record(doc["layout"]),
+        demo_model=constraint_model_from_record(doc["demo_model"]),
+        pick_station=PickStation(
+            base=pose_from_record(station["base"]),
+            in_base_frame=bool(station.get("in_base_frame", False)),
+            restock=station.get("restock")),
+        base_policy=_policy_from_record(doc["base_policy"]),
+        robot=_robot_from_record(doc["robot"]),
+        grasp_offset=pose_from_record(doc["grasp_offset"]),
+        planner_config=PlannerConfig(
             eps_in=float(planner["eps_in"]),
             eps_out=float(planner["eps_out"]),
             kappa=float(planner["kappa"]),
@@ -626,24 +616,13 @@ def activity_spec_from_record(doc):
             goal_tol=tuple(planner["goal_tol"]),
             max_steps=int(planner["max_steps"]),
             sew_search=tuple(planner["sew_search"]),
-            mode2_enabled=bool(planner["mode2_enabled"]))
-        return ActivitySpec(
-            layout=layout_spec_from_record(doc["layout"]),
-            demo_model=constraint_model_from_record(doc["demo_model"]),
-            pick_station=PickStation(
-                base=pose_from_record(doc["pick_station"]["base"]),
-                in_base_frame=bool(
-                    doc["pick_station"].get("in_base_frame", False)),
-                restock=doc["pick_station"].get("restock")),
-            base_policy=policy,
-            robot=_robot_from_record(doc["robot"]),
-            grasp_offset=pose_from_record(doc["grasp_offset"]),
-            planner_config=cfg,
-            q_start=np.array(doc["q_start"], dtype=float))
-    except ActivityError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidActivitySpecError(f"bad activity spec: {e}") from e
+            mode2_enabled=bool(planner["mode2_enabled"])),
+        q_start=np.array(doc["q_start"], dtype=float))
+
+
+def activity_spec_from_record(doc):
+    return decode(doc, InvalidActivitySpecError, _spec_from_record,
+                  "activity_spec", UNITS)
 
 
 def save_activity_spec(spec, path):

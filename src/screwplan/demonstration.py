@@ -15,15 +15,16 @@ File format (line-delimited JSON): a header record
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .screws import (
+    UNITS,
     Pose,
     compose,
+    decode,
     inverse,
     pose_error,
     pose_errors,
@@ -31,9 +32,11 @@ from .screws import (
     pose_from_record,
     pose_to_record,
     read_document,
+    read_lines,
     sclerp_path,
     screw_from_pose,
     write_document,
+    write_lines,
     ScrewDisplacement,
 )
 
@@ -57,7 +60,7 @@ class NonMonotoneTimeError(DemonstrationError):
     pass
 
 
-class BadQuaternionError(DemonstrationError):
+class BadQuaternionError(MalformedDemonstrationError):
     pass
 
 
@@ -145,71 +148,30 @@ class ConstraintModel:
 # ------------------------------------------------------------------ file IO
 
 
-def _parse_pose_record(rec, lineno):
-    try:
-        t = np.asarray(rec["t"], dtype=float)
-        q = np.asarray(rec["q"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedDemonstrationError(
-            f"line {lineno}: bad pose record") from e
-    if t.shape != (3,) or q.shape != (4,):
-        raise MalformedDemonstrationError(
-            f"line {lineno}: pose needs 3 translation and 4 quaternion "
-            "components")
-    if not (np.isfinite(t).all() and np.isfinite(q).all()):
-        raise MalformedDemonstrationError(
-            f"line {lineno}: pose has a non-finite component")
-    drift = abs(np.linalg.norm(q) - 1.0)
+def _sample(rec):
+    pose = pose_from_record(rec["pose"])
+    drift = abs(np.linalg.norm(rec["pose"]["q"]) - 1.0)
     if drift > 1e-3:
         raise BadQuaternionError(
-            f"line {lineno}: quaternion norm drift {drift:.2e} exceeds 1e-3")
-    return Pose(quat_to_rot(q), t)
+            f"quaternion norm drift {drift:.2e} exceeds 1e-3")
+    return float(rec["t"]), pose
 
 
 def load_demonstration(source):
     """Read a line-delimited JSON demonstration file."""
-    with open(source, "r", encoding="utf-8") as f:
-        lines = [(i + 1, line) for i, line in enumerate(f)
-                 if line.strip()]
-    if not lines:
-        raise MalformedDemonstrationError("empty demonstration file")
-    records = []
-    for lineno, line in lines:
-        try:
-            records.append((lineno, json.loads(line)))
-        except json.JSONDecodeError as e:
-            raise MalformedDemonstrationError(
-                f"line {lineno}: invalid JSON") from e
-    lineno, header = records[0]
-    if not isinstance(header, dict) or "object_id" not in header:
-        raise MalformedDemonstrationError("header record needs object_id")
-    if header.get("units") != "m":
-        raise MalformedDemonstrationError(
-            'header must declare units "m"')
-    times, poses = [], []
-    for lineno, rec in records[1:]:
-        if not isinstance(rec, dict) or "t" not in rec or "pose" not in rec:
-            raise MalformedDemonstrationError(
-                f"line {lineno}: sample needs t and pose")
-        try:
-            times.append(float(rec["t"]))
-        except (TypeError, ValueError) as e:
-            raise MalformedDemonstrationError(
-                f"line {lineno}: bad timestamp") from e
-        poses.append(_parse_pose_record(rec["pose"], lineno))
-    if len(poses) < 2:
-        raise MalformedDemonstrationError("need at least 2 samples")
-    return Demonstration(np.asarray(times), tuple(poses),
-                         str(header["object_id"]))
+    object_id, samples = read_lines(
+        source, MalformedDemonstrationError,
+        lambda doc: decode(doc, MalformedDemonstrationError,
+                           lambda doc: str(doc["object_id"]), units="m"),
+        _sample)
+    return Demonstration(np.array([t for t, _ in samples]),
+                         tuple(p for _, p in samples), object_id)
 
 
 def save_demonstration(demo, destination):
-    with open(destination, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"object_id": demo.object_id, "units": "m"}))
-        f.write("\n")
-        for t, pose in zip(demo.times, demo.poses):
-            f.write(json.dumps({"t": float(t), "pose": pose_to_record(pose)}))
-            f.write("\n")
+    write_lines({"object_id": demo.object_id, "units": "m"},
+                ({"t": float(t), "pose": pose_to_record(pose)}
+                 for t, pose in zip(demo.times, demo.poses)), destination)
 
 
 def constraint_model_to_record(model):
@@ -225,25 +187,15 @@ def constraint_model_to_record(model):
 
 
 def constraint_model_from_record(doc):
-    try:
-        if doc.get("format") != "constraint_model":
-            raise MalformedModelError(
-                'expected format "constraint_model"')
-        if doc.get("units") != "m":
-            raise MalformedModelError('model must declare units "m"')
-        source = TaskInstance(
+    return decode(doc, MalformedModelError, lambda doc: ConstraintModel(
+        guiding_poses=tuple(pose_from_record(g)
+                            for g in doc["guiding_poses"]),
+        anchor_initial=tuple(doc["anchor_initial"]),
+        anchor_goal=tuple(doc["anchor_goal"]),
+        source=TaskInstance(
             initial=pose_from_record(doc["source"]["initial"]),
-            goal=pose_from_record(doc["source"]["goal"]))
-        return ConstraintModel(
-            guiding_poses=tuple(pose_from_record(g)
-                                for g in doc["guiding_poses"]),
-            anchor_initial=tuple(doc["anchor_initial"]),
-            anchor_goal=tuple(doc["anchor_goal"]),
-            source=source)
-    except MalformedModelError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise MalformedModelError(f"bad constraint model: {e}") from e
+            goal=pose_from_record(doc["source"]["goal"]))),
+        "constraint_model", "m")
 
 
 def save_constraint_model(model, destination):
@@ -286,17 +238,19 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
     write_document(doc, destination)
 
 
+def _segment(rec):
+    start = pose_from_record(rec["start_pose"])
+    end = pose_from_record(rec["end_pose"])
+    return ScrewSegment(rec["start"], rec["end"],
+                        screw_from_pose(compose(end, inverse(start))),
+                        start, end)
+
+
 def load_segments(source):
-    doc = read_document(source, MalformedDemonstrationError, "segments")
-    out = []
-    for rec in doc["segments"]:
-        start = pose_from_record(rec["start_pose"])
-        end = pose_from_record(rec["end_pose"])
-        out.append(ScrewSegment(
-            rec["start"], rec["end"],
-            screw_from_pose(compose(end, inverse(start))),
-            start, end))
-    return out
+    return decode(read_document(source, MalformedDemonstrationError),
+                  MalformedDemonstrationError,
+                  lambda doc: [_segment(rec) for rec in doc["segments"]],
+                  "segments", UNITS)
 
 
 # ------------------------------------------------------------- segmentation

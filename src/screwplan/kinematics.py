@@ -16,8 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .screws import (Pose, hat, pose_from_record, pose_to_record,
-                     read_document, write_document)
+from .screws import (UNITS, Pose, decode, hat, pose_from_record,
+                     pose_to_record, read_document, write_document)
 
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
@@ -105,24 +105,15 @@ def load_robot_model(path, base_pose=None):
 
 
 def robot_from_record(doc, base_pose=None):
-    try:
-        units = doc["units"]
-        if units["length"] != "m" or units["angle"] != "rad":
-            raise InvalidRobotError(f"expected units m/rad, got {units}")
-        return RobotModel(
-            name=doc["name"],
-            twists=np.array(doc["twists"], dtype=float),
-            home_pose=pose_from_record(doc["home_pose"]),
-            lower=np.array(doc["joint_limits"]["lower"], dtype=float),
-            upper=np.array(doc["joint_limits"]["upper"], dtype=float),
-            sew_indices=tuple(doc["sew_indices"]),
-            base_pose=base_pose if base_pose is not None
-            else Pose.identity(),
-        )
-    except InvalidRobotError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidRobotError(f"bad robot file: {e}") from e
+    return decode(doc, InvalidRobotError, lambda doc: RobotModel(
+        name=doc["name"],
+        twists=np.array(doc["twists"], dtype=float),
+        home_pose=pose_from_record(doc["home_pose"]),
+        lower=np.array(doc["joint_limits"]["lower"], dtype=float),
+        upper=np.array(doc["joint_limits"]["upper"], dtype=float),
+        sew_indices=tuple(doc["sew_indices"]),
+        base_pose=base_pose if base_pose is not None else Pose.identity(),
+    ), units=UNITS)
 
 
 def robot_to_record(model):
@@ -240,14 +231,13 @@ def fk_jacobian(model, q):
 
 
 def pseudoinverse(jac):
-    """Right pseudoinverse, switching to damped least squares when the
-    smallest singular value collapses.  Returns (pinv, damped)."""
-    sigma = np.linalg.svd(jac, compute_uv=False)
+    """Pseudoinverse from one SVD: the right one for six joints or
+    more, the left one below.  Switches to damped least squares when
+    the smallest singular value collapses.  Returns (pinv, damped)."""
+    u, sigma, vt = np.linalg.svd(jac, full_matrices=False)
     damped = bool(sigma[-1] < SINGULAR_TOL)
-    jjt = jac @ jac.T
-    if damped:
-        jjt = jjt + DAMPING ** 2 * np.eye(jac.shape[0])
-    return np.linalg.solve(jjt, jac).T, damped
+    d = sigma / (sigma * sigma + DAMPING ** 2) if damped else 1.0 / sigma
+    return (vt.T * d) @ u.T, damped
 
 
 def _reference_direction(model, u):

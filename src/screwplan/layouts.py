@@ -17,15 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .screws import (Pose, compose, pose_from_record, pose_to_record,
-                     read_document, write_document)
+from .screws import (UNITS, Pose, compose, decode, pose_from_record,
+                     pose_to_record, read_document, write_document)
 
 
 class InvalidLayoutError(ValueError):
-    pass
-
-
-class LengthMismatchError(ValueError):
     pass
 
 
@@ -228,16 +224,6 @@ def pick_stack(base, count, dims):
             for n in range(count)]
 
 
-def make_task_instances(goals, picks):
-    from .demonstration import TaskInstance
-
-    if len(goals) != len(picks):
-        raise LengthMismatchError(
-            f"{len(goals)} goals but {len(picks)} pick poses")
-    return [TaskInstance(initial=p, goal=g.pose)
-            for g, p in zip(goals, picks)]
-
-
 def layout_spec_to_record(spec):
     return {
         "kind": spec.kind.value,
@@ -256,29 +242,18 @@ def layout_spec_to_record(spec):
 
 
 def layout_spec_from_record(doc):
-    try:
-        units = doc["units"]
-        if units["length"] != "m" or units["angle"] != "rad":
-            raise InvalidLayoutError(
-                f"expected units m/rad, got {units}")
-        kind = LayoutKind(doc["kind"])
-        dims = ObjectDims(**doc["dims"])
-        return LayoutSpec(
-            kind=kind,
-            base=pose_from_record(doc["base"]),
-            dims=dims,
-            layers=int(doc["layers"]),
-            per_layer=int(doc["per_layer"]),
-            layer_offset=tuple(doc["layer_offset"]),
-            spacing=tuple(doc["spacing"]),
-            per_step_yaw=float(doc.get("per_step_yaw", 0.0)),
-            corner_index=doc.get("corner_index"),
-            offset_parity=doc.get("offset_parity", "even"),
-        )
-    except InvalidLayoutError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidLayoutError(f"bad layout spec: {e}") from e
+    return decode(doc, InvalidLayoutError, lambda doc: LayoutSpec(
+        kind=LayoutKind(doc["kind"]),
+        base=pose_from_record(doc["base"]),
+        dims=ObjectDims(**doc["dims"]),
+        layers=int(doc["layers"]),
+        per_layer=int(doc["per_layer"]),
+        layer_offset=tuple(doc["layer_offset"]),
+        spacing=tuple(doc["spacing"]),
+        per_step_yaw=float(doc.get("per_step_yaw", 0.0)),
+        corner_index=doc.get("corner_index"),
+        offset_parity=doc.get("offset_parity", "even"),
+    ), units=UNITS)
 
 
 def save_layout_spec(spec, path):
@@ -299,7 +274,9 @@ def save_goal_sequence(goals, path):
 
 
 def load_goal_sequence(path):
-    doc = read_document(path, InvalidLayoutError, "goal_sequence")
-    return [LayoutGoal(i=rec["index"][0], j=rec["index"][1],
-                       k=rec["index"][2], pose=pose_from_record(rec["pose"]))
-            for rec in doc["goals"]]
+    return decode(read_document(path, InvalidLayoutError),
+                  InvalidLayoutError, lambda doc: [
+                      LayoutGoal(*rec["index"][:3],
+                                 pose=pose_from_record(rec["pose"]))
+                      for rec in doc["goals"]],
+                  "goal_sequence", {"length": "m"})

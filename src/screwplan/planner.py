@@ -11,7 +11,6 @@ then resumes.  A planner with mode2_enabled=False is the baseline that
 simply fails at the first limit event.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,14 +31,18 @@ from .kinematics import (
     within,
 )
 from .screws import (
+    UNITS,
     Pose,
+    decode,
     error_twist,
     log_pose,
     pose_error,
     pose_errors,
     pose_from_record,
     pose_to_record,
+    read_lines,
     sclerp_path,
+    write_lines,
 )
 
 STEP_CLAMP = 0.05  # per-joint displacement cap per iteration, radians
@@ -384,50 +387,37 @@ def geodesic_deviation(start, goal, poses, translation_scale=1.0):
 def save_trajectory(traj, path, robot=""):
     """Line-delimited trajectory file: a header, then one record per
     step with its index, mode, joint values and end-effector pose."""
-    header = {
+    write_lines({
         "format": "trajectory",
         "units": {"angle": "rad", "length": "m"},
         "robot": robot,
         "outcome": traj.outcome.value,
         "segment_starts": list(traj.segment_starts),
-    }
-    with open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for i, s in enumerate(traj.steps):
-            f.write(json.dumps({
-                "step": i,
-                "mode": s.mode.value,
-                "q": [float(v) for v in s.q],
-                "pose": pose_to_record(s.end_effector),
-                "damped": bool(s.damped),
-            }) + "\n")
+    }, ({
+        "step": i,
+        "mode": s.mode.value,
+        "q": [float(v) for v in s.q],
+        "pose": pose_to_record(s.end_effector),
+        "damped": bool(s.damped),
+    } for i, s in enumerate(traj.steps)), path)
+
+
+def _step_from_record(rec):
+    # by name ("mode1" in any case) or by value (1)
+    mode = Mode(Mode.__members__.get(str(rec["mode"]).upper(), rec["mode"]))
+    q = np.array(rec["q"], dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("joint values must be finite")
+    return TrajectoryStep(q, mode, pose_from_record(rec["pose"]),
+                          bool(rec.get("damped", False)))
 
 
 def load_trajectory(path):
-    with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("format") != "trajectory":
-            raise ValueError("not a trajectory file")
-        steps = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                # by name ("mode1" in any case) or by value (1)
-                mode = Mode(Mode.__members__.get(str(rec["mode"]).upper(),
-                                                 rec["mode"]))
-                q = np.array(rec["q"], dtype=float)
-                if not np.isfinite(q).all():
-                    raise ValueError("joint values must be finite")
-                steps.append(TrajectoryStep(
-                    q, mode, pose_from_record(rec["pose"]),
-                    bool(rec.get("damped", False))))
-            except KeyError as e:
-                raise ValueError(
-                    f"trajectory line {lineno}: missing field {e}") from e
-            except ValueError as e:
-                raise ValueError(f"trajectory line {lineno}: {e}") from e
-    return JointTrajectory(steps=steps,
-                           outcome=Outcome(header["outcome"]),
-                           segment_starts=list(header["segment_starts"]))
+    (outcome, starts), steps = read_lines(
+        path, ValueError,
+        lambda doc: decode(doc, ValueError, lambda doc: (
+            Outcome(doc["outcome"]), list(doc["segment_starts"])),
+            "trajectory", UNITS),
+        _step_from_record)
+    return JointTrajectory(steps=steps, outcome=outcome,
+                           segment_starts=starts)

@@ -410,6 +410,37 @@ def pose_from_record(record):
     return Pose(quat_to_rot(q), t)
 
 
+# what a malformed field raises on its way through a builder
+_FIELD_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError,
+                 OverflowError)
+
+UNITS = {"length": "m", "angle": "rad"}
+
+
+def decode(doc, error, build, fmt=None, units=None):
+    """build(doc) for a JSON object with the given "format" tag and
+    declared units: a string such as "m", or a dict every key of which
+    must match.  Any failure raises the caller's `error` class; an
+    `error` raised by build (or by a nested decode) passes unchanged."""
+    if not isinstance(doc, dict):
+        raise error(f"expected a JSON object, got {type(doc).__name__}")
+    if fmt is not None and doc.get("format") != fmt:
+        raise error(f'expected format "{fmt}"')
+    got = doc.get("units")
+    if units is not None and not (
+            got == units if isinstance(units, str)
+            else isinstance(got, dict) and units.items() <= got.items()):
+        raise error(f"expected units {units}, got {got}")
+    try:
+        return build(doc)
+    except error:
+        raise
+    except KeyError as e:
+        raise error(f"missing field {e}") from e
+    except _FIELD_ERRORS as e:
+        raise error(f"bad field: {e}") from e
+
+
 def write_document(doc, path, indent=1):
     """One JSON document and a closing newline."""
     with open(path, "w", encoding="utf-8") as f:
@@ -417,17 +448,43 @@ def write_document(doc, path, indent=1):
         f.write("\n")
 
 
-def read_document(path, error, fmt=None):
-    """One JSON document; the caller's `error` class for invalid JSON
-    or, when fmt is given, for a "format" tag other than fmt."""
+def read_document(path, error):
+    """One JSON document; the caller's `error` class, naming the path,
+    for a file that is not JSON."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise error(f"not valid JSON: {e}") from e
-    if fmt is not None and doc.get("format") != fmt:
-        raise error(f'expected format "{fmt}"')
-    return doc
+            return json.load(f)
+        except ValueError as e:
+            raise error(f"{path}: not valid JSON: {e}") from e
+
+
+def write_lines(header, records, path):
+    """Line-delimited JSON: the header, then one record per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in (header, *records):
+            f.write(json.dumps(rec) + "\n")
+
+
+def read_lines(path, error, header, record):
+    """(header(first record), [record(r) for each later one]) of a
+    line-delimited JSON file, blank lines skipped; each builder runs
+    through decode, and every failure names the file and the line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for n, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError as e:
+                raise error(f"{path} line {n}: not valid JSON: {e}") from e
+            try:
+                out.append(decode(doc, error, record if out else header))
+            except error as e:
+                raise type(e)(f"{path} line {n}: {e}") from e
+    if not out:
+        raise error(f"{path}: empty file")
+    return out[0], out[1:]
 
 
 def save_pose_sequence(poses, path):
@@ -438,5 +495,6 @@ def save_pose_sequence(poses, path):
 
 
 def load_pose_sequence(path):
-    doc = read_document(path, ValueError, "pose_sequence")
-    return [pose_from_record(rec) for rec in doc["poses"]]
+    return decode(read_document(path, ValueError), ValueError,
+                  lambda doc: [pose_from_record(rec) for rec in doc["poses"]],
+                  "pose_sequence", {"length": "m"})

@@ -185,8 +185,7 @@ def test_q0_count_must_match_robot_joints(tmp_path, capsys):
 
 def test_plan_takes_one_q0_value_per_joint(tmp_path):
     # a yaw joint and two slides; the guiding pose is the start pose,
-    # so the plan holds q0 (a right pseudoinverse needs six joints or
-    # more to move)
+    # so the plan holds q0
     robot = RobotModel(
         name="slider",
         twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
@@ -209,3 +208,58 @@ def test_plan_takes_one_q0_value_per_joint(tmp_path):
                  "--guiding", str(guiding_file),
                  "--q0", *[str(v) for v in PANDA_READY],
                  "--out", str(out)]) == 2
+
+
+def test_plan_moves_a_robot_with_fewer_than_six_joints(tmp_path):
+    # the yaw joint and two slides above: a 6 x 3 Jacobian, which
+    # needs the left pseudoinverse
+    robot = RobotModel(
+        name="slider",
+        twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+        home_pose=Pose.identity(), lower=np.array([-3.0, -1.0, -1.0]),
+        upper=np.array([3.0, 1.0, 1.0]), sew_indices=(0, 1, 2))
+    q0 = np.array([0.3, 0.2, -0.1])
+    goal = forward_kinematics(robot, q0 + 0.2)
+    robot_file, guiding_file = tmp_path / "r.json", tmp_path / "g.json"
+    out = tmp_path / "traj.jsonl"
+    save_robot_model(robot, robot_file)
+    save_pose_sequence([goal], guiding_file)
+    assert main(["plan", "--robot", str(robot_file),
+                 "--guiding", str(guiding_file),
+                 "--q0", *[str(v) for v in q0], "--out", str(out)]) == 0
+    traj = load_trajectory(out)
+    assert traj.outcome is Outcome.REACHED
+    assert len(traj.steps) == 793
+    rot, trans = pose_error(traj.final_pose, goal)
+    assert rot < math.radians(0.05) and trans < 1e-4
+
+
+def exits_two_with_error(capsys, argv):
+    code = main(argv)
+    return code == 2 and capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_files_exit_two(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    guiding = tmp_path / "guiding.json"
+    guiding.write_text(json.dumps(
+        {"format": "pose_sequence", "units": {"length": "m"}}))
+    assert exits_two_with_error(capsys, [
+        "plan", "--robot", panda_file(), "--guiding", str(guiding),
+        "--q0", *[str(v) for v in PANDA_READY], "--out", out])
+    array = tmp_path / "array.json"
+    array.write_text("[]\n")
+    assert exits_two_with_error(capsys, [
+        "run-activity", "--spec", str(array), "--out", out])
+    assert exits_two_with_error(capsys, [
+        "plan", "--robot", panda_file(), "--guiding", str(array),
+        "--q0", *[str(v) for v in PANDA_READY], "--out", out])
+    layout = tmp_path / "layout.json"
+    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    doc = json.loads(layout.read_text())
+    doc["layers"] = "LAYERS"
+    layout.write_text(json.dumps(doc).replace('"LAYERS"', "1e999"))
+    assert exits_two_with_error(capsys, [
+        "layout", "--spec", str(layout), "--out", out])

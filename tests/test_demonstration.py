@@ -14,12 +14,15 @@ from screwplan.demonstration import (
     DegenerateDemonstrationError,
     Demonstration,
     MalformedDemonstrationError,
+    MalformedModelError,
     NoAnchorError,
     NonMonotoneTimeError,
     TaskInstance,
     extract_guiding_poses,
+    load_constraint_model,
     load_demonstration,
     load_segments,
+    save_constraint_model,
     save_demonstration,
     save_segments,
     segment_demonstration,
@@ -413,3 +416,28 @@ def test_segments_round_trip(tmp_path):
     path.write_text(json.dumps({"format": "spans", "segments": []}))
     with pytest.raises(MalformedDemonstrationError):
         load_segments(path)
+
+
+def test_constraint_model_round_trip(tmp_path):
+    rng = np.random.default_rng(12)
+    keys = pick_place_keys(rand_pose(rng, span=0.1))
+    demo = synthesize_demonstration(keys, samples_per_leg=20)
+    model = extract_guiding_poses(segment_demonstration(demo),
+                                  TaskInstance(keys[0], keys[-1]), 0.15)
+    path = tmp_path / "model.json"
+    save_constraint_model(model, path)
+    back = load_constraint_model(path)
+    assert back.anchor_initial == model.anchor_initial
+    assert back.anchor_goal == model.anchor_goal
+    assert len(back.guiding_poses) == len(model.guiding_poses)
+    for got, want in ((back.source.initial, model.source.initial),
+                      (back.source.goal, model.source.goal),
+                      *zip(back.guiding_poses, model.guiding_poses)):
+        rot, trans = pose_error(got, want)
+        assert rot < 1e-14 and trans < 1e-14
+    doc = json.loads(path.read_text())
+    for bad in ({**doc, "units": "mm"}, {**doc, "format": "segments"},
+                {**doc, "anchor_goal": [0]}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(MalformedModelError):
+            load_constraint_model(path)

@@ -11,7 +11,6 @@ from screwplan.layouts import (
     InvalidLayoutError,
     LayoutKind,
     LayoutSpec,
-    LengthMismatchError,
     ObjectDims,
     ceiling_goals,
     corner_wall_goals,
@@ -19,7 +18,6 @@ from screwplan.layouts import (
     layout_goals,
     load_goal_sequence,
     load_layout_spec,
-    make_task_instances,
     pick_stack,
     save_goal_sequence,
     save_layout_spec,
@@ -244,18 +242,6 @@ def test_pick_stack_descends_by_width():
     z = [p.translation[2] for p in picks]
     assert_allclose(z, [2 * BRICK.width, BRICK.width, 0.0], atol=1e-15)
     assert_allclose(picks[0].translation[:2], [0.5, -0.3])
-
-
-def test_make_task_instances_zips_and_checks_length():
-    spec = straight_wall_spec()
-    goals = wall_goals(spec)
-    picks = pick_stack(Pose.identity(), len(goals), BRICK)
-    instances = make_task_instances(goals, picks)
-    assert len(instances) == len(goals)
-    rot, trans = pose_error(instances[0].goal, goals[0].pose)
-    assert rot == 0.0 and trans == 0.0
-    with pytest.raises(LengthMismatchError):
-        make_task_instances(goals, picks[:-1])
 
 
 def test_layout_spec_file_round_trip(tmp_path):
