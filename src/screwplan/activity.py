@@ -23,8 +23,9 @@ from .demonstration import (ConstraintModel, TaskInstance,
                             constraint_model_to_record, transfer_constraints)
 from .kinematics import (PANDA_READY, load_robot_model, panda_model,
                          robot_from_record, robot_to_record)
-from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
-                      layout_spec_to_record, pick_stack, yaw_rotation)
+from .layouts import (LayoutSpec, is_whole, layout_goals,
+                      layout_spec_from_record, layout_spec_to_record,
+                      pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
 from .screws import (UNITS, Pose, compose, decode, inverse, pose_error,
                      pose_from_record, pose_to_record, read_document,
@@ -67,8 +68,11 @@ class PickStation:
     restock: int = None
 
     def __post_init__(self):
-        if self.restock is not None and self.restock < 1:
-            raise InvalidActivitySpecError("restock must be >= 1")
+        if self.restock is not None:
+            if not (is_whole(self.restock) and self.restock >= 1):
+                raise InvalidActivitySpecError(
+                    "restock must be a whole number >= 1")
+            object.__setattr__(self, "restock", int(self.restock))
 
 
 def pick_sequence(station, count, dims):
@@ -470,7 +474,7 @@ def summary_table(report):
 def _emit(fmt, results, timing, table, destination):
     """The report envelope as one JSON document, and the plain-text
     table beside it (.txt)."""
-    write_document({"format": fmt, "units": {"length": "m", "angle": "rad"},
+    write_document({"format": fmt, "units": dict(UNITS),
                     "results": results, "timing": timing},
                    destination, indent=2)
     base, _ = os.path.splitext(str(destination))
@@ -537,7 +541,7 @@ def activity_spec_to_record(spec):
     cfg = spec.planner_config
     return {
         "format": "activity_spec",
-        "units": {"length": "m", "angle": "rad"},
+        "units": dict(UNITS),
         "robot": _robot_record(spec.robot),
         "q_start": [float(v) for v in spec.q_start],
         "layout": layout_spec_to_record(spec.layout),

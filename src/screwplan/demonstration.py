@@ -40,10 +40,6 @@ from .screws import (
     ScrewDisplacement,
 )
 
-# one radian of rotation counts like this many meters when mixing the two
-# into a single arc length for interpolation parameters
-ARC_TRANSLATION_SCALE = 1.0
-
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
 
@@ -223,7 +219,7 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
     """
     doc = {
         "format": "segments",
-        "units": {"length": "m", "angle": "rad"},
+        "units": dict(UNITS),
         "object_id": object_id,
         "segments": [{
             "start": s.start_index,
@@ -284,8 +280,9 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     n = len(poses)
     Rs = np.stack([p.rotation for p in poses])
     ps = np.stack([p.translation for p in poses])
-    inc = [r + t / ARC_TRANSLATION_SCALE
-           for r, t in (pose_error(a, b) for a, b in zip(poses, poses[1:]))]
+    # arc length: one radian of rotation counts as one meter
+    inc = [r + t for r, t in (pose_error(a, b)
+                              for a, b in zip(poses, poses[1:]))]
     cum = np.concatenate([[0.0], np.cumsum(inc)])
     if cum[-1] < 1e-12:
         raise DegenerateDemonstrationError(

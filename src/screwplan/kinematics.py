@@ -16,14 +16,12 @@ from importlib import resources
 
 import numpy as np
 
-from .screws import (UNITS, Pose, decode, hat, pose_from_record,
+from .screws import (UNITS, Pose, decode, exp_twists, hat, pose_from_record,
                      pose_to_record, read_document, write_document)
 
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
 REFERENCE_AXIS_TOL = 1e-6
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
 
 
 class InvalidRobotError(ValueError):
@@ -76,14 +74,12 @@ class RobotModel:
             raise InvalidRobotError(
                 "sew_indices must be three increasing joint indices")
         # stacked per-joint constants of the chain: hat(w), hat(w)^2, the
-        # columns v and w, prismatic joints by index, and the point on
-        # each joint axis nearest the origin
+        # columns v and w, and the point on each joint axis nearest the
+        # origin
         hats = np.array([hat(w) for w in twists[:, 3:]])
         consts = dict(
             _hats=hats, _hats2=hats @ hats,
             _v=twists[:, :3, None].copy(), _w=twists[:, 3:, None].copy(),
-            _prismatic=np.flatnonzero(
-                np.sum(twists[:, 3:] ** 2, axis=1) < 1e-24),
             _axis_points=np.cross(twists[:, 3:], twists[:, :3]))
         for arr in (twists, lower, upper, *consts.values()):
             arr.setflags(write=False)
@@ -121,7 +117,7 @@ def robot_to_record(model):
     and stays out of the record."""
     return {
         "name": model.name,
-        "units": {"length": "m", "angle": "rad"},
+        "units": dict(UNITS),
         "twists": model.twists.tolist(),
         "home_pose": pose_to_record(model.home_pose),
         "joint_limits": {"lower": model.lower.tolist(),
@@ -160,12 +156,13 @@ class _Chain:
     stacked; entry i is the transform ahead of joint i, so it carries
     both joint i's axis and the frame its link-(i-1) points live in.
 
-    Every joint's exponential is built at once by broadcasting over the
-    model's stacked hat(w), hat(w)^2 and v, in the per-joint term order.
-    The rotation chain stays a loop of 3x3 products: a cumulative matrix
-    product has no batched form that rounds the same way.  Translations
-    then take one stacked product and one cumulative sum, the same adds
-    in the same order."""
+    Every joint's exponential comes from one screws.exp_twists call over
+    the model's stacked hat(w), hat(w)^2 and v; a prismatic joint's zero
+    hat(w) makes it a translation with no branch.  The rotation chain
+    stays a loop of 3x3 products: a cumulative matrix product has no
+    batched form that rounds the same way.  Translations then take one
+    stacked product and one cumulative sum, the same adds in the same
+    order."""
 
     def __init__(self, model, q):
         q = np.asarray(q, dtype=float)
@@ -173,26 +170,14 @@ class _Chain:
             raise ValueError(
                 f"expected {model.n_joints} joint values, got {q.shape}")
         self.model = model
-        # libm sines: numpy's vectorized sin need not round like them
-        ql = q.tolist()
-        s = np.array([math.sin(x) for x in ql])[:, None, None]
-        one_c = np.array([2.0 * math.sin(x / 2.0) ** 2
-                          for x in ql])[:, None, None]
-        qc = q[:, None, None]
-        W, W2 = model._hats, model._hats2
-        rot = _EYE3 + s * W + one_c * W2
-        vmat = qc * _EYE3 + one_c * W + (qc - s) * W2
-        p = (vmat @ model._v)[:, :, 0]
-        pri = model._prismatic
-        if pri.size:
-            rot[pri] = _EYE3
-            p[pri] = model._v[pri, :, 0] * q[pri, None]
-        rots = np.empty((len(ql) + 1, 3, 3))
+        rot, p = exp_twists(q, model._hats, model._hats2, model._v)
+        n = len(q)
+        rots = np.empty((n + 1, 3, 3))
         rots[0] = model.base_pose.rotation
-        for i in range(len(ql)):
+        for i in range(n):
             # the BLAS product that @ makes, with half its dispatch cost
             np.dot(rots[i], rot[i], rots[i + 1])
-        trans = np.empty((len(ql) + 1, 3))
+        trans = np.empty((n + 1, 3))
         trans[0] = model.base_pose.translation
         trans[1:] = (rots[:-1] @ p[:, :, None])[:, :, 0]
         self.partial_rots = rots

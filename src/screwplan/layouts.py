@@ -12,6 +12,7 @@ j the column (length axis).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,6 +65,20 @@ def yaw_rotation(theta):
                 np.zeros(3))
 
 
+def is_whole(x):
+    """True for a real number with no fractional part (3 or 3.0)."""
+    return isinstance(x, numbers.Real) and float(x).is_integer()
+
+
+def _finite_floats(values, count, message):
+    """values as `count` finite floats, else InvalidLayoutError(message)."""
+    if len(values) != count or not all(
+            isinstance(x, numbers.Real) and math.isfinite(x)
+            for x in values):
+        raise InvalidLayoutError(message)
+    return tuple(float(x) for x in values)
+
+
 def delta_offset(x, y):
     """y when x is even, else 0; the parity gate used by the wall
     recurrences."""
@@ -84,12 +99,19 @@ class LayoutSpec:
     offset_parity: str = "even"
 
     def __post_init__(self):
-        if self.layers < 1 or self.per_layer < 1:
-            raise InvalidLayoutError("layers and per_layer must be >= 1")
-        if len(self.spacing) != 3 or min(self.spacing) < 0.0:
+        if not all(is_whole(n) and n >= 1
+                   for n in (self.layers, self.per_layer)):
+            raise InvalidLayoutError(
+                "layers and per_layer must be whole numbers >= 1")
+        object.__setattr__(self, "layers", int(self.layers))
+        object.__setattr__(self, "per_layer", int(self.per_layer))
+        spacing = _finite_floats(self.spacing, 3,
+                                 "spacing must be three nonnegative gaps")
+        if min(spacing) < 0.0:
             raise InvalidLayoutError("spacing must be three nonnegative gaps")
-        if len(self.layer_offset) != 2:
-            raise InvalidLayoutError("layer_offset must be (dx, dy)")
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "layer_offset", _finite_floats(
+            self.layer_offset, 2, "layer_offset must be two numbers (dx, dy)"))
         if self.offset_parity not in ("even", "odd"):
             raise InvalidLayoutError("offset_parity must be 'even' or 'odd'")
         if self.kind is LayoutKind.CURVED_WALL:
@@ -99,10 +121,12 @@ class LayoutSpec:
             raise InvalidLayoutError(
                 "per_step_yaw only applies to curved walls")
         if self.kind is LayoutKind.CORNER_WALL:
-            if self.corner_index is None or not (
-                    1 <= self.corner_index <= self.per_layer):
+            c = self.corner_index
+            if not (is_whole(c) and 1 <= c <= self.per_layer):
                 raise InvalidLayoutError(
-                    "corner wall needs corner_index in [1, per_layer]")
+                    "corner wall needs a whole corner_index in "
+                    "[1, per_layer]")
+            object.__setattr__(self, "corner_index", int(c))
         elif self.corner_index is not None:
             raise InvalidLayoutError(
                 "corner_index only applies to corner walls")
@@ -227,7 +251,7 @@ def pick_stack(base, count, dims):
 def layout_spec_to_record(spec):
     return {
         "kind": spec.kind.value,
-        "units": {"length": "m", "angle": "rad"},
+        "units": dict(UNITS),
         "base": pose_to_record(spec.base),
         "dims": {"length": spec.dims.length, "breadth": spec.dims.breadth,
                  "width": spec.dims.width},
@@ -246,10 +270,10 @@ def layout_spec_from_record(doc):
         kind=LayoutKind(doc["kind"]),
         base=pose_from_record(doc["base"]),
         dims=ObjectDims(**doc["dims"]),
-        layers=int(doc["layers"]),
-        per_layer=int(doc["per_layer"]),
-        layer_offset=tuple(doc["layer_offset"]),
-        spacing=tuple(doc["spacing"]),
+        layers=doc["layers"],
+        per_layer=doc["per_layer"],
+        layer_offset=doc["layer_offset"],
+        spacing=doc["spacing"],
         per_step_yaw=float(doc.get("per_step_yaw", 0.0)),
         corner_index=doc.get("corner_index"),
         offset_parity=doc.get("offset_parity", "even"),

@@ -212,19 +212,21 @@ def unit_twist(screw):
     return UnitTwist(*_twist_parts(screw.axis, screw.moment, screw.pitch))
 
 
-def _rodrigues(theta, W, W2):
+def exp_twists(theta, W, W2, v):
+    """Exponentials of unit twists [v; w] moved through the angles
+    theta (n,): rotations (n, 3, 3) and translations (n, 3).  W = hat(w),
+    W2 = W @ W and the column v (3, 1) are shared by every angle or
+    stacked one per angle.  Rodrigues' formula and its integral; a pure
+    translation (W = 0) gives exactly I and theta v, so nothing branches
+    on the pitch."""
+    s = np.sin(theta)[:, None, None]
+    half = np.sin(0.5 * theta)
     # 2 sin^2(t/2) == 1 - cos t without cancellation near zero
-    return _EYE3 + math.sin(theta) * W + 2.0 * math.sin(0.5 * theta) ** 2 * W2
-
-
-def _v_mat(theta, W, W2):
-    # integral of the rotation: V v is the translation of exp of a twist
-    c2 = 2.0 * math.sin(0.5 * theta) ** 2
-    if abs(theta) < 1e-4:
-        c3 = theta ** 3 / 6.0 - theta ** 5 / 120.0
-    else:
-        c3 = theta - math.sin(theta)
-    return theta * _EYE3 + c2 * W + c3 * W2
+    c2 = (2.0 * (half * half))[:, None, None]
+    t = theta[:, None, None]
+    R = _EYE3 + s * W + c2 * W2
+    p = ((t * _EYE3 + c2 * W + (t - s) * W2) @ v)[:, :, 0]
+    return R, p
 
 
 def _v_inv(theta, W, W2):
@@ -240,11 +242,10 @@ def exp_screw(xi, theta):
 
     theta is radians for rotational twists, meters for translational ones.
     """
-    if _norm(xi.angular) > 0.5:
-        W = hat(xi.angular)
-        W2 = W @ W
-        return Pose(_rodrigues(theta, W, W2), _v_mat(theta, W, W2) @ xi.linear)
-    return Pose(_EYE3, theta * xi.linear)
+    W = hat(xi.angular)
+    R, p = exp_twists(np.array([theta], dtype=float), W, W @ W,
+                      xi.linear[:, None])
+    return Pose(R[0], p[0])
 
 
 def rot_to_quat(R):
@@ -371,25 +372,10 @@ def sclerp(start, goal, tau):
 def sclerp_path(start, goal, taus):
     """Vectorized sclerp: returns rotations (n, 3, 3) and translations
     (n, 3) for an array of interpolation parameters."""
-    taus = np.asarray(taus, float)
     xi, theta = log_pose(compose(goal, inverse(start)))
-    ang = theta * taus
-    if _norm(xi.angular) > 0.5:
-        W = hat(xi.angular)
-        W2 = W @ W
-        sin = np.sin(ang)
-        c2 = 2.0 * np.sin(0.5 * ang) ** 2
-        small = np.abs(ang) < 1e-4
-        c3 = np.where(small, ang ** 3 / 6.0 - ang ** 5 / 120.0,
-                      ang - sin)
-        R = (_EYE3[None, :, :] + sin[:, None, None] * W
-             + c2[:, None, None] * W2)
-        V = (ang[:, None, None] * _EYE3[None, :, :]
-             + c2[:, None, None] * W + c3[:, None, None] * W2)
-        p = V @ xi.linear
-    else:
-        R = np.broadcast_to(_EYE3, (len(taus), 3, 3)).copy()
-        p = ang[:, None] * xi.linear
+    W = hat(xi.angular)
+    R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
+                      xi.linear[:, None])
     return R @ start.rotation, R @ start.translation + p
 
 

@@ -462,3 +462,7 @@ def test_spec_validation():
     with pytest.raises(InvalidActivitySpecError):
         FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=0.0,
                       opening_breadth=0.3)
+    for bad in (0, 2.5, math.inf, math.nan, "3"):
+        with pytest.raises(InvalidActivitySpecError):
+            PickStation(base=flat([0, 0, 0]), restock=bad)
+    assert type(PickStation(base=flat([0, 0, 0]), restock=3.0).restock) is int

@@ -263,3 +263,20 @@ def test_malformed_files_exit_two(tmp_path, capsys):
     layout.write_text(json.dumps(doc).replace('"LAYERS"', "1e999"))
     assert exits_two_with_error(capsys, [
         "layout", "--spec", str(layout), "--out", out])
+    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    wall = json.loads(layout.read_text())
+    for changes in ({"layers": 2.5}, {"per_layer": "4"},
+                    {"layer_offset": [None, 0.0]},
+                    {"layer_offset": ["0.05", 0.0]},
+                    {"kind": "corner_wall", "corner_index": 2.5}):
+        layout.write_text(json.dumps({**wall, **changes}))
+        assert exits_two_with_error(capsys, [
+            "layout", "--spec", str(layout), "--out", out])
+    spec = tmp_path / "spec.json"
+    save_activity_spec(sc.brick_wall_activity(), spec)
+    doc = json.loads(spec.read_text())
+    doc["pick_station"]["restock"] = "RESTOCK"
+    for restock in ("2.5", "1e999"):
+        spec.write_text(json.dumps(doc).replace('"RESTOCK"', restock))
+        assert exits_two_with_error(capsys, [
+            "run-activity", "--spec", str(spec), "--out", out])

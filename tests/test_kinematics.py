@@ -193,7 +193,8 @@ def reference_chain(model, q):
             wh = hat(w)
             wh2 = wh @ wh
             s = math.sin(qi)
-            one_c = 2.0 * math.sin(qi / 2.0) ** 2
+            half = math.sin(qi / 2.0)
+            one_c = 2.0 * (half * half)
             r = eye + s * wh + one_c * wh2
             p = (qi * eye + one_c * wh + (qi - s) * wh2) @ v
         rots.append(rots[-1] @ r)

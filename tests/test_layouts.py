@@ -229,6 +229,26 @@ def test_spec_validation():
         LayoutSpec(kind=LayoutKind.CORNER_WALL, base=Pose.identity(),
                    dims=BRICK, layers=1, per_layer=4, corner_index=9)
     with pytest.raises(InvalidLayoutError):
+        LayoutSpec(kind=LayoutKind.CORNER_WALL, base=Pose.identity(),
+                   dims=BRICK, layers=1, per_layer=4, corner_index=2.5)
+    for field, bad in (("layers", 2.5), ("per_layer", "4"),
+                       ("layer_offset", (None, 0.0)),
+                       ("layer_offset", ("0.05", 0.0)),
+                       ("layer_offset", (math.inf, 0.0)),
+                       ("spacing", (0.0, "0.01", 0.0)),
+                       ("spacing", (0.0, math.nan, 0.0))):
+        with pytest.raises(InvalidLayoutError):
+            LayoutSpec(**{"kind": LayoutKind.STRAIGHT_WALL,
+                          "base": Pose.identity(), "dims": BRICK,
+                          "layers": 1, "per_layer": 4, field: bad})
+    spec = LayoutSpec(kind=LayoutKind.CORNER_WALL, base=Pose.identity(),
+                      dims=BRICK, layers=1.0, per_layer=4, layer_offset=[0, 1],
+                      spacing=np.zeros(3), corner_index=2.0)
+    assert spec.layer_offset == (0.0, 1.0) and spec.spacing == (0.0,) * 3
+    assert type(spec.layers) is int
+    assert all(type(x) is float for x in spec.layer_offset + spec.spacing)
+    assert type(spec.corner_index) is int
+    with pytest.raises(InvalidLayoutError):
         ObjectDims(length=0.0, breadth=0.1, width=0.1)
     with pytest.raises(InvalidLayoutError):
         wall_goals(LayoutSpec(kind=LayoutKind.CEILING_GRID,

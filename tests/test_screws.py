@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from screwplan.screws import (
@@ -156,6 +157,44 @@ def test_round_trip_near_and_at_pi():
         g2 = exp_screw(xi, theta)
         rot, trans = pose_error(g, g2)
         assert rot < 1e-9 and trans < 1e-9
+
+
+@st.composite
+def _screw_at(draw, angles):
+    """A screw of any pitch, pure translations included, whose magnitude
+    comes from `angles`: rand_screw keeps clear of these ends."""
+    axis = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                  max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 0.1)))
+    axis /= np.linalg.norm(axis)
+    pitch = draw(st.one_of(st.floats(-0.5, 0.5), st.just(INFINITE_PITCH)))
+    moment = np.zeros(3)
+    if pitch != INFINITE_PITCH:
+        moment = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                        max_size=3)))
+        moment -= (moment @ axis) * axis
+    return ScrewDisplacement(axis, moment, pitch, draw(angles))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screw_at(st.one_of(st.just(0.0), st.floats(1e-12, 1e-3),
+                           st.floats(math.pi - 1e-6, math.pi))))
+def test_exp_matches_dense_exponential_at_the_singular_ends(s):
+    xi = unit_twist(s)
+    g = exp_screw(xi, s.magnitude)
+    T = expm_dense(twist_hat(xi.array() * s.magnitude))
+    assert np.abs(g.rotation - T[:3, :3]).max() <= 1e-12
+    assert np.abs(g.translation - T[:3, 3]).max() <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_screw_at(st.one_of(st.floats(1.01 * ROT_IDENTITY_TOL, 1e-6),
+                           st.floats(math.pi - 1e-6, math.pi))))
+def test_exp_log_round_trip_at_the_singular_ends(s):
+    g = exp_screw(unit_twist(s), s.magnitude)
+    g2 = exp_screw(*log_pose(g))
+    assert np.abs(g2.rotation - g.rotation).max() <= 1e-12
+    assert np.abs(g2.translation - g.translation).max() <= 1e-12
 
 
 def test_compose_inverse_group_laws():
