@@ -7,10 +7,10 @@ that trades elbow posture for joint-limit clearance.  Purely kinematic;
 poses in meters and radians throughout.
 """
 
-from .screws import (INFINITE_PITCH, Pose, ScrewDisplacement, UnitTwist,
-                     compose, exp_screw, inverse, load_pose_sequence,
-                     log_pose, pose_error, save_pose_sequence, sclerp,
-                     sclerp_path, screw_from_pose, unit_twist)
+from .screws import (INFINITE_PITCH, Pose, ScrewDisplacement, compose,
+                     exp_screw, inverse, load_pose_sequence, log_pose,
+                     pose_error, save_pose_sequence, sclerp, sclerp_path,
+                     screw_from_pose, unit_twist)
 from .demonstration import (ConstraintModel, Demonstration, ScrewSegment,
                             TaskInstance, extract_guiding_poses,
                             load_constraint_model, load_demonstration,
@@ -37,7 +37,7 @@ from .activity import (POSITION_TOL, YAW_TOL, ActivityReport, ActivitySpec,
                        save_activity_spec, summary_table)
 
 __all__ = [
-    "INFINITE_PITCH", "Pose", "ScrewDisplacement", "UnitTwist", "compose",
+    "INFINITE_PITCH", "Pose", "ScrewDisplacement", "compose",
     "exp_screw", "inverse", "load_pose_sequence", "log_pose", "pose_error",
     "save_pose_sequence", "sclerp", "sclerp_path", "screw_from_pose",
     "unit_twist",

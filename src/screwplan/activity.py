@@ -12,6 +12,7 @@ under a fixed seed.
 """
 
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -68,6 +69,8 @@ class PickStation:
     restock: int = None
 
     def __post_init__(self):
+        if not isinstance(self.in_base_frame, bool):
+            raise InvalidActivitySpecError("in_base_frame must be a bool")
         if self.restock is not None:
             if not (is_whole(self.restock) and self.restock >= 1):
                 raise InvalidActivitySpecError(
@@ -110,15 +113,22 @@ class MovingBase:
     stations_per_lap: int = None
 
     def __post_init__(self):
-        if self.seed is None:
-            raise InvalidActivitySpecError("moving base needs a seed")
-        if self.relocate_every < 1:
-            raise InvalidActivitySpecError("relocate_every must be >= 1")
-        if self.radius < 0.0 or self.yaw_range < 0.0:
+        lap = self.stations_per_lap
+        if not (is_whole(self.seed) and all(
+                is_whole(n) and n >= 1
+                for n in (self.relocate_every, 1 if lap is None else lap))):
             raise InvalidActivitySpecError(
-                "noise radius and yaw range must be nonnegative")
-        if self.stations_per_lap is not None and self.stations_per_lap < 1:
-            raise InvalidActivitySpecError("stations_per_lap must be >= 1")
+                "moving base needs a whole seed, and whole relocate_every "
+                "and stations_per_lap >= 1")
+        if not all(isinstance(x, numbers.Real) and x >= 0.0
+                   for x in (self.radius, self.yaw_range)):
+            raise InvalidActivitySpecError(
+                "noise radius and yaw range must be nonnegative numbers")
+        for name, kind in (("seed", int), ("relocate_every", int),
+                           ("radius", float), ("yaw_range", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if lap is not None:
+            object.__setattr__(self, "stations_per_lap", int(lap))
 
 
 @dataclass(frozen=True)
@@ -355,8 +365,7 @@ def evaluate_ceiling(tile_poses, dims, frame):
     corners = _cuboid_corners(dims)
     hl, hb = frame.opening_length / 2.0, frame.opening_breadth / 2.0
     for pose in tile_poses:
-        local = compose(inv_frame, pose)
-        pts = corners @ local.rotation.T + local.translation
+        pts = compose(inv_frame, pose).apply(corners)
         z = pts[:, 2]
         if z.min() >= 0.0 or z.max() <= 0.0:
             continue
@@ -372,7 +381,7 @@ def evaluate_ceiling(tile_poses, dims, frame):
     tilt = math.acos(max(-1.0, min(1.0, final.rotation[2, 2])))
     if tilt > YAW_TOL:
         return False
-    pts = corners @ final.rotation.T + final.translation
+    pts = final.apply(corners)
     if any(abs(pts[i, 2]) > POSITION_TOL for i in _BOTTOM_CORNERS):
         return False
     return abs(final.translation[0]) <= hl and abs(final.translation[1]) <= hb
@@ -585,15 +594,11 @@ def _policy_from_record(pol):
     if pol["kind"] == "fixed":
         return FixedBase(base=pose_from_record(pol["base"]))
     if pol["kind"] == "moving":
-        lap = pol.get("stations_per_lap")
-        return MovingBase(
-            initial=pose_from_record(pol["initial"]),
-            step=pose_from_record(pol["step"]),
-            seed=int(pol["seed"]),
-            relocate_every=int(pol.get("relocate_every", 3)),
-            radius=float(pol.get("radius", 0.05)),
-            yaw_range=float(pol.get("yaw_range", math.radians(5.0))),
-            stations_per_lap=None if lap is None else int(lap))
+        optional = ("relocate_every", "radius", "yaw_range",
+                    "stations_per_lap")
+        return MovingBase(initial=pose_from_record(pol["initial"]),
+                          step=pose_from_record(pol["step"]), seed=pol["seed"],
+                          **{k: pol[k] for k in optional if k in pol})
     raise InvalidActivitySpecError(
         f"unknown base policy kind {pol.get('kind')!r}")
 
@@ -606,21 +611,21 @@ def _spec_from_record(doc):
         demo_model=constraint_model_from_record(doc["demo_model"]),
         pick_station=PickStation(
             base=pose_from_record(station["base"]),
-            in_base_frame=bool(station.get("in_base_frame", False)),
+            in_base_frame=station.get("in_base_frame", False),
             restock=station.get("restock")),
         base_policy=_policy_from_record(doc["base_policy"]),
         robot=_robot_from_record(doc["robot"]),
         grasp_offset=pose_from_record(doc["grasp_offset"]),
         planner_config=PlannerConfig(
-            eps_in=float(planner["eps_in"]),
-            eps_out=float(planner["eps_out"]),
-            kappa=float(planner["kappa"]),
-            lam=float(planner["lam"]),
-            delta_t=float(planner["delta_t"]),
+            eps_in=planner["eps_in"],
+            eps_out=planner["eps_out"],
+            kappa=planner["kappa"],
+            lam=planner["lam"],
+            delta_t=planner["delta_t"],
             goal_tol=tuple(planner["goal_tol"]),
-            max_steps=int(planner["max_steps"]),
+            max_steps=planner["max_steps"],
             sew_search=tuple(planner["sew_search"]),
-            mode2_enabled=bool(planner["mode2_enabled"])),
+            mode2_enabled=planner["mode2_enabled"]),
         q_start=np.array(doc["q_start"], dtype=float))
 
 

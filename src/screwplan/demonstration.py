@@ -252,7 +252,7 @@ def load_segments(source):
 # ------------------------------------------------------------- segmentation
 
 
-def _deviation_from_chord(Rs, ps, start, end, cum):
+def _deviation_from_chord(poses, Rs, ps, start, end, cum):
     """Worst (rotation, translation) deviation of interior samples from the
     constant-screw interpolant between samples start and end. Interior
     samples sit at interpolation parameters proportional to accumulated
@@ -261,10 +261,8 @@ def _deviation_from_chord(Rs, ps, start, end, cum):
     if span <= 0.0:
         return 0.0, 0.0
     taus = (cum[start + 1:end] - cum[start]) / span
-    gi = Pose(Rs[start], ps[start])
-    gf = Pose(Rs[end], ps[end])
-    rot, trans = pose_errors(*sclerp_path(gi, gf, taus), Rs[start + 1:end],
-                             ps[start + 1:end])
+    rot, trans = pose_errors(*sclerp_path(poses[start], poses[end], taus),
+                             Rs[start + 1:end], ps[start + 1:end])
     return float(rot.max(initial=0.0)), float(trans.max(initial=0.0))
 
 
@@ -292,7 +290,7 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     while a < n - 1:
         b = a + 1
         while b + 1 <= n - 1:
-            rot, trans = _deviation_from_chord(Rs, ps, a, b + 1, cum)
+            rot, trans = _deviation_from_chord(poses, Rs, ps, a, b + 1, cum)
             if rot > rot_tol or trans > trans_tol:
                 break
             b += 1

@@ -12,6 +12,7 @@ simply fails at the first limit event.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .kinematics import (
     self_motion_direction,
     within,
 )
+from .layouts import is_whole
 from .screws import (
     UNITS,
     Pose,
@@ -87,18 +89,25 @@ class PlannerConfig:
     mode2_enabled: bool = True
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.eps_in, self.eps_out, self.kappa, self.lam,
-                self.delta_t, *self.goal_tol, *self.sew_search))):
-            raise InvalidPlannerConfigError("settings must be finite")
+        gains = ("eps_in", "eps_out", "kappa", "lam", "delta_t")
+        if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (
+                *(getattr(self, g) for g in gains), *self.goal_tol,
+                *self.sew_search)):
+            raise InvalidPlannerConfigError("settings must be finite numbers")
+        if not isinstance(self.mode2_enabled, bool):
+            raise InvalidPlannerConfigError("mode2_enabled must be a bool")
+        if not (is_whole(self.max_steps) and self.max_steps >= 1):
+            raise InvalidPlannerConfigError(
+                "max_steps must be a whole number >= 1")
+        for g in gains:
+            object.__setattr__(self, g, float(getattr(self, g)))
+        object.__setattr__(self, "max_steps", int(self.max_steps))
         if min(self.kappa, self.lam, self.delta_t) <= 0.0:
             raise InvalidPlannerConfigError(
                 "kappa, lam and delta_t must be positive")
         if len(self.goal_tol) != 2 or min(self.goal_tol) <= 0.0:
             raise InvalidPlannerConfigError(
                 "goal_tol must be positive (radians, meters)")
-        if self.max_steps < 1:
-            raise InvalidPlannerConfigError("max_steps must be >= 1")
         if len(self.sew_search) != 2 or self.sew_search[0] <= 0.0 \
                 or self.sew_search[1] < self.sew_search[0]:
             raise InvalidPlannerConfigError(
@@ -121,9 +130,6 @@ class JointTrajectory:
     steps: list
     outcome: Outcome
     segment_starts: list = field(default_factory=list)
-
-    def joint_path(self):
-        return np.array([s.q for s in self.steps])
 
     @property
     def final_q(self):

@@ -47,10 +47,12 @@ def _norm(x):
 
 
 def _check_rotation(R):
-    """ValueError unless R is orthonormal within _ORTHO_TOL with positive
-    determinant; NaN fails."""
-    dev = np.abs(R.T @ R - _EYE3).max()
+    """ValueError unless R is finite, orthonormal within _ORTHO_TOL and of
+    positive determinant; non-finite entries fail before any product."""
     (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if not math.isfinite(a + b + c + d + e + f + g + h + i):
+        raise ValueError("rotation not orthonormal (non-finite entries)")
+    dev = np.abs(R.T @ R - _EYE3).max()
     # once dev <= tol, det is within ~2e-9 of +-1, so the sign of the
     # triple product is the sign of det
     if not dev <= _ORTHO_TOL or (a * (e * i - f * h) - b * (d * i - f * g)
@@ -157,59 +159,40 @@ class ScrewDisplacement:
         object.__setattr__(self, "magnitude", float(self.magnitude))
 
 
-@dataclass(frozen=True)
-class UnitTwist:
-    """Normalized twist [linear; angular]: unit angular part for finite
-    pitch, zero angular and unit linear part for pure translations."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-
-    def __post_init__(self):
-        lin = np.array(self.linear, dtype=float)
-        ang = np.array(self.angular, dtype=float)
-        _check_unit_twist(lin, ang)
-        lin.setflags(write=False)
-        ang.setflags(write=False)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "angular", ang)
-
-    def array(self):
-        return np.concatenate([self.linear, self.angular])
-
-
 def _check_screw(axis, moment, pitch, magnitude):
     if abs(_norm(axis) - 1.0) > _ORTHO_TOL:
         raise ValueError("screw axis must be a unit vector")
     if math.isinf(pitch):
         if _norm(moment) > 1e-12:
             raise ValueError("pure translation must have zero moment")
-    elif abs(axis @ moment) > _ORTHO_TOL:
+    elif (abs(axis @ moment) > _ORTHO_TOL  # relative for a far-off line
+          and abs(axis @ moment) > _ORTHO_TOL * _norm(moment)):
         raise ValueError("moment must be orthogonal to the axis")
     if magnitude < 0.0:
         raise ValueError("magnitude must be nonnegative")
 
 
-def _check_unit_twist(lin, ang):
-    na = _norm(ang)
+def _check_unit_twist(xi):
+    na = _norm(xi[3:])
     if abs(na - 1.0) > _ORTHO_TOL:
         if na > _ORTHO_TOL:
             raise ValueError("angular part must be unit or zero")
-        if abs(_norm(lin) - 1.0) > _ORTHO_TOL:
+        if abs(_norm(xi[:3]) - 1.0) > _ORTHO_TOL:
             raise ValueError(
                 "zero angular part requires a unit linear part")
 
 
-def _twist_parts(axis, moment, pitch):
-    """(linear, angular) of the unit twist of a screw: [moment + pitch *
-    axis; axis], or [axis; 0] for infinite pitch."""
+def _twist(axis, moment, pitch):
+    """Unit twist [v; w] of a screw: [moment + pitch * axis; axis], or
+    [axis; 0] for infinite pitch."""
     if math.isinf(pitch):
-        return axis, np.zeros(3)
-    return moment + pitch * axis, axis
+        return np.concatenate([axis, np.zeros(3)])
+    return np.concatenate([moment + pitch * axis, axis])
 
 
 def unit_twist(screw):
-    return UnitTwist(*_twist_parts(screw.axis, screw.moment, screw.pitch))
+    """The unit twist [v; w] (a 6-vector) of a ScrewDisplacement."""
+    return _twist(screw.axis, screw.moment, screw.pitch)
 
 
 def exp_twists(theta, W, W2, v):
@@ -229,22 +212,18 @@ def exp_twists(theta, W, W2, v):
     return R, p
 
 
-def _v_inv(theta, W, W2):
-    if theta < 1e-4:
-        c2 = theta / 12.0 + theta ** 3 / 720.0
-    else:
-        c2 = 1.0 / theta - 0.5 / math.tan(0.5 * theta)
-    return _EYE3 / theta - 0.5 * W + c2 * W2
-
-
 def exp_screw(xi, theta):
     """Displacement that results from moving `theta` along unit twist `xi`.
 
     theta is radians for rotational twists, meters for translational ones.
     """
-    W = hat(xi.angular)
+    xi = np.asarray(xi, float)
+    if xi.shape != (6,):
+        raise ValueError("unit twist must be a 6-vector [v; w]")
+    _check_unit_twist(xi)
+    W = hat(xi[3:])
     R, p = exp_twists(np.array([theta], dtype=float), W, W @ W,
-                      xi.linear[:, None])
+                      xi[:3, None])
     return Pose(R[0], p[0])
 
 
@@ -305,7 +284,7 @@ def _axis_angle(R):
 
 def _chasles(R, p):
     """Unchecked (axis, moment, pitch, magnitude) of the displacement
-    (R, p): the one log behind screw_from_pose, log_pose and log_coords.
+    (R, p): the one log behind screw_from_pose and _log.
 
     Rotations with angle below ROT_IDENTITY_TOL are treated as pure
     translations; the exact identity yields the canonical zero screw
@@ -318,9 +297,16 @@ def _chasles(R, p):
         d = _norm(p)
         if d == 0.0:
             return np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0, 0.0
+        if d < 1e-154:  # p @ p is subnormal: normalise a rescaled p
+            s = float(np.abs(p).max())
+            u = p / s
+            return u / _norm(u), np.zeros(3), INFINITE_PITCH, s * _norm(u)
         return p / d, np.zeros(3), INFINITE_PITCH, d
     W = hat(omega)
-    v = _v_inv(theta, W, W @ W) @ p
+    # the inverse of exp_twists' translation map, series near zero
+    c2 = (theta / 12.0 + theta ** 3 / 720.0 if theta < 1e-4
+          else 1.0 / theta - 0.5 / math.tan(0.5 * theta))
+    v = (_EYE3 / theta - 0.5 * W + c2 * (W @ W)) @ p
     h = float(omega @ v)
     m = v - h * omega
     # the closed-form inverse leaves a ~1e-16 component along the axis
@@ -333,49 +319,53 @@ def screw_from_pose(pose):
     return ScrewDisplacement(*_chasles(pose.rotation, pose.translation))
 
 
-def log_pose(pose):
-    """(unit twist, magnitude) such that exp_screw reproduces the pose."""
-    s = screw_from_pose(pose)
-    return unit_twist(s), s.magnitude
-
-
-def log_coords(R, p):
-    """Log coordinates xi * theta of the displacement (R, p): what
-    log_pose gives, with the same checks, but no screw or twist object."""
+def _log(R, p):
+    """Checked (unit twist xi (6,), magnitude theta) of the displacement
+    (R, p): the one log behind log_pose, error_twist and sclerp."""
     axis, moment, pitch, theta = _chasles(R, p)
     _check_screw(axis, moment, pitch, theta)
-    lin, ang = _twist_parts(axis, moment, pitch)
-    _check_unit_twist(lin, ang)
-    return np.concatenate([lin, ang]) * theta
+    xi = _twist(axis, moment, pitch)
+    _check_unit_twist(xi)
+    return xi, theta
+
+
+def log_pose(pose):
+    """(unit twist, magnitude) such that exp_screw reproduces the pose."""
+    return _log(pose.rotation, pose.translation)
+
+
+def _relative_log(goal, start):
+    """_log of compose(goal, inverse(start)), checked but unbuilt."""
+    Rt = start.rotation.T
+    _check_rotation(Rt)
+    R, p = _compose(goal.rotation, goal.translation, Rt,
+                    -(Rt @ start.translation))
+    _check_rotation(R)
+    return _log(R, p)
 
 
 def error_twist(goal, pose):
-    """Log coordinates of compose(goal, inverse(pose)), the spatial twist
-    that carries pose onto goal in unit time.  Runs the rotation checks
-    of those two poses without building them."""
-    Rt = pose.rotation.T
-    _check_rotation(Rt)
-    R, p = _compose(goal.rotation, goal.translation, Rt,
-                    -(Rt @ pose.translation))
-    _check_rotation(R)
-    return log_coords(R, p)
+    """Log coordinates xi * theta of compose(goal, inverse(pose)), the
+    spatial twist that carries pose onto goal in unit time."""
+    xi, theta = _relative_log(goal, pose)
+    return xi * theta
 
 
 def sclerp(start, goal, tau):
     """Screw linear interpolation: the constant-screw geodesic from start
     (tau = 0) to goal (tau = 1). tau may lie outside [0, 1] to extrapolate
     along the same screw."""
-    xi, theta = log_pose(compose(goal, inverse(start)))
-    return compose(exp_screw(xi, tau * theta), start)
+    R, p = sclerp_path(start, goal, [tau])
+    return Pose(R[0], p[0])
 
 
 def sclerp_path(start, goal, taus):
     """Vectorized sclerp: returns rotations (n, 3, 3) and translations
     (n, 3) for an array of interpolation parameters."""
-    xi, theta = log_pose(compose(goal, inverse(start)))
-    W = hat(xi.angular)
+    xi, theta = _relative_log(goal, start)
+    W = hat(xi[3:])
     R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
-                      xi.linear[:, None])
+                      xi[:3, None])
     return R @ start.rotation, R @ start.translation + p
 
 

@@ -40,11 +40,11 @@ def test_01_screw_algebra_suite():
     for _ in range(1000):
         screw = rand_screw(rng)
         xi = unit_twist(screw)
-        coords = xi.array() * screw.magnitude
+        coords = xi * screw.magnitude
         pose = exp_screw(xi, screw.magnitude)
         xi2, theta2 = log_pose(pose)
         worst_log = max(worst_log,
-                        float(np.linalg.norm(coords - xi2.array() * theta2)))
+                        float(np.linalg.norm(coords - xi2 * theta2)))
     assert worst_log < 1e-9
 
     worst_end = 0.0
@@ -212,7 +212,7 @@ def test_05_kinematics_checks():
             plus = forward_kinematics(model, q + dq)
             minus = forward_kinematics(model, q - dq)
             xi, theta = log_pose(compose(plus, inverse(minus)))
-            fd = xi.array() * theta / (2 * h)
+            fd = xi * theta / (2 * h)
             worst_jac = max(worst_jac,
                             float(np.max(np.abs(fd - jac[:, i]))))
 

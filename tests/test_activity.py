@@ -466,3 +466,45 @@ def test_spec_validation():
         with pytest.raises(InvalidActivitySpecError):
             PickStation(base=flat([0, 0, 0]), restock=bad)
     assert type(PickStation(base=flat([0, 0, 0]), restock=3.0).restock) is int
+    with pytest.raises(InvalidActivitySpecError):
+        PickStation(base=flat([0, 0, 0]), in_base_frame="false")
+    for field, bad in (("seed", 2.7), ("relocate_every", 2.5),
+                       ("stations_per_lap", 1.5), ("radius", "0.05")):
+        with pytest.raises(InvalidActivitySpecError):
+            MovingBase(initial=flat([0, 0, 0]), step=flat([0, 0.1, 0]),
+                       **{"seed": 3, field: bad})
+    base = MovingBase(initial=flat([0, 0, 0]), step=flat([0, 0.1, 0]),
+                      seed=3.0, relocate_every=2.0, radius=0,
+                      stations_per_lap=4.0)
+    assert [type(v) for v in (base.seed, base.relocate_every,
+                              base.stations_per_lap, base.radius)] == [
+        int, int, int, float]
+
+
+@pytest.mark.parametrize("section, changes", [
+    ("planner", {"mode2_enabled": "false"}),
+    ("planner", {"mode2_enabled": 0}),
+    ("planner", {"max_steps": 2.5}),
+    ("planner", {"kappa": "1.0"}),
+    ("pick_station", {"in_base_frame": "false"}),
+    ("base_policy", {"seed": 2.7}),
+    ("base_policy", {"relocate_every": 2.5}),
+])
+def test_spec_record_values_of_the_wrong_type(section, changes):
+    # each of these used to load, coerced to something else
+    rec = activity_spec_to_record(
+        replace(wall3_spec(), base_policy=MovingBase(
+            initial=flat([0, 0, 0]), step=flat([0, 0.1, 0]), seed=3)))
+    activity_spec_from_record(rec)
+    rec[section].update(changes)
+    with pytest.raises(InvalidActivitySpecError):
+        activity_spec_from_record(rec)
+
+
+def test_planner_config_stores_numbers_as_their_kind():
+    config = PlannerConfig(kappa=2, max_steps=60.0)
+    assert type(config.kappa) is float and type(config.max_steps) is int
+    for bad in ({"mode2_enabled": "false"}, {"max_steps": 2.5},
+                {"kappa": "1.0"}, {"goal_tol": ("0.001", 0.001)}):
+        with pytest.raises(ValueError):
+            PlannerConfig(**bad)

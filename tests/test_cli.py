@@ -280,3 +280,16 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         spec.write_text(json.dumps(doc).replace('"RESTOCK"', restock))
         assert exits_two_with_error(capsys, [
             "run-activity", "--spec", str(spec), "--out", out])
+    save_activity_spec(sc.moving_wall_activity(seed=5), spec)
+    moving = json.loads(spec.read_text())
+    for section, changes in (("planner", {"mode2_enabled": "false"}),
+                             ("planner", {"max_steps": 2.5}),
+                             ("planner", {"kappa": "1.0"}),
+                             ("pick_station", {"in_base_frame": "false"}),
+                             ("base_policy", {"seed": 2.7}),
+                             ("base_policy", {"relocate_every": 2.5})):
+        doc = json.loads(json.dumps(moving))
+        doc[section].update(changes)
+        spec.write_text(json.dumps(doc))
+        assert exits_two_with_error(capsys, [
+            "run-activity", "--spec", str(spec), "--out", out])

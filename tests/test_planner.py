@@ -36,7 +36,6 @@ from screwplan.planner import (
 from screwplan.screws import (
     Pose,
     ScrewDisplacement,
-    UnitTwist,
     compose,
     error_twist,
     exp_screw,
@@ -53,8 +52,7 @@ START = forward_kinematics(MODEL, READY)
 
 
 def world_turn(angle):
-    return exp_screw(UnitTwist(np.zeros(3), np.array([0.0, 0.0, 1.0])),
-                     angle)
+    return exp_screw(np.concatenate([np.zeros(3), [0.0, 0.0, 1.0]]), angle)
 
 
 def screw_goal(axis, point, pitch, theta):
@@ -152,7 +150,7 @@ def reference_geodesic_deviation(start, goal, poses, translation_scale=1.0):
     """geodesic_deviation one pose at a time through pose objects: the
     batched version must agree with it within 1e-12."""
     xi, theta = log_pose(compose(goal, inverse(start)))
-    chord = xi.array() * theta
+    chord = xi * theta
     weights = np.concatenate([np.full(3, 1.0 / translation_scale ** 2),
                               np.ones(3)])
     denom = float(chord @ (weights * chord))
@@ -232,7 +230,7 @@ def test_step_clamp_and_continuity():
     config = PlannerConfig(kappa=200.0)
     goal = compose(world_turn(0.4), START)
     traj = plan_to_pose(READY, goal, MODEL, config)
-    qs = traj.joint_path()
+    qs = np.array([s.q for s in traj.steps])
     jumps = np.abs(np.diff(qs, axis=0))
     assert jumps.max() <= STEP_CLAMP + 1e-12
 
@@ -403,7 +401,8 @@ def test_determinism():
     b = plan_to_pose(READY, goal, LIMIT_MODEL, PlannerConfig())
     assert a.outcome == b.outcome
     assert len(a.steps) == len(b.steps)
-    assert_allclose(a.joint_path(), b.joint_path(), atol=0.0)
+    assert_allclose(np.array([s.q for s in a.steps]),
+                    np.array([s.q for s in b.steps]), atol=0.0)
 
 
 def test_trajectory_file_round_trip(tmp_path):
@@ -415,7 +414,8 @@ def test_trajectory_file_round_trip(tmp_path):
     assert back.outcome is traj.outcome
     assert back.segment_starts == traj.segment_starts
     assert len(back.steps) == len(traj.steps)
-    assert_allclose(back.joint_path(), traj.joint_path(), atol=1e-12)
+    assert_allclose(np.array([s.q for s in back.steps]),
+                    np.array([s.q for s in traj.steps]), atol=1e-12)
     assert [s.mode for s in back.steps] == [s.mode for s in traj.steps]
     rot, trans = pose_error(back.final_pose, traj.final_pose)
     assert rot < 1e-12 and trans < 1e-12
@@ -471,4 +471,5 @@ def test_committed_trajectory_file_loads_and_replans():
     assert back.outcome is traj.outcome is Outcome.REACHED
     assert back.segment_starts == [0]
     assert [s.mode for s in back.steps] == [Mode.MODE1] * len(traj.steps)
-    assert_allclose(back.joint_path(), traj.joint_path(), atol=1e-9)
+    assert_allclose(np.array([s.q for s in back.steps]),
+                    np.array([s.q for s in traj.steps]), atol=1e-9)

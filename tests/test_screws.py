@@ -17,15 +17,14 @@ from screwplan.screws import (
     INFINITE_PITCH,
     Pose,
     ScrewDisplacement,
-    UnitTwist,
     ROT_IDENTITY_TOL,
     compose,
     error_twist,
     exp_screw,
+    exp_twists,
     hat,
     inverse,
     load_pose_sequence,
-    log_coords,
     log_pose,
     pose_error,
     pose_errors,
@@ -77,7 +76,7 @@ def test_exp_matches_dense_matrix_exponential():
         s = rand_screw(rng)
         xi = unit_twist(s)
         g = exp_screw(xi, s.magnitude)
-        T = expm_dense(twist_hat(xi.array() * s.magnitude))
+        T = expm_dense(twist_hat(xi * s.magnitude))
         assert_allclose(g.rotation, T[:3, :3], atol=1e-12)
         assert_allclose(g.translation, T[:3, 3], atol=1e-12)
 
@@ -93,21 +92,21 @@ def test_unit_twist_stacking_is_linear_first():
     s = ScrewDisplacement(np.array([0.0, 0.0, 1.0]),
                           np.array([0.0, 0.1, 0.0]), 0.05, 1.0)
     xi = unit_twist(s)
-    assert_allclose(xi.array(), [0.0, 0.1, 0.05, 0.0, 0.0, 1.0], atol=0.0)
+    assert_allclose(xi, [0.0, 0.1, 0.05, 0.0, 0.0, 1.0], atol=0.0)
 
 
 def test_unit_twist_of_pure_translation_has_zero_angular_part():
     s = ScrewDisplacement(np.array([1.0, 0.0, 0.0]), np.zeros(3),
                           INFINITE_PITCH, 0.3)
     xi = unit_twist(s)
-    assert_allclose(xi.array(), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=0.0)
+    assert_allclose(xi, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=0.0)
 
 
 def test_log_of_identity_is_canonical_zero_screw():
     xi, theta = log_pose(Pose.identity())
     assert theta == 0.0
-    assert_allclose(xi.angular, [0.0, 0.0, 1.0], atol=0.0)
-    assert_allclose(xi.linear, np.zeros(3), atol=0.0)
+    assert_allclose(xi[3:], [0.0, 0.0, 1.0], atol=0.0)
+    assert_allclose(xi[:3], np.zeros(3), atol=0.0)
 
 
 def test_log_of_pure_translation():
@@ -117,6 +116,27 @@ def test_log_of_pure_translation():
     assert_allclose(s.axis, [0.0, 0.0, 1.0], atol=1e-15)
     assert_allclose(s.magnitude, 0.3)
     assert_allclose(s.moment, np.zeros(3), atol=0.0)
+
+
+def test_log_of_near_translations():
+    # |p|^2 underflows below 2.2e-308: the axis must still come out unit
+    for t in ([0.0, 0.0, 3.36727563e-162], [1e-160, -2e-160, 5e-161]):
+        g = Pose(np.eye(3), np.array(t))
+        xi, theta = log_pose(g)
+        assert abs(np.linalg.norm(xi[:3]) - 1.0) < 1e-15
+        assert_allclose(xi[:3] * theta, t, rtol=1e-15, atol=0.0)
+        R, p = sclerp_path(Pose.identity(), g, [0.5])
+        assert_allclose(p[0], 0.5 * np.array(t), rtol=1e-15, atol=0.0)
+    # a rotation just above ROT_IDENTITY_TOL under a 1 m translation: the
+    # screw line is ~1e8 m away, so its moment is ~1e8 long
+    for angle in (1.05 * ROT_IDENTITY_TOL, 3.0 * ROT_IDENTITY_TOL):
+        g = Pose(quat_to_rot([1.0, angle / 2.0, 0.0, 0.0]),
+                 np.array([0.9, -0.8, 0.7]))
+        g2 = exp_screw(*log_pose(g))
+        assert np.abs(g2.rotation - g.rotation).max() <= 1e-12
+        assert np.abs(g2.translation - g.translation).max() <= 1e-12
+        R, p = sclerp_path(Pose.identity(), g, [1.0])
+        assert np.abs(p[0] - g.translation).max() <= 1e-12
 
 
 def test_exp_log_round_trip():
@@ -182,7 +202,7 @@ def _screw_at(draw, angles):
 def test_exp_matches_dense_exponential_at_the_singular_ends(s):
     xi = unit_twist(s)
     g = exp_screw(xi, s.magnitude)
-    T = expm_dense(twist_hat(xi.array() * s.magnitude))
+    T = expm_dense(twist_hat(xi * s.magnitude))
     assert np.abs(g.rotation - T[:3, :3]).max() <= 1e-12
     assert np.abs(g.translation - T[:3, 3]).max() <= 1e-12
 
@@ -382,12 +402,12 @@ def test_adjoint_transforms_twists_consistently():
     for _ in range(50):
         g = rand_pose(rng)
         s = rand_screw(rng)
-        xi = unit_twist(s).array() * s.magnitude
+        xi = unit_twist(s) * s.magnitude
         lhs = adjoint(g) @ xi
         conj = compose(compose(g, exp_screw(unit_twist(s), s.magnitude)),
                        inverse(g))
         xi2, theta2 = log_pose(conj)
-        rhs = xi2.array() * theta2
+        rhs = xi2 * theta2
         assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -415,7 +435,16 @@ def test_pose_rejects_non_finite_rotation_and_translation():
 
 def _object_error_twist(goal, pose):
     xi, theta = log_pose(compose(goal, inverse(pose)))
-    return xi.array() * theta
+    return xi * theta
+
+
+def _object_sclerp_path(start, goal, taus):
+    # reference: the exponential over log_pose of composed Pose objects
+    xi, theta = log_pose(compose(goal, inverse(start)))
+    W = hat(xi[3:])
+    R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
+                      xi[:3, None])
+    return R @ start.rotation, R @ start.translation + p
 
 
 def _bitwise(a, b):
@@ -430,8 +459,8 @@ def test_error_twist_matches_object_path_bitwise():
                   math.pi - 1e-12, math.pi):
         for _ in range(10):
             goal = rand_pose(rng)
-            step = exp_screw(UnitTwist(rng.normal(size=3) * 0.1,
-                                       rand_unit(rng)), angle)
+            step = exp_screw(np.concatenate([rng.normal(size=3) * 0.1,
+                                             rand_unit(rng)]), angle)
             pairs.append((goal, compose(inverse(step), goal)))
     g = rand_pose(rng)
     pairs += [(g, g), (Pose.identity(), Pose.identity()),
@@ -445,7 +474,7 @@ def test_error_twist_matches_object_path_bitwise():
     assert small >= 30  # the translation branch was exercised
 
 
-def test_log_coords_matches_log_pose_bitwise():
+def test_log_pose_matches_screw_from_pose_bitwise():
     rng = np.random.default_rng(42)
     poses = [rand_pose(rng) for _ in range(100)]
     poses += [Pose.identity(), Pose(np.eye(3), np.array([0.0, 0.2, 0.0])),
@@ -453,9 +482,51 @@ def test_log_coords_matches_log_pose_bitwise():
               Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.3, 0.1]))]
     for pose in poses:
         xi, theta = log_pose(pose)
-        assert _bitwise(log_coords(pose.rotation, pose.translation),
-                        xi.array() * theta)
-    assert _bitwise(log_coords(np.eye(3), np.zeros(3)), np.zeros(6))
+        s = screw_from_pose(pose)
+        assert _bitwise(xi, unit_twist(s)) and theta == s.magnitude
+    xi, theta = log_pose(Pose.identity())
+    assert _bitwise(xi * theta, np.zeros(6))
+
+
+@st.composite
+def _relative_pose(draw):
+    """A random pose, or an exp_screw displacement whose rotation is below
+    ROT_IDENTITY_TOL, zero (a pure translation) or within 1e-6 of pi."""
+    unit = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(("random", "small", "translation",
+                                 "near_pi")))
+    t = np.array(draw(st.lists(unit, min_size=3, max_size=3)))
+    if kind == "translation":
+        return Pose(np.eye(3), t)
+    if kind == "random":
+        q = draw(st.lists(unit, min_size=4, max_size=4).filter(
+            lambda v: np.linalg.norm(v) > 0.1))
+        return Pose(quat_to_rot(q), t)
+    angles = (st.floats(0.0, 0.99 * ROT_IDENTITY_TOL) if kind == "small"
+              else st.floats(math.pi - 1e-6, math.pi))
+    s = draw(_screw_at(angles))
+    return exp_screw(unit_twist(s), s.magnitude)
+
+
+_TAUS = np.linspace(-0.5, 1.5, 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relative_pose(), _relative_pose())
+def test_relative_log_matches_object_route_bitwise(start, rel):
+    goal = compose(rel, start)
+    R, p = sclerp_path(start, goal, _TAUS)
+    R_ref, p_ref = _object_sclerp_path(start, goal, _TAUS)
+    assert _bitwise(R, R_ref) and _bitwise(p, p_ref)
+    assert _bitwise(error_twist(goal, start),
+                    _object_error_twist(goal, start))
+    xi, theta = log_pose(rel)
+    s = screw_from_pose(rel)
+    assert _bitwise(xi, unit_twist(s)) and theta == s.magnitude
+    for k, tau in enumerate(_TAUS):
+        g = sclerp(start, goal, tau)
+        assert np.abs(g.rotation - R_ref[k]).max() <= 1e-12
+        assert np.abs(g.translation - p_ref[k]).max() <= 1e-12
 
 
 def test_error_twist_rejects_what_the_poses_reject():
@@ -482,10 +553,13 @@ def test_screw_displacement_validation():
 
 
 def test_unit_twist_validation():
-    with pytest.raises(ValueError):
-        UnitTwist(np.zeros(3), np.array([0.0, 0.0, 2.0]))
-    with pytest.raises(ValueError):
-        UnitTwist(np.array([0.5, 0.0, 0.0]), np.zeros(3))
+    # exp_screw checks the 6-vector [v; w] it is handed
+    with pytest.raises(ValueError, match="angular part"):
+        exp_screw(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match="unit linear part"):
+        exp_screw(np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="6-vector"):
+        exp_screw(np.array([0.0, 0.0, 1.0]), 1.0)
 
 
 def test_pose_arrays_are_immutable():
