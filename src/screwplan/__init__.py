@@ -25,8 +25,9 @@ from .kinematics import (PANDA_READY, RobotModel, arm_state, fk_jacobian,
                          forward_kinematics, limit_margin, load_robot_model,
                          panda_model, save_robot_model, self_motion_rollout,
                          sew_angle)
-from .planner import (JointTrajectory, Mode, Outcome, PlannerConfig,
-                      TrajectoryStep, geodesic_deviation, load_trajectory,
+from .planner import (InvalidTrajectoryError, JointTrajectory, Mode,
+                      Outcome, PlannerConfig, TrajectoryStep,
+                      geodesic_deviation, load_trajectory,
                       plan_through_guiding_poses, plan_to_pose,
                       save_trajectory)
 from .activity import (POSITION_TOL, YAW_TOL, ActivityReport, ActivitySpec,
@@ -52,7 +53,8 @@ __all__ = [
     "PANDA_READY", "RobotModel", "arm_state", "fk_jacobian",
     "forward_kinematics", "limit_margin", "load_robot_model", "panda_model",
     "save_robot_model", "self_motion_rollout", "sew_angle",
-    "JointTrajectory", "Mode", "Outcome", "PlannerConfig", "TrajectoryStep",
+    "InvalidTrajectoryError", "JointTrajectory", "Mode", "Outcome",
+    "PlannerConfig", "TrajectoryStep",
     "geodesic_deviation", "load_trajectory", "plan_through_guiding_poses",
     "plan_to_pose", "save_trajectory",
     "POSITION_TOL", "YAW_TOL", "ActivityReport", "ActivitySpec", "FixedBase",

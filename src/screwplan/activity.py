@@ -12,7 +12,6 @@ under a fixed seed.
 """
 
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from .demonstration import (ConstraintModel, TaskInstance,
                             constraint_model_to_record, transfer_constraints)
 from .kinematics import (PANDA_READY, load_robot_model, panda_model,
                          robot_from_record, robot_to_record)
-from .layouts import (LayoutSpec, is_whole, layout_goals,
+from .layouts import (LayoutSpec, is_real, is_whole, layout_goals,
                       layout_spec_from_record, layout_spec_to_record,
                       pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
@@ -120,10 +119,10 @@ class MovingBase:
             raise InvalidActivitySpecError(
                 "moving base needs a whole seed, and whole relocate_every "
                 "and stations_per_lap >= 1")
-        if not all(isinstance(x, numbers.Real) and x >= 0.0
+        if not all(is_real(x) and 0.0 <= x < math.inf
                    for x in (self.radius, self.yaw_range)):
             raise InvalidActivitySpecError(
-                "noise radius and yaw range must be nonnegative numbers")
+                "noise radius and yaw range must be finite numbers >= 0")
         for name, kind in (("seed", int), ("relocate_every", int),
                            ("radius", float), ("yaw_range", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
@@ -420,33 +419,50 @@ def report_to_record(report):
     }
 
 
+def _flag(rec, key):
+    if not isinstance(rec[key], bool):
+        raise MalformedReportError(f"{key} must be true or false")
+    return rec[key]
+
+
+def _count(rec, key):
+    if not (is_whole(rec[key]) and rec[key] >= 0):
+        raise MalformedReportError(f"{key} must be a whole number >= 0")
+    return int(rec[key])
+
+
+def _error(rec, key, nullable=False):
+    if nullable and rec[key] is None:
+        return None
+    if not (is_real(rec[key]) and math.isfinite(rec[key])):
+        raise MalformedReportError(f"{key} must be a finite number")
+    return float(rec[key])
+
+
 def _placement_from_record(rec):
     return PlacementResult(
         index=tuple(rec["index"]),
         goal=pose_from_record(rec["goal"]),
         achieved=pose_from_record(rec["achieved"]),
-        position_error=float(rec["position_error"]),
-        yaw_error=float(rec["yaw_error"]),
-        rotation_error=float(rec["rotation_error"]),
-        success=bool(rec["success"]),
+        position_error=_error(rec, "position_error"),
+        yaw_error=_error(rec, "yaw_error"),
+        rotation_error=_error(rec, "rotation_error"),
+        success=_flag(rec, "success"),
         trajectory_outcome=Outcome(rec["outcome"]),
-        steps=int(rec["steps"]))
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
+        steps=_count(rec, "steps"))
 
 
 def report_from_record(doc, runtime_seconds=0.0):
     return decode(doc, MalformedReportError, lambda doc: ActivityReport(
         robot=str(doc["robot"]),
         layout_kind=str(doc["layout_kind"]),
-        mode2_enabled=bool(doc["mode2_enabled"]),
-        goals_total=int(doc["goals_total"]),
+        mode2_enabled=_flag(doc, "mode2_enabled"),
+        goals_total=_count(doc, "goals_total"),
         placements=tuple(map(_placement_from_record, doc["placements"])),
-        bricks_placed_before_failure=int(doc["bricks_placed_before_failure"]),
-        mean_position_error=_optional_float(doc["mean_position_error"]),
-        max_yaw_error=_optional_float(doc["max_yaw_error"]),
+        bricks_placed_before_failure=_count(
+            doc, "bricks_placed_before_failure"),
+        mean_position_error=_error(doc, "mean_position_error", True),
+        max_yaw_error=_error(doc, "max_yaw_error", True),
         runtime_seconds=float(runtime_seconds)))
 
 

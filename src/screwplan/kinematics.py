@@ -10,7 +10,6 @@ plane spanned by that line and the base vertical.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 from importlib import resources
 
@@ -182,22 +181,31 @@ class _Chain:
         trans[1:] = (rots[:-1] @ p[:, :, None])[:, :, 0]
         self.partial_rots = rots
         self.partial_trans = np.cumsum(trans, axis=0)
+        self._jacobian = None
 
-    @property
-    def pose(self):
+    def flange(self):
+        """Flange (rotation, translation) as fresh, unchecked arrays."""
         r = self.partial_rots[-1] @ self.model.home_pose.rotation
         p = (self.partial_rots[-1] @ self.model.home_pose.translation
              + self.partial_trans[-1])
-        return Pose(r, p)
+        return r, p
 
-    @cached_property
+    @property
+    def pose(self):
+        return Pose(*self.flange())
+
+    @property
     def jacobian(self):
         """World-frame Jacobian, columns are joint twists [v; w]; built
-        on first use, then shared."""
-        rots = self.partial_rots[:-1]
-        w = (rots @ self.model._w)[:, :, 0].T
-        v = (rots @ self.model._v)[:, :, 0].T
-        return np.concatenate([v + _cross(self.partial_trans[:-1].T, w), w])
+        on first use, then shared (a plain attribute test: Python 3.11's
+        cached_property takes a lock on every read)."""
+        if self._jacobian is None:
+            rots = self.partial_rots[:-1]
+            w = (rots @ self.model._w)[:, :, 0].T
+            v = (rots @ self.model._v)[:, :, 0].T
+            self._jacobian = np.concatenate(
+                [v + _cross(self.partial_trans[:-1].T, w), w])
+        return self._jacobian
 
     def sew_points(self):
         """World shoulder, elbow and wrist points: the marker joints'

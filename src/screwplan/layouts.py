@@ -43,7 +43,8 @@ class ObjectDims:
     width: float
 
     def __post_init__(self):
-        if min(self.length, self.breadth, self.width) <= 0.0:
+        if not all(is_real(x) and math.isfinite(x) and x > 0.0
+                   for x in (self.length, self.breadth, self.width)):
             raise InvalidLayoutError("object dimensions must be positive")
 
 
@@ -65,16 +66,20 @@ def yaw_rotation(theta):
                 np.zeros(3))
 
 
+def is_real(x):
+    """True for a real number; a bool (a JSON true or false) is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def is_whole(x):
     """True for a real number with no fractional part (3 or 3.0)."""
-    return isinstance(x, numbers.Real) and float(x).is_integer()
+    return is_real(x) and float(x).is_integer()
 
 
 def _finite_floats(values, count, message):
     """values as `count` finite floats, else InvalidLayoutError(message)."""
     if len(values) != count or not all(
-            isinstance(x, numbers.Real) and math.isfinite(x)
-            for x in values):
+            is_real(x) and math.isfinite(x) for x in values):
         raise InvalidLayoutError(message)
     return tuple(float(x) for x in values)
 
@@ -112,6 +117,8 @@ class LayoutSpec:
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "layer_offset", _finite_floats(
             self.layer_offset, 2, "layer_offset must be two numbers (dx, dy)"))
+        object.__setattr__(self, "per_step_yaw", _finite_floats(
+            (self.per_step_yaw,), 1, "per_step_yaw must be a number")[0])
         if self.offset_parity not in ("even", "odd"):
             raise InvalidLayoutError("offset_parity must be 'even' or 'odd'")
         if self.kind is LayoutKind.CURVED_WALL:
@@ -274,7 +281,7 @@ def layout_spec_from_record(doc):
         per_layer=doc["per_layer"],
         layer_offset=doc["layer_offset"],
         spacing=doc["spacing"],
-        per_step_yaw=float(doc.get("per_step_yaw", 0.0)),
+        per_step_yaw=doc.get("per_step_yaw", 0.0),
         corner_index=doc.get("corner_index"),
         offset_parity=doc.get("offset_parity", "even"),
     ), units=UNITS)

@@ -12,17 +12,17 @@ simply fails at the first limit event.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-# limit_status and log_pose go uncalled: perfbench's tracer rebinds them
+# limit_status, log_pose and pose_error go uncalled: perfbench's tracer
+# rebinds them
 from .kinematics import (
+    _Chain,
     arm_state,
     check_eps,
-    fk_jacobian,
     forward_kinematics,
     limit_band,
     limit_margin,
@@ -31,10 +31,12 @@ from .kinematics import (
     self_motion_direction,
     within,
 )
-from .layouts import is_whole
+from .layouts import is_real, is_whole
 from .screws import (
     UNITS,
     Pose,
+    _pose_error,
+    _relative_log,
     decode,
     error_twist,
     log_pose,
@@ -67,6 +69,10 @@ class InvalidPlannerConfigError(ValueError):
     pass
 
 
+class InvalidTrajectoryError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """Gains and bounds for the planning loop.
@@ -90,7 +96,7 @@ class PlannerConfig:
 
     def __post_init__(self):
         gains = ("eps_in", "eps_out", "kappa", "lam", "delta_t")
-        if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (
+        if not all(is_real(x) and math.isfinite(x) for x in (
                 *(getattr(self, g) for g in gains), *self.goal_tol,
                 *self.sew_search)):
             raise InvalidPlannerConfigError("settings must be finite numbers")
@@ -119,10 +125,26 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
+    """One control step: joint values, mode, the flange rotation and
+    translation it reached, and whether its pseudoinverse was damped.
+    The arrays are kept, not copied, and made read-only."""
+
     q: np.ndarray
     mode: Mode
-    end_effector: Pose
+    rotation: np.ndarray
+    translation: np.ndarray
     damped: bool = False
+
+    def __post_init__(self):
+        for name in ("q", "rotation", "translation"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def end_effector(self):
+        """The flange Pose, built and checked on each call."""
+        return Pose(self.rotation, self.translation)
 
 
 @dataclass(frozen=True)
@@ -141,7 +163,7 @@ class JointTrajectory:
 
 
 def _clamp(dq):
-    worst = float(np.max(np.abs(dq)))
+    worst = float(np.abs(dq).max())
     if worst > STEP_CLAMP:
         return dq * (STEP_CLAMP / worst)
     return dq
@@ -228,7 +250,8 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         pose, jac, psi_raw, jpsi = arm_state(model, q_c)
         if psi_prev is not None:
             psi_cont += _wrap(psi_raw - psi_prev)
-            steps.append(TrajectoryStep(q_c.copy(), Mode.MODE2, pose))
+            steps.append(TrajectoryStep(q_c, Mode.MODE2, pose.rotation,
+                                        pose.translation))
         psi_prev = psi_raw
         if abs(psi_d - psi_cont) < PSI_TOL:
             outcome = Outcome.REACHED
@@ -260,32 +283,38 @@ def plan_to_pose(q0, gd, model, config):
     for planning failures; the outcome says how it ended."""
     check_eps(model, config.eps_in, config.eps_out)
     inner = limit_band(model, config.eps_in)
+    # gd is a checked Pose; each step works on its arrays and the
+    # chain's, and builds no Pose
+    Rg, pg = gd.rotation, gd.translation
     q_c = np.asarray(q0, dtype=float).copy()
     steps = []
-    pending = (q_c.copy(), False)
+    pending = (q_c, False)
     iterations = 0
     outcome = None
     while True:
-        pose, jac = fk_jacobian(model, q_c)
+        chain = _Chain(model, q_c)
+        R, p = chain.flange()
         if pending is not None:
-            steps.append(TrajectoryStep(pending[0], Mode.MODE1, pose,
+            steps.append(TrajectoryStep(pending[0], Mode.MODE1, R, p,
                                         pending[1]))
             pending = None
-        rot, trans = pose_error(pose, gd)
+        rot, trans = _pose_error(R, p, Rg, pg)
         if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
             outcome = Outcome.REACHED
             break
         if iterations >= config.max_steps:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        # tentative mode-1 update along the error twist
-        xi = error_twist(gd, pose)
-        pinv, damped = pseudoinverse(jac)
-        candidate = q_c + _clamp(config.kappa * config.delta_t * (pinv @ xi))
+        # tentative mode-1 update along the error twist; the log checks
+        # the flange rotation
+        xi, theta = _relative_log(Rg, pg, R, p)
+        pinv, damped = pseudoinverse(chain.jacobian)
+        candidate = q_c + _clamp(config.kappa * config.delta_t
+                                 * (pinv @ (xi * theta)))
         iterations += 1
         if within(candidate, inner).all():
             q_c = candidate
-            pending = (q_c.copy(), damped)
+            pending = (q_c, damped)
             continue
         # tentative step discarded: a joint left the inner bound; the
         # search starts from the offending configuration, recovery from
@@ -409,19 +438,29 @@ def save_trajectory(traj, path, robot=""):
 
 
 def _step_from_record(rec):
-    # by name ("mode1" in any case) or by value (1)
-    mode = Mode(Mode.__members__.get(str(rec["mode"]).upper(), rec["mode"]))
+    # by name ("mode1" in any case) or by value (1), never a JSON boolean
+    raw = rec["mode"]
+    mode = Mode.__members__.get(str(raw).upper())
+    if mode is None and not isinstance(raw, bool) and raw in [
+            m.value for m in Mode]:
+        mode = Mode(raw)
+    if mode is None:
+        raise InvalidTrajectoryError(f"{raw!r} is not a valid Mode")
     q = np.array(rec["q"], dtype=float)
-    if not np.isfinite(q).all():
-        raise ValueError("joint values must be finite")
-    return TrajectoryStep(q, mode, pose_from_record(rec["pose"]),
-                          bool(rec.get("damped", False)))
+    if q.ndim != 1 or not np.isfinite(q).all():
+        raise InvalidTrajectoryError(
+            "joint values must be finite numbers in one flat list")
+    damped = rec.get("damped", False)
+    if not isinstance(damped, bool):
+        raise InvalidTrajectoryError("damped must be true or false")
+    pose = pose_from_record(rec["pose"])
+    return TrajectoryStep(q, mode, pose.rotation, pose.translation, damped)
 
 
 def load_trajectory(path):
     (outcome, starts), steps = read_lines(
-        path, ValueError,
-        lambda doc: decode(doc, ValueError, lambda doc: (
+        path, InvalidTrajectoryError,
+        lambda doc: decode(doc, InvalidTrajectoryError, lambda doc: (
             Outcome(doc["outcome"]), list(doc["segment_starts"])),
             "trajectory", UNITS),
         _step_from_record)

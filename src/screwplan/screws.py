@@ -113,11 +113,16 @@ def pose_error(a, b):
     coincide. The angle uses atan2 of the skew norm against the trace, which
     stays accurate near 0 and near pi.
     """
-    R = a.rotation.T @ b.rotation
+    return _pose_error(a.rotation, a.translation, b.rotation, b.translation)
+
+
+def _pose_error(Ra, pa, Rb, pb):
+    """pose_error of the poses (Ra, pa) and (Rb, pb), unchecked."""
+    R = Ra.T @ Rb
     s = _norm(R - R.T) / math.sqrt(8.0)
-    c = (np.trace(R) - 1.0) / 2.0
+    c = (R.trace() - 1.0) / 2.0
     rot = math.atan2(min(s, 1.0), max(-1.0, min(c, 1.0)))
-    return rot, _norm(a.translation - b.translation)
+    return rot, _norm(pa - pb)
 
 
 def pose_errors(Ra, pa, Rb, pb):
@@ -334,12 +339,13 @@ def log_pose(pose):
     return _log(pose.rotation, pose.translation)
 
 
-def _relative_log(goal, start):
-    """_log of compose(goal, inverse(start)), checked but unbuilt."""
-    Rt = start.rotation.T
+def _relative_log(Rg, pg, Rs, ps):
+    """_log of the goal (Rg, pg) composed with the inverse of the start
+    (Rs, ps), checked but unbuilt: the start's rotation is checked here,
+    the goal's is the caller's."""
+    Rt = Rs.T
     _check_rotation(Rt)
-    R, p = _compose(goal.rotation, goal.translation, Rt,
-                    -(Rt @ start.translation))
+    R, p = _compose(Rg, pg, Rt, -(Rt @ ps))
     _check_rotation(R)
     return _log(R, p)
 
@@ -347,7 +353,8 @@ def _relative_log(goal, start):
 def error_twist(goal, pose):
     """Log coordinates xi * theta of compose(goal, inverse(pose)), the
     spatial twist that carries pose onto goal in unit time."""
-    xi, theta = _relative_log(goal, pose)
+    xi, theta = _relative_log(goal.rotation, goal.translation,
+                              pose.rotation, pose.translation)
     return xi * theta
 
 
@@ -362,7 +369,8 @@ def sclerp(start, goal, tau):
 def sclerp_path(start, goal, taus):
     """Vectorized sclerp: returns rotations (n, 3, 3) and translations
     (n, 3) for an array of interpolation parameters."""
-    xi, theta = _relative_log(goal, start)
+    xi, theta = _relative_log(goal.rotation, goal.translation,
+                              start.rotation, start.translation)
     W = hat(xi[3:])
     R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
                       xi[:3, None])

@@ -28,7 +28,8 @@ from screwplan.activity import (ActivityReport, ActivitySpec, FixedBase,
 from screwplan.demonstration import ConstraintModel, TaskInstance
 from screwplan.kinematics import forward_kinematics, panda_model
 from screwplan.layouts import LayoutKind, LayoutSpec, ObjectDims
-from screwplan.planner import Outcome, PlannerConfig
+from screwplan.planner import (InvalidPlannerConfigError, Outcome,
+                               PlannerConfig)
 from screwplan.screws import Pose, compose, inverse, pose_error
 
 from util import records_close
@@ -394,6 +395,36 @@ def test_load_report_rejects_noise(tmp_path):
         load_report(bad)
 
 
+@pytest.mark.parametrize("where, changes", [
+    ("placement", {"success": "false"}),
+    ("placement", {"success": 1}),
+    ("placement", {"steps": 2.5}),
+    ("placement", {"steps": True}),
+    ("placement", {"steps": "40"}),
+    ("placement", {"position_error": "0.001"}),
+    ("placement", {"yaw_error": None}),
+    ("placement", {"rotation_error": True}),
+    ("results", {"mode2_enabled": "false"}),
+    ("results", {"goals_total": 3.5}),
+    ("results", {"bricks_placed_before_failure": False}),
+    ("results", {"mean_position_error": "0.001"}),
+    ("results", {"max_yaw_error": True}),
+])
+def test_report_record_values_of_the_wrong_type(tmp_path, one_brick_report,
+                                                where, changes):
+    # each of these used to load, coerced to something else
+    out = tmp_path / "report.json"
+    emit_report(one_brick_report, out)
+    doc = json.loads(out.read_text())
+    load_report(out)
+    target = doc["results"]
+    (target["placements"][0] if where == "placement" else target).update(
+        changes)
+    out.write_text(json.dumps(doc))
+    with pytest.raises(MalformedReportError):
+        load_report(out)
+
+
 # ------------------------------------------------------------ spec files
 
 
@@ -462,14 +493,17 @@ def test_spec_validation():
     with pytest.raises(InvalidActivitySpecError):
         FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=0.0,
                       opening_breadth=0.3)
-    for bad in (0, 2.5, math.inf, math.nan, "3"):
+    for bad in (0, 2.5, math.inf, math.nan, "3", True):
         with pytest.raises(InvalidActivitySpecError):
             PickStation(base=flat([0, 0, 0]), restock=bad)
     assert type(PickStation(base=flat([0, 0, 0]), restock=3.0).restock) is int
     with pytest.raises(InvalidActivitySpecError):
         PickStation(base=flat([0, 0, 0]), in_base_frame="false")
     for field, bad in (("seed", 2.7), ("relocate_every", 2.5),
-                       ("stations_per_lap", 1.5), ("radius", "0.05")):
+                       ("stations_per_lap", 1.5), ("radius", "0.05"),
+                       ("seed", True), ("relocate_every", True),
+                       ("stations_per_lap", True), ("radius", True),
+                       ("yaw_range", False), ("radius", math.inf)):
         with pytest.raises(InvalidActivitySpecError):
             MovingBase(initial=flat([0, 0, 0]), step=flat([0, 0.1, 0]),
                        **{"seed": 3, field: bad})
@@ -489,6 +523,12 @@ def test_spec_validation():
     ("pick_station", {"in_base_frame": "false"}),
     ("base_policy", {"seed": 2.7}),
     ("base_policy", {"relocate_every": 2.5}),
+    ("planner", {"max_steps": True}),
+    ("planner", {"kappa": True}),
+    ("planner", {"goal_tol": [True, 1e-4]}),
+    ("pick_station", {"restock": True}),
+    ("base_policy", {"seed": True}),
+    ("base_policy", {"radius": False}),
 ])
 def test_spec_record_values_of_the_wrong_type(section, changes):
     # each of these used to load, coerced to something else
@@ -505,6 +545,9 @@ def test_planner_config_stores_numbers_as_their_kind():
     config = PlannerConfig(kappa=2, max_steps=60.0)
     assert type(config.kappa) is float and type(config.max_steps) is int
     for bad in ({"mode2_enabled": "false"}, {"max_steps": 2.5},
-                {"kappa": "1.0"}, {"goal_tol": ("0.001", 0.001)}):
-        with pytest.raises(ValueError):
+                {"kappa": "1.0"}, {"goal_tol": ("0.001", 0.001)},
+                {"max_steps": True}, {"kappa": True},
+                {"max_steps": True, "kappa": True},
+                {"sew_search": (0.01, True)}):
+        with pytest.raises(InvalidPlannerConfigError):
             PlannerConfig(**bad)

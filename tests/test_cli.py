@@ -265,7 +265,9 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         "layout", "--spec", str(layout), "--out", out])
     save_layout_spec(sc.brick_wall_activity().layout, layout)
     wall = json.loads(layout.read_text())
-    for changes in ({"layers": 2.5}, {"per_layer": "4"},
+    for changes in ({"layers": 2.5}, {"per_layer": "4"}, {"layers": True},
+                    {"per_step_yaw": True},
+                    {"dims": {**wall["dims"], "width": True}},
                     {"layer_offset": [None, 0.0]},
                     {"layer_offset": ["0.05", 0.0]},
                     {"kind": "corner_wall", "corner_index": 2.5}):
@@ -287,7 +289,10 @@ def test_malformed_files_exit_two(tmp_path, capsys):
                              ("planner", {"kappa": "1.0"}),
                              ("pick_station", {"in_base_frame": "false"}),
                              ("base_policy", {"seed": 2.7}),
-                             ("base_policy", {"relocate_every": 2.5})):
+                             ("base_policy", {"relocate_every": 2.5}),
+                             ("planner", {"max_steps": True}),
+                             ("planner", {"kappa": True}),
+                             ("base_policy", {"seed": True})):
         doc = json.loads(json.dumps(moving))
         doc[section].update(changes)
         spec.write_text(json.dumps(doc))

@@ -236,7 +236,11 @@ def test_spec_validation():
                        ("layer_offset", ("0.05", 0.0)),
                        ("layer_offset", (math.inf, 0.0)),
                        ("spacing", (0.0, "0.01", 0.0)),
-                       ("spacing", (0.0, math.nan, 0.0))):
+                       ("spacing", (0.0, math.nan, 0.0)),
+                       ("layers", True), ("per_layer", True),
+                       ("layer_offset", (False, 0.0)),
+                       ("spacing", (0.0, True, 0.0)),
+                       ("per_step_yaw", "0.1")):
         with pytest.raises(InvalidLayoutError):
             LayoutSpec(**{"kind": LayoutKind.STRAIGHT_WALL,
                           "base": Pose.identity(), "dims": BRICK,
@@ -248,8 +252,16 @@ def test_spec_validation():
     assert type(spec.layers) is int
     assert all(type(x) is float for x in spec.layer_offset + spec.spacing)
     assert type(spec.corner_index) is int
+    for bad in (True, "0.1"):
+        with pytest.raises(InvalidLayoutError):
+            LayoutSpec(kind=LayoutKind.CURVED_WALL, base=Pose.identity(),
+                       dims=BRICK, layers=1, per_layer=4, per_step_yaw=bad)
     with pytest.raises(InvalidLayoutError):
-        ObjectDims(length=0.0, breadth=0.1, width=0.1)
+        LayoutSpec(kind=LayoutKind.CORNER_WALL, base=Pose.identity(),
+                   dims=BRICK, layers=1, per_layer=4, corner_index=True)
+    for bad in (0.0, True, "0.1", math.inf):
+        with pytest.raises(InvalidLayoutError):
+            ObjectDims(length=bad, breadth=0.1, width=0.1)
     with pytest.raises(InvalidLayoutError):
         wall_goals(LayoutSpec(kind=LayoutKind.CEILING_GRID,
                               base=Pose.identity(), dims=TILE, layers=1,

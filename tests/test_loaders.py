@@ -32,9 +32,9 @@ from screwplan.kinematics import (PANDA_READY, InvalidRobotError,
 from screwplan.layouts import (InvalidLayoutError, layout_goals,
                                load_goal_sequence, load_layout_spec,
                                save_goal_sequence, save_layout_spec)
-from screwplan.planner import (JointTrajectory, Mode, Outcome,
-                               TrajectoryStep, load_trajectory,
-                               save_trajectory)
+from screwplan.planner import (InvalidTrajectoryError, JointTrajectory,
+                               Mode, Outcome, TrajectoryStep,
+                               load_trajectory, save_trajectory)
 from screwplan.screws import load_pose_sequence, save_pose_sequence
 
 
@@ -46,11 +46,13 @@ def _demo():
 def _trajectory():
     model = panda_model()
     qs = PANDA_READY + np.linspace(0.0, 0.03, 3)[:, None]
+    poses = [forward_kinematics(model, q) for q in qs]
     return JointTrajectory(
-        steps=[TrajectoryStep(q, mode, forward_kinematics(model, q), damped)
-               for q, mode, damped in zip(qs, (Mode.MODE1, Mode.MODE2,
-                                               Mode.MODE1),
-                                          (False, True, False))],
+        steps=[TrajectoryStep(q, mode, pose.rotation, pose.translation,
+                              damped)
+               for q, pose, mode, damped in zip(
+                   qs, poses, (Mode.MODE1, Mode.MODE2, Mode.MODE1),
+                   (False, True, False))],
         outcome=Outcome.STEP_BUDGET_EXHAUSTED, segment_starts=[0, 1])
 
 
@@ -107,7 +109,8 @@ LOADERS = {
     "trajectory": (
         lambda p: save_trajectory(_trajectory(), p, robot="panda"),
         load_trajectory,
-        lambda x, p: save_trajectory(x, p, robot="panda"), ValueError),
+        lambda x, p: save_trajectory(x, p, robot="panda"),
+        InvalidTrajectoryError),
     "activity_spec": (
         lambda p: save_activity_spec(_spec(), p),
         load_activity_spec, save_activity_spec, InvalidActivitySpecError),
@@ -250,9 +253,10 @@ def test_malformed_fields_name_the_problem(written, tmp_path):
     doc = parse(written["trajectory"], "trajectory")
     del doc[0]["outcome"]
     dump(doc, bad, "trajectory")
-    with pytest.raises(ValueError, match="bad.json line 1: missing field "
-                                         "'outcome'"):
+    with pytest.raises(InvalidTrajectoryError,
+                       match="bad.json line 1: missing field 'outcome'"):
         load_trajectory(bad)
     bad.write_text("{not json\n" + written["trajectory"].read_text())
-    with pytest.raises(ValueError, match="bad.json line 1: not valid JSON"):
+    with pytest.raises(InvalidTrajectoryError,
+                       match="bad.json line 1: not valid JSON"):
         load_trajectory(bad)

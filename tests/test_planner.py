@@ -9,22 +9,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from screwplan import planner
+from screwplan.activity import run_activity
 from screwplan.kinematics import (
     LimitZone,
+    fk_jacobian,
     forward_kinematics,
+    limit_band,
     limit_status,
     panda_model,
+    pseudoinverse,
     self_motion_rollout,
     sew_angle,
+    within,
 )
 from screwplan.planner import (
     InvalidPlannerConfigError,
+    InvalidTrajectoryError,
     JointTrajectory,
     Mode,
     Outcome,
     PlannerConfig,
     STEP_CLAMP,
     SCREW_TRACK_TOL,
+    TrajectoryStep,
+    _clamp,
     calculate_sew_change,
     geodesic_deviation,
     load_trajectory,
@@ -33,6 +42,7 @@ from screwplan.planner import (
     plan_to_pose,
     save_trajectory,
 )
+from screwplan.scenarios import near_limit_scenarios
 from screwplan.screws import (
     Pose,
     ScrewDisplacement,
@@ -405,6 +415,133 @@ def test_determinism():
                     np.array([s.q for s in b.steps]), atol=0.0)
 
 
+def reference_plan_to_pose(q0, gd, model, config):
+    """plan_to_pose through Pose objects: fk_jacobian's checked flange
+    Pose, then pose_error, error_twist and pseudoinverse on it each
+    step.  The array step must reproduce it bit for bit."""
+    inner = limit_band(model, config.eps_in)
+    q_c = np.asarray(q0, dtype=float).copy()
+    steps = []
+    pending = (q_c, False)
+    iterations = 0
+
+    def done(outcome):
+        return JointTrajectory(steps=steps, outcome=outcome,
+                               segment_starts=[0])
+
+    while True:
+        pose, jac = fk_jacobian(model, q_c)
+        if pending is not None:
+            steps.append(TrajectoryStep(pending[0], Mode.MODE1,
+                                        pose.rotation, pose.translation,
+                                        pending[1]))
+            pending = None
+        rot, trans = pose_error(pose, gd)
+        if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
+            return done(Outcome.REACHED)
+        if iterations >= config.max_steps:
+            return done(Outcome.STEP_BUDGET_EXHAUSTED)
+        xi = error_twist(gd, pose)
+        pinv, damped = pseudoinverse(jac)
+        candidate = q_c + _clamp(config.kappa * config.delta_t * (pinv @ xi))
+        iterations += 1
+        if within(candidate, inner).all():
+            q_c = candidate
+            pending = (q_c, damped)
+            continue
+        if not config.mode2_enabled:
+            return done(Outcome.MOTION_PLAN_FAILED)
+        dpsi = calculate_sew_change(candidate, model, config)
+        if dpsi == 0.0:
+            return done(Outcome.MOTION_PLAN_FAILED)
+        fragment = mode2_recovery(q_c, dpsi, model, config,
+                                  max_steps=config.max_steps - iterations)
+        steps.extend(fragment.steps)
+        iterations += len(fragment.steps)
+        if fragment.outcome is Outcome.STEP_BUDGET_EXHAUSTED:
+            return done(fragment.outcome)
+        if fragment.outcome is not Outcome.REACHED or not fragment.steps:
+            return done(Outcome.MOTION_PLAN_FAILED)
+        q_c = fragment.steps[-1].q
+        if not within(q_c, inner).all():
+            return done(Outcome.MOTION_PLAN_FAILED)
+
+
+def assert_same_trajectory(got, want):
+    assert got.outcome is want.outcome
+    assert got.segment_starts == want.segment_starts
+    assert len(got.steps) == len(want.steps)
+    for name in ("q", "rotation", "translation"):
+        assert np.array_equal(
+            np.array([getattr(s, name) for s in got.steps]),
+            np.array([getattr(s, name) for s in want.steps])), name
+    assert [s.mode for s in got.steps] == [s.mode for s in want.steps]
+    assert [s.damped for s in got.steps] == [s.damped for s in want.steps]
+
+
+def test_array_step_matches_pose_route_bitwise(monkeypatch):
+    config = PlannerConfig()
+    for model, goal in (
+            (MODEL, screw_goal([0.2, -0.4, 0.9], START.translation + 0.1,
+                               0.03, 0.7)),
+            (MODEL, compose(Pose(np.eye(3), np.array([0.05, -0.04, 0.03])),
+                            START)),
+            (LIMIT_MODEL, LIMIT_GOAL)):
+        assert_same_trajectory(plan_to_pose(READY, goal, model, config),
+                               reference_plan_to_pose(READY, goal, model,
+                                                      config))
+    # a near-limit placement, recovery on and then off, through
+    # plan_through_guiding_poses (which calls the module's plan_to_pose)
+    _, spec = near_limit_scenarios()[0]
+    for enabled in (True, False):
+        run = dataclasses.replace(spec, planner_config=dataclasses.replace(
+            spec.planner_config, mode2_enabled=enabled))
+        got = run_activity(run, keep_trajectories=True)
+        with monkeypatch.context() as m:
+            m.setattr(planner, "plan_to_pose", reference_plan_to_pose)
+            want = run_activity(run, keep_trajectories=True)
+        assert len(got.trajectories) == len(want.trajectories) == 1
+        assert_same_trajectory(got.trajectories[0], want.trajectories[0])
+        assert (Mode.MODE2 in [s.mode for s in got.trajectories[0].steps]
+                ) is enabled
+
+
+def test_trajectory_step_builds_its_pose_on_demand():
+    step = TrajectoryStep(READY, Mode.MODE1, START.rotation,
+                          START.translation)
+    pose = step.end_effector
+    assert np.array_equal(pose.rotation, START.rotation)
+    assert np.array_equal(pose.translation, START.translation)
+    assert not any(a.flags.writeable
+                   for a in (step.q, step.rotation, step.translation))
+    skewed = TrajectoryStep(READY, Mode.MODE1, 1.01 * START.rotation,
+                            START.translation)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        skewed.end_effector
+
+
+def test_plan_builds_no_pose_per_step(monkeypatch):
+    built = []
+    post_init = Pose.__post_init__
+
+    def counted(self):
+        built.append(1)
+        post_init(self)
+
+    counts = []
+    for angle in (0.02, 0.5):
+        goal = compose(world_turn(angle), START)
+        built.clear()
+        monkeypatch.setattr(Pose, "__post_init__", counted)
+        traj = plan_to_pose(READY, goal, MODEL, PlannerConfig())
+        monkeypatch.undo()
+        assert traj.outcome is Outcome.REACHED
+        counts.append((len(built), len(traj.steps)))
+    (short_count, short_steps), (long_count, long_steps) = counts
+    assert long_steps - short_steps > 100
+    assert short_count == long_count
+
+
 def test_trajectory_file_round_trip(tmp_path):
     config = PlannerConfig()
     traj = plan_to_pose(READY, LIMIT_GOAL, LIMIT_MODEL, config)
@@ -453,10 +590,17 @@ def test_trajectory_loader_rejects_malformed_records(tmp_path):
             ({k: v for k, v in rec.items() if k != "q"},
              "line 3: missing field 'q'"),
             ({k: v for k, v in rec.items() if k != "mode"},
-             "line 3: missing field 'mode'")):
+             "line 3: missing field 'mode'"),
+            ({**rec, "q": 0.5}, "line 3: joint values must be finite"),
+            ({**rec, "q": [rec["q"], rec["q"]]},
+             "line 3: joint values must be finite"),
+            ({**rec, "mode": True}, "line 3: True is not a valid Mode"),
+            ({**rec, "damped": "false"},
+             "line 3: damped must be true or false"),
+            ({**rec, "damped": 1}, "line 3: damped must be true or false")):
         f.write_text("\n".join([header, first, json.dumps(bad), *rest])
                      + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InvalidTrajectoryError, match=message):
             load_trajectory(f)
 
 
