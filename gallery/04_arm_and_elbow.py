@@ -10,15 +10,17 @@ import math
 
 import numpy as np
 
-from screwplan import (PANDA_READY, arm_state, forward_kinematics,
+from screwplan import (PANDA_READY, Pose, arm_state, forward_kinematics,
                        limit_margin, panda_model, pose_error,
                        self_motion_rollout, sew_angle)
 
 if __name__ == "__main__":
     model = panda_model()
-    pose, jac, psi, _ = arm_state(model, PANDA_READY)
+    # the flange comes back as bare (R, p) arrays
+    R, p, jac, psi, _ = arm_state(model, PANDA_READY)
+    pose = Pose(R, p)
     print(f"arm: {model.name}, {model.n_joints} joints")
-    print(f"ready flange at {np.round(pose.translation, 4)}")
+    print(f"ready flange at {np.round(p, 4)}")
     print(f"elbow angle {math.degrees(psi):.1f} deg, "
           f"jacobian rank {np.linalg.matrix_rank(jac)}")
 

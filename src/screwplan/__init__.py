@@ -21,7 +21,7 @@ from .demonstration import (ConstraintModel, Demonstration, ScrewSegment,
 from .layouts import (LayoutGoal, LayoutKind, LayoutSpec, ObjectDims,
                       layout_goals, load_goal_sequence, load_layout_spec,
                       pick_stack, save_goal_sequence, save_layout_spec)
-from .kinematics import (PANDA_READY, RobotModel, arm_state, fk_jacobian,
+from .kinematics import (PANDA_READY, RobotModel, arm_state,
                          forward_kinematics, limit_margin, load_robot_model,
                          panda_model, save_robot_model, self_motion_rollout,
                          sew_angle)
@@ -50,9 +50,9 @@ __all__ = [
     "LayoutGoal", "LayoutKind", "LayoutSpec", "ObjectDims", "layout_goals",
     "load_goal_sequence", "load_layout_spec", "pick_stack",
     "save_goal_sequence", "save_layout_spec",
-    "PANDA_READY", "RobotModel", "arm_state", "fk_jacobian",
-    "forward_kinematics", "limit_margin", "load_robot_model", "panda_model",
-    "save_robot_model", "self_motion_rollout", "sew_angle",
+    "PANDA_READY", "RobotModel", "arm_state", "forward_kinematics",
+    "limit_margin", "load_robot_model", "panda_model", "save_robot_model",
+    "self_motion_rollout", "sew_angle",
     "InvalidTrajectoryError", "JointTrajectory", "Mode", "Outcome",
     "PlannerConfig", "TrajectoryStep",
     "geodesic_deviation", "load_trajectory", "plan_through_guiding_poses",

@@ -425,6 +425,12 @@ def _flag(rec, key):
     return rec[key]
 
 
+def _text(rec, key):
+    if not isinstance(rec[key], str):
+        raise MalformedReportError(f"{key} must be a string")
+    return rec[key]
+
+
 def _count(rec, key):
     if not (is_whole(rec[key]) and rec[key] >= 0):
         raise MalformedReportError(f"{key} must be a whole number >= 0")
@@ -440,6 +446,9 @@ def _error(rec, key, nullable=False):
 
 
 def _placement_from_record(rec):
+    if not (isinstance(rec["index"], list)
+            and all(is_whole(i) for i in rec["index"])):
+        raise MalformedReportError("index must be a list of whole numbers")
     return PlacementResult(
         index=tuple(rec["index"]),
         goal=pose_from_record(rec["goal"]),
@@ -454,8 +463,8 @@ def _placement_from_record(rec):
 
 def report_from_record(doc, runtime_seconds=0.0):
     return decode(doc, MalformedReportError, lambda doc: ActivityReport(
-        robot=str(doc["robot"]),
-        layout_kind=str(doc["layout_kind"]),
+        robot=_text(doc, "robot"),
+        layout_kind=_text(doc, "layout_kind"),
         mode2_enabled=_flag(doc, "mode2_enabled"),
         goals_total=_count(doc, "goals_total"),
         placements=tuple(map(_placement_from_record, doc["placements"])),

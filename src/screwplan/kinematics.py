@@ -191,10 +191,6 @@ class _Chain:
         return r, p
 
     @property
-    def pose(self):
-        return Pose(*self.flange())
-
-    @property
     def jacobian(self):
         """World-frame Jacobian, columns are joint twists [v; w]; built
         on first use, then shared (a plain attribute test: Python 3.11's
@@ -215,12 +211,7 @@ class _Chain:
 
 
 def forward_kinematics(model, q):
-    return _Chain(model, q).pose
-
-
-def fk_jacobian(model, q):
-    chain = _Chain(model, q)
-    return chain.pose, chain.jacobian
+    return Pose(*_Chain(model, q).flange())
 
 
 def pseudoinverse(jac):
@@ -252,9 +243,11 @@ def _point_jacobian(jac, point, upto):
     return jp
 
 
-def _sew_jacobian(chain):
-    """(psi, dpsi/dq) at the chain: the one definition of psi."""
-    model = chain.model
+def arm_state(model, q):
+    """(R, p, jac, psi, dpsi/dq) from one chain pass: the flange as
+    fresh, unchecked arrays, the world Jacobian, and the elbow angle
+    with its gradient.  The one definition of psi."""
+    chain = _Chain(model, q)
     jac = chain.jacobian
     s, e, w = chain.sew_points()
     js, je, jw = (_point_jacobian(jac, p, i)
@@ -283,18 +276,11 @@ def _sew_jacobian(chain):
     dx = f @ dr + r @ df
     jpsi = (x * dy - y * dx) / (x * x + y * y)
     psi = math.atan2(y, x)
-    return psi, jpsi
+    return (*chain.flange(), jac, psi, jpsi)
 
 
 def sew_angle(model, q):
-    return _sew_jacobian(_Chain(model, q))[0]
-
-
-def arm_state(model, q):
-    """(flange pose, world Jacobian, psi, dpsi/dq) sharing one pass."""
-    chain = _Chain(model, q)
-    psi, jpsi = _sew_jacobian(chain)
-    return chain.pose, chain.jacobian, psi, jpsi
+    return arm_state(model, q)[3]
 
 
 def check_eps(model, eps_inner, eps_outer):
@@ -336,9 +322,8 @@ def limit_margin(model, q):
 def self_motion_direction(model, q):
     """dq/dpsi along the flange-preserving self-motion: the augmented
     Jacobian mapped back from a pure elbow-angle rate."""
-    chain = _Chain(model, q)
-    pinv, damped = pseudoinverse(
-        np.vstack([chain.jacobian, _sew_jacobian(chain)[1]]))
+    _, _, jac, _, jpsi = arm_state(model, q)
+    pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
     return pinv[:, -1].copy(), damped
 
 

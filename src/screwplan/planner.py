@@ -23,7 +23,6 @@ from .kinematics import (
     _Chain,
     arm_state,
     check_eps,
-    forward_kinematics,
     limit_band,
     limit_margin,
     limit_status,
@@ -241,17 +240,18 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     check_eps(model, config.eps_in, config.eps_out)
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
-    hold = forward_kinematics(model, q_c)
     steps = []
     outcome = None
     psi_prev = None
     psi_cont = 0.0  # unwrapped angle relative to entry
     while True:
-        pose, jac, psi_raw, jpsi = arm_state(model, q_c)
-        if psi_prev is not None:
+        # each step works on the chain's arrays and builds no Pose
+        R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
+        if psi_prev is None:
+            hold = R, p  # the flange held throughout: the entry pass's
+        else:
             psi_cont += _wrap(psi_raw - psi_prev)
-            steps.append(TrajectoryStep(q_c, Mode.MODE2, pose.rotation,
-                                        pose.translation))
+            steps.append(TrajectoryStep(q_c, Mode.MODE2, R, p))
         psi_prev = psi_raw
         if abs(psi_d - psi_cont) < PSI_TOL:
             outcome = Outcome.REACHED
@@ -259,15 +259,15 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         if len(steps) >= budget:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        ja = np.vstack([jac, jpsi])
-        pinv, damped = pseudoinverse(ja)
+        pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
         if damped:
             # elbow direction unreliable at a self-motion singularity
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        correction = np.concatenate([
-            config.kappa * error_twist(hold, pose),
-            [psi_d - psi_cont]])
+        # the log checks the flange rotation, the held one on entry
+        xi, theta = _relative_log(*hold, R, p)
+        correction = np.concatenate([config.kappa * (xi * theta),
+                                     [psi_d - psi_cont]])
         dq = _clamp(config.lam * config.delta_t * (pinv @ correction))
         candidate = q_c + dq
         if not within(candidate, outer).all():
@@ -437,7 +437,7 @@ def save_trajectory(traj, path, robot=""):
     } for i, s in enumerate(traj.steps)), path)
 
 
-def _step_from_record(rec):
+def _step_from_record(rec, first):
     # by name ("mode1" in any case) or by value (1), never a JSON boolean
     raw = rec["mode"]
     mode = Mode.__members__.get(str(raw).upper())
@@ -450,6 +450,9 @@ def _step_from_record(rec):
     if q.ndim != 1 or not np.isfinite(q).all():
         raise InvalidTrajectoryError(
             "joint values must be finite numbers in one flat list")
+    if len(q) != first.setdefault("joints", len(q)):
+        raise InvalidTrajectoryError(
+            f"expected {first['joints']} joint values, got {len(q)}")
     damped = rec.get("damped", False)
     if not isinstance(damped, bool):
         raise InvalidTrajectoryError("damped must be true or false")
@@ -458,11 +461,12 @@ def _step_from_record(rec):
 
 
 def load_trajectory(path):
+    first = {}  # the first step's joint count, which every step shares
     (outcome, starts), steps = read_lines(
         path, InvalidTrajectoryError,
         lambda doc: decode(doc, InvalidTrajectoryError, lambda doc: (
             Outcome(doc["outcome"]), list(doc["segment_starts"])),
             "trajectory", UNITS),
-        _step_from_record)
+        lambda rec: _step_from_record(rec, first))
     return JointTrajectory(steps=steps, outcome=outcome,
                            segment_starts=starts)

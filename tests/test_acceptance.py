@@ -19,7 +19,7 @@ from screwplan.activity import (attached_object_poses, compare_baseline,
 from screwplan.demonstration import (segment_demonstration,
                                      synthesize_demonstration,
                                      transfer_constraints, TaskInstance)
-from screwplan.kinematics import (arm_state, fk_jacobian, forward_kinematics,
+from screwplan.kinematics import (arm_state, forward_kinematics,
                                   panda_model, pseudoinverse, sew_angle,
                                   self_motion_rollout, PANDA_READY)
 from screwplan.layouts import (layout_goals, LayoutKind, LayoutSpec,
@@ -205,7 +205,7 @@ def test_05_kinematics_checks():
     worst_jac = worst_pinv = worst_sew = 0.0
     for _ in range(25):
         q = rng.uniform(model.lower + 0.3, model.upper - 0.3)
-        pose, jac = fk_jacobian(model, q)
+        _, _, jac, _, jpsi = arm_state(model, q)
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
@@ -225,7 +225,6 @@ def test_05_kinematics_checks():
                 float(np.max(np.abs((jac @ pinv) - (jac @ pinv).T))),
                 float(np.max(np.abs((pinv @ jac) - (pinv @ jac).T))))
 
-        _, _, _, jpsi = arm_state(model, q)
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h

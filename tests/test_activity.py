@@ -409,6 +409,10 @@ def test_load_report_rejects_noise(tmp_path):
     ("results", {"bricks_placed_before_failure": False}),
     ("results", {"mean_position_error": "0.001"}),
     ("results", {"max_yaw_error": True}),
+    ("placement", {"index": "abc"}),
+    ("placement", {"index": [1.5]}),
+    ("results", {"robot": 7}),
+    ("results", {"layout_kind": [1]}),
 ])
 def test_report_record_values_of_the_wrong_type(tmp_path, one_brick_report,
                                                 where, changes):

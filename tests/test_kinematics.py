@@ -21,7 +21,6 @@ from screwplan.kinematics import (
     RobotModel,
     REFERENCE_AXIS_TOL,
     arm_state,
-    fk_jacobian,
     forward_kinematics,
     limit_band,
     limit_margin,
@@ -137,7 +136,7 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for _ in range(20):
         q = rand_q(rng, model)
-        jac = fk_jacobian(model, q)[1]
+        jac = arm_state(model, q)[2]
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
@@ -160,7 +159,7 @@ def test_pseudoinverse_identities():
     assert_allclose(pinv, np.vstack([np.eye(6), np.zeros((1, 6))]),
                     atol=1e-12)
     model = panda_model()
-    jac = fk_jacobian(model, READY)[1]
+    jac = arm_state(model, READY)[2]
     pinv, damped = pseudoinverse(jac)
     assert not damped
     assert_allclose(jac @ pinv, np.eye(6), atol=1e-9)
@@ -172,7 +171,7 @@ def test_pseudoinverse_identities():
     assert np.linalg.norm(pinv) < 1e4
     # the packaged arm stretched straight up: sigma_min ~ 3e-17, so
     # J J^T alone is numerically singular and only the damping saves it
-    jac = fk_jacobian(model, np.zeros(7))[1]
+    jac = arm_state(model, np.zeros(7))[2]
     assert np.linalg.svd(jac, compute_uv=False)[-1] < 1e-12
     pinv, damped = pseudoinverse(jac)
     assert damped
@@ -218,10 +217,10 @@ def _assert_chain_bitwise(model, q):
     chain = _Chain(model, q)
     assert np.array_equal(chain.partial_rots, rots)
     assert np.array_equal(chain.partial_trans, trans)
-    got_pose, got_jac = fk_jacobian(model, q)
-    assert np.array_equal(got_pose.rotation, pose.rotation)
-    assert np.array_equal(got_pose.translation, pose.translation)
-    assert np.array_equal(got_jac, jac)
+    got_R, got_p = chain.flange()
+    assert np.array_equal(got_R, pose.rotation)
+    assert np.array_equal(got_p, pose.translation)
+    assert np.array_equal(chain.jacobian, jac)
 
 
 def test_stacked_chain_matches_per_joint_chain_bitwise():
@@ -281,7 +280,7 @@ def test_sew_angle_matches_point_formula_bitwise():
     for _ in range(500):
         q = rand_q(rng, model, shrink=0.0)
         assert sew_angle(model, q) == reference_sew_angle(model, q)
-        assert arm_state(model, q)[2] == reference_sew_angle(model, q)
+        assert arm_state(model, q)[3] == reference_sew_angle(model, q)
     # shoulder-wrist line along the base vertical: the x reference
     assert sew_angle(model, np.zeros(7)) == reference_sew_angle(
         model, np.zeros(7))
@@ -300,7 +299,7 @@ def test_sew_jacobian_matches_finite_differences():
         # skip near-degenerate geometries where psi itself is ill posed
         if np.linalg.norm(f) < 0.05 or np.linalg.norm(w - s) < 0.1:
             continue
-        psi, jpsi = arm_state(model, q)[2:]
+        psi, jpsi = arm_state(model, q)[3:]
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
@@ -319,7 +318,7 @@ def test_augmented_jacobian_shape_and_rows():
     rng = np.random.default_rng(73)
     model = dataclasses.replace(panda_model(), base_pose=rand_pose(rng))
     for q in [READY, np.zeros(7)] + [rand_q(rng, model) for _ in range(50)]:
-        _, jac, _, jpsi = arm_state(model, q)
+        _, _, jac, _, jpsi = arm_state(model, q)
         ja = np.vstack([jac, jpsi])
         assert ja.shape == (7, 7)
         pinv, damped = pseudoinverse(ja)
@@ -450,11 +449,10 @@ def test_fused_pass_matches_oracle_under_moved_base():
 
     for _ in range(10):
         q = rand_q(rng, model)
-        pose, jac = fk_jacobian(model, q)
-        fused_pose, fused_jac, psi, jpsi = arm_state(model, q)
-        assert np.array_equal(fused_pose.rotation, pose.rotation)
-        assert np.array_equal(fused_pose.translation, pose.translation)
-        assert np.array_equal(fused_jac, jac)
+        R, p, jac, psi, jpsi = arm_state(model, q)
+        pose = forward_kinematics(model, q)
+        assert np.array_equal(R, pose.rotation)
+        assert np.array_equal(p, pose.translation)
         assert psi == sew_angle(model, q)
         rot, trans = pose_error(pose, oracle(q))
         assert rot < 1e-9 and trans < 1e-9
@@ -500,7 +498,7 @@ def test_prismatic_joint_supported():
     pose = forward_kinematics(model, np.array([np.pi / 2.0, 0.3, 0.2]))
     # yaw by 90 degrees, then rise 0.3 and slide 0.2 along the rotated x
     assert_allclose(pose.translation, [0.0, 0.2, 0.3], atol=1e-12)
-    jac = fk_jacobian(model, np.array([np.pi / 2.0, 0.3, 0.2]))[1]
+    jac = _Chain(model, np.array([np.pi / 2.0, 0.3, 0.2])).jacobian
     assert_allclose(jac[:, 1], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert_allclose(jac[:, 2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 

@@ -260,3 +260,15 @@ def test_malformed_fields_name_the_problem(written, tmp_path):
     with pytest.raises(InvalidTrajectoryError,
                        match="bad.json line 1: not valid JSON"):
         load_trajectory(bad)
+
+
+def test_trajectory_steps_share_a_joint_count(written, tmp_path):
+    # a step cut to 3 of 7 joint values used to load as a (3,) step
+    bad = tmp_path / "bad.json"
+    doc = parse(written["trajectory"], "trajectory")
+    doc[2]["q"] = doc[2]["q"][:3]
+    dump(doc, bad, "trajectory")
+    with pytest.raises(InvalidTrajectoryError,
+                       match="bad.json line 3: expected 7 joint values, "
+                             "got 3"):
+        load_trajectory(bad)

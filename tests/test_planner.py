@@ -13,7 +13,8 @@ from screwplan import planner
 from screwplan.activity import run_activity
 from screwplan.kinematics import (
     LimitZone,
-    fk_jacobian,
+    _Chain,
+    arm_state,
     forward_kinematics,
     limit_band,
     limit_status,
@@ -30,10 +31,12 @@ from screwplan.planner import (
     Mode,
     Outcome,
     PlannerConfig,
+    PSI_TOL,
     STEP_CLAMP,
     SCREW_TRACK_TOL,
     TrajectoryStep,
     _clamp,
+    _wrap,
     calculate_sew_change,
     geodesic_deviation,
     load_trajectory,
@@ -415,10 +418,51 @@ def test_determinism():
                     np.array([s.q for s in b.steps]), atol=0.0)
 
 
+def reference_mode2_recovery(q, psi_d, model, config, max_steps=None):
+    """mode2_recovery through Pose objects: the held flange from
+    forward_kinematics, a checked flange Pose each step, and
+    error_twist between them.  The array step must reproduce it bit for
+    bit."""
+    q_c = np.asarray(q, dtype=float).copy()
+    outer = limit_band(model, config.eps_out)
+    budget = config.max_steps if max_steps is None else max_steps
+    hold = forward_kinematics(model, q_c)
+    steps = []
+    psi_prev = None
+    psi_cont = 0.0
+
+    def done(outcome):
+        return JointTrajectory(steps=steps, outcome=outcome)
+
+    while True:
+        R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
+        pose = Pose(R, p)
+        if psi_prev is not None:
+            psi_cont += _wrap(psi_raw - psi_prev)
+            steps.append(TrajectoryStep(q_c, Mode.MODE2, pose.rotation,
+                                        pose.translation))
+        psi_prev = psi_raw
+        if abs(psi_d - psi_cont) < PSI_TOL:
+            return done(Outcome.REACHED)
+        if len(steps) >= budget:
+            return done(Outcome.STEP_BUDGET_EXHAUSTED)
+        pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
+        if damped:
+            return done(Outcome.MOTION_PLAN_FAILED)
+        correction = np.concatenate([
+            config.kappa * error_twist(hold, pose), [psi_d - psi_cont]])
+        candidate = q_c + _clamp(config.lam * config.delta_t
+                                 * (pinv @ correction))
+        if not within(candidate, outer).all():
+            return done(Outcome.MOTION_PLAN_FAILED)
+        q_c = candidate
+
+
 def reference_plan_to_pose(q0, gd, model, config):
-    """plan_to_pose through Pose objects: fk_jacobian's checked flange
-    Pose, then pose_error, error_twist and pseudoinverse on it each
-    step.  The array step must reproduce it bit for bit."""
+    """plan_to_pose through Pose objects: a checked flange Pose from
+    each chain pass, then pose_error, error_twist and pseudoinverse on
+    it each step, and reference_mode2_recovery for the elbow swings.
+    The array step must reproduce it bit for bit."""
     inner = limit_band(model, config.eps_in)
     q_c = np.asarray(q0, dtype=float).copy()
     steps = []
@@ -430,7 +474,8 @@ def reference_plan_to_pose(q0, gd, model, config):
                                segment_starts=[0])
 
     while True:
-        pose, jac = fk_jacobian(model, q_c)
+        chain = _Chain(model, q_c)
+        pose, jac = Pose(*chain.flange()), chain.jacobian
         if pending is not None:
             steps.append(TrajectoryStep(pending[0], Mode.MODE1,
                                         pose.rotation, pose.translation,
@@ -454,8 +499,9 @@ def reference_plan_to_pose(q0, gd, model, config):
         dpsi = calculate_sew_change(candidate, model, config)
         if dpsi == 0.0:
             return done(Outcome.MOTION_PLAN_FAILED)
-        fragment = mode2_recovery(q_c, dpsi, model, config,
-                                  max_steps=config.max_steps - iterations)
+        fragment = reference_mode2_recovery(
+            q_c, dpsi, model, config,
+            max_steps=config.max_steps - iterations)
         steps.extend(fragment.steps)
         iterations += len(fragment.steps)
         if fragment.outcome is Outcome.STEP_BUDGET_EXHAUSTED:
@@ -490,20 +536,22 @@ def test_array_step_matches_pose_route_bitwise(monkeypatch):
         assert_same_trajectory(plan_to_pose(READY, goal, model, config),
                                reference_plan_to_pose(READY, goal, model,
                                                       config))
-    # a near-limit placement, recovery on and then off, through
+    # every near-limit placement, recovery on and then off, through
     # plan_through_guiding_poses (which calls the module's plan_to_pose)
-    _, spec = near_limit_scenarios()[0]
-    for enabled in (True, False):
-        run = dataclasses.replace(spec, planner_config=dataclasses.replace(
-            spec.planner_config, mode2_enabled=enabled))
-        got = run_activity(run, keep_trajectories=True)
-        with monkeypatch.context() as m:
-            m.setattr(planner, "plan_to_pose", reference_plan_to_pose)
-            want = run_activity(run, keep_trajectories=True)
-        assert len(got.trajectories) == len(want.trajectories) == 1
-        assert_same_trajectory(got.trajectories[0], want.trajectories[0])
-        assert (Mode.MODE2 in [s.mode for s in got.trajectories[0].steps]
-                ) is enabled
+    for _, spec in near_limit_scenarios():
+        for enabled in (True, False):
+            run = dataclasses.replace(
+                spec, planner_config=dataclasses.replace(
+                    spec.planner_config, mode2_enabled=enabled))
+            got = run_activity(run, keep_trajectories=True)
+            with monkeypatch.context() as m:
+                m.setattr(planner, "plan_to_pose", reference_plan_to_pose)
+                want = run_activity(run, keep_trajectories=True)
+            assert len(got.trajectories) == len(want.trajectories) == 1
+            assert_same_trajectory(got.trajectories[0],
+                                   want.trajectories[0])
+            assert (Mode.MODE2 in [
+                s.mode for s in got.trajectories[0].steps]) is enabled
 
 
 def test_trajectory_step_builds_its_pose_on_demand():
@@ -528,18 +576,26 @@ def test_plan_builds_no_pose_per_step(monkeypatch):
         built.append(1)
         post_init(self)
 
-    counts = []
-    for angle in (0.02, 0.5):
-        goal = compose(world_turn(angle), START)
-        built.clear()
-        monkeypatch.setattr(Pose, "__post_init__", counted)
-        traj = plan_to_pose(READY, goal, MODEL, PlannerConfig())
-        monkeypatch.undo()
-        assert traj.outcome is Outcome.REACHED
-        counts.append((len(built), len(traj.steps)))
-    (short_count, short_steps), (long_count, long_steps) = counts
-    assert long_steps - short_steps > 100
-    assert short_count == long_count
+    def mode1(angle):
+        return plan_to_pose(READY, compose(world_turn(angle), START),
+                            MODEL, PlannerConfig())
+
+    def mode2(psi_d):
+        return mode2_recovery(READY, psi_d, MODEL, PlannerConfig())
+
+    # two targets of each mode that take different step counts
+    for run, targets in ((mode1, (0.02, 0.5)), (mode2, (-0.05, -0.4))):
+        counts = []
+        for target in targets:
+            built.clear()
+            monkeypatch.setattr(Pose, "__post_init__", counted)
+            traj = run(target)
+            monkeypatch.undo()
+            assert traj.outcome is Outcome.REACHED
+            counts.append((len(built), len(traj.steps)))
+        (short_count, short_steps), (long_count, long_steps) = counts
+        assert long_steps - short_steps > 100
+        assert short_count == long_count
 
 
 def test_trajectory_file_round_trip(tmp_path):
