@@ -255,6 +255,9 @@ def arm_state(model, q):
 
     a = w - s
     na = np.linalg.norm(a)
+    if na == 0.0:
+        # shoulder on the wrist: no plane, so psi has no gradient
+        return (*chain.flange(), jac, 0.0, np.zeros(len(q)))
     u = a / na
     da = jw - js
     du = (da - np.outer(u, u @ da)) / na
@@ -274,7 +277,9 @@ def arm_state(model, q):
     # columnwise dr x f and r x df
     dy = rxf @ du + u @ (hat(f) @ dr * -1.0 + hat(r) @ df)
     dx = f @ dr + r @ df
-    jpsi = (x * dy - y * dx) / (x * x + y * y)
+    rho2 = x * x + y * y
+    # an elbow on the shoulder-wrist line leaves psi without a gradient
+    jpsi = (x * dy - y * dx) / rho2 if rho2 != 0.0 else np.zeros(len(q))
     psi = math.atan2(y, x)
     return (*chain.flange(), jac, psi, jpsi)
 

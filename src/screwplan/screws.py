@@ -52,7 +52,13 @@ def _check_rotation(R):
     (a, b, c), (d, e, f), (g, h, i) = R.tolist()
     if not math.isfinite(a + b + c + d + e + f + g + h + i):
         raise ValueError("rotation not orthonormal (non-finite entries)")
-    dev = np.abs(R.T @ R - _EYE3).max()
+    # the six distinct entries of R^T R - I, column against column
+    dev = max(abs(a * a + d * d + g * g - 1.0),
+              abs(b * b + e * e + h * h - 1.0),
+              abs(c * c + f * f + i * i - 1.0),
+              abs(a * b + d * e + g * h),
+              abs(a * c + d * f + g * i),
+              abs(b * c + e * f + h * i))
     # once dev <= tol, det is within ~2e-9 of +-1, so the sign of the
     # triple product is the sign of det
     if not dev <= _ORTHO_TOL or (a * (e * i - f * h) - b * (d * i - f * g)
@@ -187,17 +193,13 @@ def _check_unit_twist(xi):
                 "zero angular part requires a unit linear part")
 
 
-def _twist(axis, moment, pitch):
-    """Unit twist [v; w] of a screw: [moment + pitch * axis; axis], or
-    [axis; 0] for infinite pitch."""
-    if math.isinf(pitch):
-        return np.concatenate([axis, np.zeros(3)])
-    return np.concatenate([moment + pitch * axis, axis])
-
-
 def unit_twist(screw):
-    """The unit twist [v; w] (a 6-vector) of a ScrewDisplacement."""
-    return _twist(screw.axis, screw.moment, screw.pitch)
+    """The unit twist [v; w] (a 6-vector) of a ScrewDisplacement:
+    [moment + pitch * axis; axis], or [axis; 0] for infinite pitch."""
+    if math.isinf(screw.pitch):
+        return np.concatenate([screw.axis, np.zeros(3)])
+    return np.concatenate([screw.moment + screw.pitch * screw.axis,
+                           screw.axis])
 
 
 def exp_twists(theta, W, W2, v):
@@ -232,34 +234,33 @@ def exp_screw(xi, theta):
     return Pose(R[0], p[0])
 
 
-def rot_to_quat(R):
-    """Rotation matrix to unit quaternion [w, x, y, z], w >= 0.
-
-    Pivots on the largest of trace and diagonal entries, so the axis stays
-    accurate for rotations arbitrarily close to pi.
-    """
+def _quat_pivot(R):
+    """Unnormalised quaternion (w, x, y, z) of a rotation matrix, as
+    floats.  Pivots on the largest of trace and diagonal entries, so the
+    axis stays accurate for rotations arbitrarily close to pi."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
     t = r00 + r11 + r22
     if t >= r00 and t >= r11 and t >= r22:
         r = math.sqrt(1.0 + t)
         s = 0.5 / r
-        q = np.array([0.5 * r, (r21 - r12) * s,
-                      (r02 - r20) * s, (r10 - r01) * s])
-    elif r00 >= r11 and r00 >= r22:
+        return 0.5 * r, (r21 - r12) * s, (r02 - r20) * s, (r10 - r01) * s
+    if r00 >= r11 and r00 >= r22:
         r = math.sqrt(1.0 + r00 - r11 - r22)
         s = 0.5 / r
-        q = np.array([(r21 - r12) * s, 0.5 * r,
-                      (r01 + r10) * s, (r02 + r20) * s])
-    elif r11 >= r22:
+        return (r21 - r12) * s, 0.5 * r, (r01 + r10) * s, (r02 + r20) * s
+    if r11 >= r22:
         r = math.sqrt(1.0 - r00 + r11 - r22)
         s = 0.5 / r
-        q = np.array([(r02 - r20) * s, (r01 + r10) * s,
-                      0.5 * r, (r12 + r21) * s])
-    else:
-        r = math.sqrt(1.0 - r00 - r11 + r22)
-        s = 0.5 / r
-        q = np.array([(r10 - r01) * s, (r02 + r20) * s,
-                      (r12 + r21) * s, 0.5 * r])
+        return (r02 - r20) * s, (r01 + r10) * s, 0.5 * r, (r12 + r21) * s
+    r = math.sqrt(1.0 - r00 - r11 + r22)
+    s = 0.5 / r
+    return (r10 - r01) * s, (r02 + r20) * s, (r12 + r21) * s, 0.5 * r
+
+
+def rot_to_quat(R):
+    """Rotation matrix to unit quaternion [w, x, y, z], w >= 0 (see
+    _quat_pivot)."""
+    q = np.array(_quat_pivot(R))
     q /= _norm(q)
     if q[0] < 0.0:
         q = -q
@@ -277,61 +278,65 @@ def quat_to_rot(q):
     ])
 
 
-def _axis_angle(R):
-    # quaternion route: stable at both ends of [0, pi]
-    q = rot_to_quat(R)
-    n = _norm(q[1:])
-    theta = 2.0 * math.atan2(n, q[0])
-    if n == 0.0:
-        return np.array([0.0, 0.0, 1.0]), theta
-    return q[1:] / n, theta
+def _log(R, p):
+    """(unit twist xi = [v; w] (6,), magnitude theta) of the displacement
+    (R, p): the one log behind log_pose, screw_from_pose, error_twist and
+    sclerp.  The rotation is the caller's to check.
 
+    The closed-form SE(3) logarithm (Lynch & Park, Modern Robotics, 2017,
+    section 3.3.3.2; Murray, Li & Sastry, 1994): theta and w from the
+    pivoted quaternion, then v = G(theta)^-1 p =
+    p / theta - (w x p) / 2 + c2 (w (w . p) - p), the inverse of
+    exp_twists' translation map, on Python floats.
 
-def _chasles(R, p):
-    """Unchecked (axis, moment, pitch, magnitude) of the displacement
-    (R, p): the one log behind screw_from_pose and _log.
-
-    Rotations with angle below ROT_IDENTITY_TOL are treated as pure
-    translations; the exact identity yields the canonical zero screw
-    (axis z, zero moment and pitch, zero magnitude). Rotation magnitudes
-    land in [0, pi]; at exactly pi the axis sign follows the quaternion
-    pivot convention.
+    Rotations with angle below ROT_IDENTITY_TOL are pure translations,
+    [p / |p|; 0] and theta = |p|; the exact identity yields the canonical
+    zero screw [0, 0, 0, 0, 0, 1] and theta = 0.  Rotation magnitudes land
+    in [0, pi]; at exactly pi the axis sign follows the quaternion pivot
+    convention.
     """
-    omega, theta = _axis_angle(R)
+    w, x, y, z = _quat_pivot(R)
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(x * x + y * y + z * z)
+    theta = 2.0 * math.atan2(n, w)
     if theta < ROT_IDENTITY_TOL:
         d = _norm(p)
         if d == 0.0:
-            return np.array([0.0, 0.0, 1.0]), np.zeros(3), 0.0, 0.0
+            return np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), 0.0
         if d < 1e-154:  # p @ p is subnormal: normalise a rescaled p
             s = float(np.abs(p).max())
             u = p / s
-            return u / _norm(u), np.zeros(3), INFINITE_PITCH, s * _norm(u)
-        return p / d, np.zeros(3), INFINITE_PITCH, d
-    W = hat(omega)
-    # the inverse of exp_twists' translation map, series near zero
+            return np.concatenate([u / _norm(u), np.zeros(3)]), s * _norm(u)
+        return np.concatenate([p / d, np.zeros(3)]), d
+    wx, wy, wz = x / n, y / n, z / n
+    if not abs(wx * wx + wy * wy + wz * wz - 1.0) <= _ORTHO_TOL:
+        raise ValueError("angular part must be unit or zero")
+    px, py, pz = p.tolist()
+    # series near zero, where the closed form cancels
     c2 = (theta / 12.0 + theta ** 3 / 720.0 if theta < 1e-4
           else 1.0 / theta - 0.5 / math.tan(0.5 * theta))
-    v = (_EYE3 / theta - 0.5 * W + c2 * (W @ W)) @ p
-    h = float(omega @ v)
-    m = v - h * omega
-    # the closed-form inverse leaves a ~1e-16 component along the axis
-    m -= (m @ omega) * omega
-    return omega, m, h, theta
+    k = wx * px + wy * py + wz * pz
+    return np.array([
+        px / theta - 0.5 * (wy * pz - wz * py) + c2 * (wx * k - px),
+        py / theta - 0.5 * (wz * px - wx * pz) + c2 * (wy * k - py),
+        pz / theta - 0.5 * (wx * py - wy * px) + c2 * (wz * k - pz),
+        wx, wy, wz]), theta
 
 
 def screw_from_pose(pose):
-    """Chasles decomposition of a displacement (see _chasles)."""
-    return ScrewDisplacement(*_chasles(pose.rotation, pose.translation))
-
-
-def _log(R, p):
-    """Checked (unit twist xi (6,), magnitude theta) of the displacement
-    (R, p): the one log behind log_pose, error_twist and sclerp."""
-    axis, moment, pitch, theta = _chasles(R, p)
-    _check_screw(axis, moment, pitch, theta)
-    xi = _twist(axis, moment, pitch)
-    _check_unit_twist(xi)
-    return xi, theta
+    """Chasles decomposition of a displacement, from its log [v; w]:
+    axis w, pitch w . v and moment v - pitch w; a pure translation has
+    axis v, infinite pitch and zero moment (see _log)."""
+    xi, theta = _log(pose.rotation, pose.translation)
+    v, omega = xi[:3], xi[3:]
+    if not omega.any():
+        return ScrewDisplacement(v, np.zeros(3), INFINITE_PITCH, theta)
+    h = float(omega @ v)
+    m = v - h * omega
+    # the closed-form log leaves a ~1e-16 component along the axis
+    m -= (m @ omega) * omega
+    return ScrewDisplacement(omega, m, h, theta)
 
 
 def log_pose(pose):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from screwplan.demonstration import (
@@ -37,6 +38,7 @@ from screwplan.screws import (
     exp_screw,
     inverse,
     pose_error,
+    quat_to_rot,
     unit_twist,
 )
 from util import rand_pose, rand_unit
@@ -352,6 +354,48 @@ def test_transfer_frame_invariance():
         for x, y in zip(a, b):
             rot, trans = pose_error(x, y)
             assert rot < 1e-9 and trans < 1e-9
+
+
+_poses = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)).map(
+        lambda qt: Pose(quat_to_rot(qt[0]), np.array(qt[1])))
+
+
+@st.composite
+def _constraint_models(draw):
+    """Any guiding poses, initial anchors a nonempty prefix and goal
+    anchors a nonempty suffix, possibly with an unanchored middle run."""
+    n = draw(st.integers(2, 8))
+    k_initial = draw(st.integers(1, n - 1))
+    k_goal = draw(st.integers(1, n - k_initial))
+    return ConstraintModel(
+        draw(st.lists(_poses, min_size=n, max_size=n)),
+        tuple(range(k_initial)), tuple(range(n - k_goal, n)),
+        TaskInstance(draw(_poses), draw(_poses)))
+
+
+def _assert_poses_close(a, b, tol):
+    rot, trans = pose_error(a, b)
+    assert rot <= tol and trans <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_models(), _poses, _poses, _poses)
+def test_transfer_invariance(model, initial, goal, T):
+    # to its own source instance the model transfers to itself
+    for a, b in zip(transfer_constraints(model, model.source),
+                    model.guiding_poses):
+        _assert_poses_close(a, b, 1e-12)
+    # moving both instance poses by T moves every guiding pose by T
+    new = TaskInstance(initial, goal)
+    moved = TaskInstance(compose(T, initial), compose(T, goal))
+    out = transfer_constraints(model, new)
+    out_moved = transfer_constraints(model, moved)
+    assert len(out) == len(out_moved) == len(model.guiding_poses)
+    for a, b in zip(out_moved, out):
+        _assert_poses_close(a, compose(T, b), 1e-12)
 
 
 def test_transfer_preserves_anchored_relative_screws():

@@ -35,6 +35,7 @@ from screwplan.kinematics import (
     within,
     _Chain,
 )
+from screwplan.planner import Outcome, PlannerConfig, mode2_recovery
 from screwplan.screws import Pose, compose, hat, pose_error
 from util import rand_pose
 
@@ -501,6 +502,34 @@ def test_prismatic_joint_supported():
     jac = _Chain(model, np.array([np.pi / 2.0, 0.3, 0.2])).jacobian
     assert_allclose(jac[:, 1], [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert_allclose(jac[:, 2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_collinear_shoulder_elbow_wrist_has_no_elbow_gradient():
+    # on the toy the elbow point sits on the shoulder, and at q[1] = 0
+    # the wrist does too: no plane through the three points, so psi has
+    # no gradient, and the stacked Jacobian has a zero last row
+    toy = prismatic_toy()
+    for q in ([0.3, 0.2, 0.1], [0.3, 0.0, 0.1]):
+        q = np.array(q)
+        *_, psi, jpsi = arm_state(toy, q)
+        assert psi == 0.0 and sew_angle(toy, q) == 0.0
+        assert np.array_equal(jpsi, np.zeros(3))
+        direction, _ = self_motion_direction(toy, q)
+        assert_allclose(direction, 0.0, atol=1e-12)
+    # with a four-joint wrist the zero row makes the augmented Jacobian
+    # singular: the self-motion is damped and mode 2 fails at once
+    wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+    arm = dataclasses.replace(
+        toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
+        lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
+        upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
+    q = np.array([0.3, 0.2, 0.1, 0.4, -0.2, 0.1, 0.3])
+    assert not arm_state(arm, q)[4].any()
+    direction, damped = self_motion_direction(arm, q)
+    assert damped and np.isfinite(direction).all()
+    traj = mode2_recovery(q, 0.5, arm, PlannerConfig())
+    assert traj.outcome is Outcome.MOTION_PLAN_FAILED and not traj.steps
 
 
 def test_model_validation_and_file_errors(tmp_path):

@@ -18,6 +18,10 @@ from screwplan.screws import (
     Pose,
     ScrewDisplacement,
     ROT_IDENTITY_TOL,
+    _check_rotation,
+    _check_screw,
+    _check_unit_twist,
+    _log,
     compose,
     error_twist,
     exp_screw,
@@ -433,6 +437,48 @@ def test_pose_rejects_non_finite_rotation_and_translation():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+def _numpy_check_rotation(R):
+    """Reference: the orthonormality test as one numpy product, the form
+    the scalar _check_rotation replaced."""
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if not math.isfinite(a + b + c + d + e + f + g + h + i):
+        raise ValueError("rotation not orthonormal (non-finite entries)")
+    dev = np.abs(R.T @ R - np.eye(3)).max()
+    if not dev <= 1e-9 or (a * (e * i - f * h) - b * (d * i - f * g)
+                           + c * (d * h - e * g)) < 0.0:
+        raise ValueError(f"rotation not orthonormal (deviation {dev:.3e})")
+
+
+def _rotation_verdict(check, R):
+    """None if check accepts R, else the message up to its number."""
+    try:
+        check(R)
+    except ValueError as e:
+        return str(e).split("deviation")[0]
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       st.sampled_from(("none", "1e-10", "1e-8", "reflect", "nan", "inf",
+                        "-inf")),
+       st.integers(0, 8), st.floats(-1.0, 1.0), st.booleans())
+def test_scalar_rotation_check_matches_numpy_form(q, change, k, e, transpose):
+    R = quat_to_rot(q)
+    if change in ("1e-10", "1e-8"):
+        R.flat[k] += float(change) * (1.0 if e >= 0.0 else -1.0)
+    elif change == "reflect":
+        R[:, k % 3] *= -1.0
+    elif change != "none":
+        R.flat[k] = float(change)
+    if transpose:
+        R = R.T  # a view, as _relative_log checks it
+    verdict = _rotation_verdict(_check_rotation, R)
+    assert verdict == _rotation_verdict(_numpy_check_rotation, R)
+    assert (verdict is None) == (change in ("none", "1e-10"))
+
+
 def _object_error_twist(goal, pose):
     xi, theta = log_pose(compose(goal, inverse(pose)))
     return xi * theta
@@ -474,7 +520,56 @@ def test_error_twist_matches_object_path_bitwise():
     assert small >= 30  # the translation branch was exercised
 
 
-def test_log_pose_matches_screw_from_pose_bitwise():
+def _chasles_log(R, p):
+    """Reference log: the Chasles route the closed form replaced.  Axis
+    and angle from the normalised quaternion, v = (I/theta - W/2 +
+    c2 W^2) p split into pitch and a projected moment, the screw checked,
+    then the unit twist rebuilt as [moment + pitch axis; axis]."""
+    q = rot_to_quat(R)
+    n = np.linalg.norm(q[1:])
+    theta = 2.0 * math.atan2(n, q[0])
+    omega = q[1:] / n if n != 0.0 else np.array([0.0, 0.0, 1.0])
+    if theta < ROT_IDENTITY_TOL:
+        d = np.linalg.norm(p)
+        if d == 0.0:
+            axis, moment, pitch, theta = omega, np.zeros(3), 0.0, 0.0
+        elif d < 1e-154:
+            s = float(np.abs(p).max())
+            u = p / s
+            axis, moment, pitch = u / np.linalg.norm(u), np.zeros(3), \
+                INFINITE_PITCH
+            theta = s * np.linalg.norm(u)
+        else:
+            axis, moment, pitch, theta = p / d, np.zeros(3), INFINITE_PITCH, d
+    else:
+        W = hat(omega)
+        c2 = (theta / 12.0 + theta ** 3 / 720.0 if theta < 1e-4
+              else 1.0 / theta - 0.5 / math.tan(0.5 * theta))
+        v = (np.eye(3) / theta - 0.5 * W + c2 * (W @ W)) @ p
+        pitch = float(omega @ v)
+        moment = v - pitch * omega
+        moment -= (moment @ omega) * omega
+        axis = omega
+    _check_screw(axis, moment, pitch, theta)
+    if math.isinf(pitch):
+        xi = np.concatenate([axis, np.zeros(3)])
+    else:
+        xi = np.concatenate([moment + pitch * axis, axis])
+    _check_unit_twist(xi)
+    return xi, theta
+
+
+def _assert_matches_chasles(xi, theta, R, p):
+    """The closed-form log against the reference: log coordinates
+    xi * theta within 2e-15 relative, theta within 1e-15."""
+    xi_ref, theta_ref = _chasles_log(R, p)
+    ref = xi_ref * theta_ref
+    assert np.abs(xi * theta - ref).max() <= 2e-15 * max(
+        1.0, np.abs(ref).max())
+    assert abs(theta - theta_ref) <= 1e-15
+
+
+def test_log_pose_matches_chasles_reference():
     rng = np.random.default_rng(42)
     poses = [rand_pose(rng) for _ in range(100)]
     poses += [Pose.identity(), Pose(np.eye(3), np.array([0.0, 0.2, 0.0])),
@@ -482,10 +577,55 @@ def test_log_pose_matches_screw_from_pose_bitwise():
               Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.3, 0.1]))]
     for pose in poses:
         xi, theta = log_pose(pose)
+        _assert_matches_chasles(xi, theta, pose.rotation, pose.translation)
         s = screw_from_pose(pose)
-        assert _bitwise(xi, unit_twist(s)) and theta == s.magnitude
+        assert theta == s.magnitude
+        assert np.abs(unit_twist(s) - xi).max() <= 2e-15 * max(
+            1.0, np.abs(xi).max())
     xi, theta = log_pose(Pose.identity())
     assert _bitwise(xi * theta, np.zeros(6))
+
+
+@st.composite
+def _log_input(draw):
+    """(R, p) at each end and branch of the log: theta = 0, theta in the
+    c2 series range [1.01 ROT_IDENTITY_TOL, 1e-4], within 1e-6 of pi about
+    an axis near each coordinate axis (so each diagonal pivot of the
+    quaternion is taken), pure translations of ordinary and subnormal
+    length, and random poses."""
+    unit = st.floats(-1.0, 1.0)
+    vec = st.lists(unit, min_size=3, max_size=3).map(np.array)
+    kind = draw(st.sampled_from(("zero", "series", "near_pi", "translation",
+                                 "subnormal", "random")))
+    p = draw(vec)
+    if kind in ("zero", "translation"):
+        return np.eye(3), (p if kind == "translation" else 0.0 * p)
+    if kind == "subnormal":
+        return np.eye(3), p * draw(st.floats(1e-170, 1e-155))
+    if kind == "random":
+        q = draw(st.lists(unit, min_size=4, max_size=4).filter(
+            lambda v: np.linalg.norm(v) > 0.1))
+        return quat_to_rot(q), p
+    if kind == "series":
+        axis = draw(vec.filter(lambda v: np.linalg.norm(v) > 0.1))
+        angle = draw(st.floats(1.01 * ROT_IDENTITY_TOL, 1e-4))
+    else:
+        axis = np.eye(3)[draw(st.integers(0, 2))] + 0.3 * draw(vec)
+        angle = draw(st.floats(math.pi - 1e-6, math.pi))
+    axis = axis / np.linalg.norm(axis)
+    g = exp_screw(np.concatenate([draw(vec), axis]), angle)
+    return g.rotation, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(_log_input())
+def test_closed_form_log_matches_chasles_reference(Rp):
+    R, p = Rp
+    xi, theta = _log(R, p)
+    _assert_matches_chasles(xi, theta, R, p)
+    if theta > 0.0:
+        assert abs(np.linalg.norm(xi[3:]) - 1.0) <= 1e-15 or (
+            not xi[3:].any() and abs(np.linalg.norm(xi[:3]) - 1.0) <= 1e-15)
 
 
 @st.composite
@@ -521,8 +661,7 @@ def test_relative_log_matches_object_route_bitwise(start, rel):
     assert _bitwise(error_twist(goal, start),
                     _object_error_twist(goal, start))
     xi, theta = log_pose(rel)
-    s = screw_from_pose(rel)
-    assert _bitwise(xi, unit_twist(s)) and theta == s.magnitude
+    _assert_matches_chasles(xi, theta, rel.rotation, rel.translation)
     for k, tau in enumerate(_TAUS):
         g = sclerp(start, goal, tau)
         assert np.abs(g.rotation - R_ref[k]).max() <= 1e-12
