@@ -8,9 +8,9 @@ poses in meters and radians throughout.
 """
 
 from .screws import (INFINITE_PITCH, Pose, ScrewDisplacement, compose,
-                     exp_screw, inverse, load_pose_sequence, log_pose,
-                     pose_error, save_pose_sequence, sclerp, sclerp_path,
-                     screw_from_pose, unit_twist)
+                     exp_screw, inverse, log_pose, pose_error, sclerp,
+                     sclerp_path, screw_from_pose, unit_twist)
+from .records import load_pose_sequence, save_pose_sequence
 from .demonstration import (ConstraintModel, Demonstration, ScrewSegment,
                             TaskInstance, extract_guiding_poses,
                             load_constraint_model, load_demonstration,

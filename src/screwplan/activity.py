@@ -14,7 +14,7 @@ under a fixed seed.
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,13 +23,13 @@ from .demonstration import (ConstraintModel, TaskInstance,
                             constraint_model_to_record, transfer_constraints)
 from .kinematics import (PANDA_READY, load_robot_model, panda_model,
                          robot_from_record, robot_to_record)
-from .layouts import (LayoutSpec, is_real, is_whole, layout_goals,
-                      layout_spec_from_record, layout_spec_to_record,
-                      pick_stack, yaw_rotation)
+from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
+                      layout_spec_to_record, pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
-from .screws import (UNITS, Pose, compose, decode, inverse, pose_error,
-                     pose_from_record, pose_to_record, read_document,
-                     write_document)
+from .records import (UNITS, InputError, decode, flag, pose_from_record,
+                      pose_to_record, read_document, real, reals, text,
+                      whole, wholes, write_document)
+from .screws import Pose, compose, inverse, pose_error
 
 # placement is scored on translation distance and heading alone; the
 # full rotation error is recorded but does not gate success
@@ -37,7 +37,7 @@ POSITION_TOL = 0.0075
 YAW_TOL = math.radians(2.0)
 
 
-class ActivityError(ValueError):
+class ActivityError(InputError):
     pass
 
 
@@ -68,13 +68,10 @@ class PickStation:
     restock: int = None
 
     def __post_init__(self):
-        if not isinstance(self.in_base_frame, bool):
-            raise InvalidActivitySpecError("in_base_frame must be a bool")
-        if self.restock is not None:
-            if not (is_whole(self.restock) and self.restock >= 1):
-                raise InvalidActivitySpecError(
-                    "restock must be a whole number >= 1")
-            object.__setattr__(self, "restock", int(self.restock))
+        flag(self.in_base_frame, "in_base_frame", InvalidActivitySpecError)
+        object.__setattr__(self, "restock", whole(
+            self.restock, "restock", InvalidActivitySpecError, low=1,
+            null=True))
 
 
 def pick_sequence(station, count, dims):
@@ -112,22 +109,17 @@ class MovingBase:
     stations_per_lap: int = None
 
     def __post_init__(self):
-        lap = self.stations_per_lap
-        if not (is_whole(self.seed) and all(
-                is_whole(n) and n >= 1
-                for n in (self.relocate_every, 1 if lap is None else lap))):
-            raise InvalidActivitySpecError(
-                "moving base needs a whole seed, and whole relocate_every "
-                "and stations_per_lap >= 1")
-        if not all(is_real(x) and 0.0 <= x < math.inf
-                   for x in (self.radius, self.yaw_range)):
-            raise InvalidActivitySpecError(
-                "noise radius and yaw range must be finite numbers >= 0")
-        for name, kind in (("seed", int), ("relocate_every", int),
-                           ("radius", float), ("yaw_range", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        if lap is not None:
-            object.__setattr__(self, "stations_per_lap", int(lap))
+        E = InvalidActivitySpecError
+        object.__setattr__(self, "seed", whole(self.seed, "seed", E))
+        object.__setattr__(self, "relocate_every", whole(
+            self.relocate_every, "relocate_every", E, low=1))
+        object.__setattr__(self, "stations_per_lap", whole(
+            self.stations_per_lap, "stations_per_lap", E, low=1, null=True))
+        for name in ("radius", "yaw_range"):
+            x = real(getattr(self, name), name, E)
+            if x < 0.0:
+                raise E(f"{name} must be >= 0")
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -153,13 +145,9 @@ class ActivitySpec:
         if not isinstance(self.base_policy, (FixedBase, MovingBase)):
             raise InvalidActivitySpecError(
                 "base_policy must be FixedBase or MovingBase")
-        q = np.asarray(self.q_start, dtype=float)
-        if q.shape != (self.robot.n_joints,):
-            raise InvalidActivitySpecError(
-                f"q_start needs {self.robot.n_joints} joint values")
-        if not np.isfinite(q).all():
-            raise InvalidActivitySpecError("q_start must be finite")
-        object.__setattr__(self, "q_start", q)
+        object.__setattr__(self, "q_start", np.array(reals(
+            self.q_start, "q_start", InvalidActivitySpecError,
+            self.robot.n_joints)))
 
 
 @dataclass(frozen=True)
@@ -419,60 +407,36 @@ def report_to_record(report):
     }
 
 
-def _flag(rec, key):
-    if not isinstance(rec[key], bool):
-        raise MalformedReportError(f"{key} must be true or false")
-    return rec[key]
-
-
-def _text(rec, key):
-    if not isinstance(rec[key], str):
-        raise MalformedReportError(f"{key} must be a string")
-    return rec[key]
-
-
-def _count(rec, key):
-    if not (is_whole(rec[key]) and rec[key] >= 0):
-        raise MalformedReportError(f"{key} must be a whole number >= 0")
-    return int(rec[key])
-
-
-def _error(rec, key, nullable=False):
-    if nullable and rec[key] is None:
-        return None
-    if not (is_real(rec[key]) and math.isfinite(rec[key])):
-        raise MalformedReportError(f"{key} must be a finite number")
-    return float(rec[key])
-
-
 def _placement_from_record(rec):
-    if not (isinstance(rec["index"], list)
-            and all(is_whole(i) for i in rec["index"])):
-        raise MalformedReportError("index must be a list of whole numbers")
+    E = MalformedReportError
     return PlacementResult(
-        index=tuple(rec["index"]),
+        index=wholes(rec["index"], "index", E, 3),
         goal=pose_from_record(rec["goal"]),
         achieved=pose_from_record(rec["achieved"]),
-        position_error=_error(rec, "position_error"),
-        yaw_error=_error(rec, "yaw_error"),
-        rotation_error=_error(rec, "rotation_error"),
-        success=_flag(rec, "success"),
+        position_error=real(rec["position_error"], "position_error", E),
+        yaw_error=real(rec["yaw_error"], "yaw_error", E),
+        rotation_error=real(rec["rotation_error"], "rotation_error", E),
+        success=flag(rec["success"], "success", E),
         trajectory_outcome=Outcome(rec["outcome"]),
-        steps=_count(rec, "steps"))
+        steps=whole(rec["steps"], "steps", E))
 
 
 def report_from_record(doc, runtime_seconds=0.0):
-    return decode(doc, MalformedReportError, lambda doc: ActivityReport(
-        robot=_text(doc, "robot"),
-        layout_kind=_text(doc, "layout_kind"),
-        mode2_enabled=_flag(doc, "mode2_enabled"),
-        goals_total=_count(doc, "goals_total"),
+    E = MalformedReportError
+    return decode(doc, E, lambda doc: ActivityReport(
+        robot=text(doc["robot"], "robot", E),
+        layout_kind=text(doc["layout_kind"], "layout_kind", E),
+        mode2_enabled=flag(doc["mode2_enabled"], "mode2_enabled", E),
+        goals_total=whole(doc["goals_total"], "goals_total", E),
         placements=tuple(map(_placement_from_record, doc["placements"])),
-        bricks_placed_before_failure=_count(
-            doc, "bricks_placed_before_failure"),
-        mean_position_error=_error(doc, "mean_position_error", True),
-        max_yaw_error=_error(doc, "max_yaw_error", True),
-        runtime_seconds=float(runtime_seconds)))
+        bricks_placed_before_failure=whole(
+            doc["bricks_placed_before_failure"],
+            "bricks_placed_before_failure", E),
+        mean_position_error=real(doc["mean_position_error"],
+                                 "mean_position_error", E, null=True),
+        max_yaw_error=real(doc["max_yaw_error"], "max_yaw_error", E,
+                           null=True),
+        runtime_seconds=real(runtime_seconds, "runtime_seconds", E)))
 
 
 def summary_table(report):
@@ -567,12 +531,9 @@ def activity_spec_to_record(spec):
                   "base": pose_to_record(spec.base_policy.base)}
     else:
         p = spec.base_policy
-        policy = {"kind": "moving", "initial": pose_to_record(p.initial),
-                  "step": pose_to_record(p.step), "seed": p.seed,
-                  "relocate_every": p.relocate_every, "radius": p.radius,
-                  "yaw_range": p.yaw_range,
-                  "stations_per_lap": p.stations_per_lap}
-    cfg = spec.planner_config
+        policy = {"kind": "moving", **asdict(p),
+                  "initial": pose_to_record(p.initial),
+                  "step": pose_to_record(p.step)}
     return {
         "format": "activity_spec",
         "units": dict(UNITS),
@@ -580,18 +541,11 @@ def activity_spec_to_record(spec):
         "q_start": [float(v) for v in spec.q_start],
         "layout": layout_spec_to_record(spec.layout),
         "demo_model": constraint_model_to_record(spec.demo_model),
-        "pick_station": {"base": pose_to_record(spec.pick_station.base),
-                         "in_base_frame": spec.pick_station.in_base_frame,
-                         "restock": spec.pick_station.restock},
+        "pick_station": {**asdict(spec.pick_station),
+                         "base": pose_to_record(spec.pick_station.base)},
         "grasp_offset": pose_to_record(spec.grasp_offset),
         "base_policy": policy,
-        "planner": {
-            "eps_in": cfg.eps_in, "eps_out": cfg.eps_out,
-            "kappa": cfg.kappa, "lam": cfg.lam, "delta_t": cfg.delta_t,
-            "goal_tol": list(cfg.goal_tol), "max_steps": cfg.max_steps,
-            "sew_search": list(cfg.sew_search),
-            "mode2_enabled": cfg.mode2_enabled,
-        },
+        "planner": asdict(spec.planner_config),
     }
 
 
@@ -608,7 +562,8 @@ def _robot_from_record(rec):
     if "twists" in rec:
         return robot_from_record(rec)
     if "model_file" in rec:
-        return load_robot_model(rec["model_file"])
+        return load_robot_model(text(rec["model_file"], "model_file",
+                                     InvalidActivitySpecError))
     if rec.get("name") == "panda":
         return panda_model()
     raise InvalidActivitySpecError(
@@ -641,17 +596,9 @@ def _spec_from_record(doc):
         base_policy=_policy_from_record(doc["base_policy"]),
         robot=_robot_from_record(doc["robot"]),
         grasp_offset=pose_from_record(doc["grasp_offset"]),
-        planner_config=PlannerConfig(
-            eps_in=planner["eps_in"],
-            eps_out=planner["eps_out"],
-            kappa=planner["kappa"],
-            lam=planner["lam"],
-            delta_t=planner["delta_t"],
-            goal_tol=tuple(planner["goal_tol"]),
-            max_steps=planner["max_steps"],
-            sew_search=tuple(planner["sew_search"]),
-            mode2_enabled=planner["mode2_enabled"]),
-        q_start=np.array(doc["q_start"], dtype=float))
+        planner_config=PlannerConfig(**{
+            f.name: planner[f.name] for f in fields(PlannerConfig)}),
+        q_start=doc["q_start"])
 
 
 def activity_spec_from_record(doc):

@@ -22,7 +22,7 @@ from .kinematics import load_robot_model
 from .layouts import layout_goals, load_layout_spec, save_goal_sequence
 from .planner import (plan_through_guiding_poses, save_trajectory, Outcome,
                       PlannerConfig)
-from .screws import load_pose_sequence
+from .records import InputError, load_pose_sequence
 
 
 def _cmd_segment(args):
@@ -47,7 +47,7 @@ def _cmd_plan(args):
     model = load_robot_model(args.robot)
     guiding = load_pose_sequence(args.guiding)
     if len(args.q0) != model.n_joints:
-        raise ValueError(f"--q0 has {len(args.q0)} values, robot "
+        raise InputError(f"--q0 has {len(args.q0)} values, robot "
                          f"{model.name!r} has {model.n_joints} joints")
     config = PlannerConfig(mode2_enabled=not args.no_mode2)
     traj = plan_through_guiding_poses(np.array(args.q0), guiding, model,
@@ -126,7 +126,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

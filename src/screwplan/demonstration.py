@@ -20,31 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .screws import (
-    UNITS,
-    Pose,
-    compose,
-    decode,
-    inverse,
-    pose_error,
-    pose_errors,
-    quat_to_rot,
-    pose_from_record,
-    pose_to_record,
-    read_document,
-    read_lines,
-    sclerp_path,
-    screw_from_pose,
-    write_document,
-    write_lines,
-    ScrewDisplacement,
-)
+from .records import (UNITS, InputError, decode, pose_from_record,
+                      pose_to_record, read_document, read_lines, real, text,
+                      whole, wholes, write_document, write_lines)
+from .screws import (Pose, ScrewDisplacement, compose, inverse, pose_error,
+                     pose_errors, quat_to_rot, sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
 
 
-class DemonstrationError(ValueError):
+class DemonstrationError(InputError):
     """Base class for demonstration input problems."""
 
 
@@ -146,11 +132,11 @@ class ConstraintModel:
 
 def _sample(rec):
     pose = pose_from_record(rec["pose"])
-    drift = abs(np.linalg.norm(rec["pose"]["q"]) - 1.0)
+    drift = abs(math.hypot(*rec["pose"]["q"]) - 1.0)
     if drift > 1e-3:
         raise BadQuaternionError(
             f"quaternion norm drift {drift:.2e} exceeds 1e-3")
-    return float(rec["t"]), pose
+    return real(rec["t"], "t", MalformedDemonstrationError), pose
 
 
 def load_demonstration(source):
@@ -158,7 +144,9 @@ def load_demonstration(source):
     object_id, samples = read_lines(
         source, MalformedDemonstrationError,
         lambda doc: decode(doc, MalformedDemonstrationError,
-                           lambda doc: str(doc["object_id"]), units="m"),
+                           lambda doc: text(doc["object_id"], "object_id",
+                                            MalformedDemonstrationError),
+                           units="m"),
         _sample)
     return Demonstration(np.array([t for t, _ in samples]),
                          tuple(p for _, p in samples), object_id)
@@ -186,8 +174,10 @@ def constraint_model_from_record(doc):
     return decode(doc, MalformedModelError, lambda doc: ConstraintModel(
         guiding_poses=tuple(pose_from_record(g)
                             for g in doc["guiding_poses"]),
-        anchor_initial=tuple(doc["anchor_initial"]),
-        anchor_goal=tuple(doc["anchor_goal"]),
+        anchor_initial=wholes(doc["anchor_initial"], "anchor_initial",
+                              MalformedModelError),
+        anchor_goal=wholes(doc["anchor_goal"], "anchor_goal",
+                           MalformedModelError),
         source=TaskInstance(
             initial=pose_from_record(doc["source"]["initial"]),
             goal=pose_from_record(doc["source"]["goal"]))),
@@ -237,7 +227,9 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
 def _segment(rec):
     start = pose_from_record(rec["start_pose"])
     end = pose_from_record(rec["end_pose"])
-    return ScrewSegment(rec["start"], rec["end"],
+    return ScrewSegment(whole(rec["start"], "start",
+                              MalformedDemonstrationError),
+                        whole(rec["end"], "end", MalformedDemonstrationError),
                         screw_from_pose(compose(end, inverse(start))),
                         start, end)
 
@@ -274,6 +266,9 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     the window endpoints; consecutive segments share their boundary sample.
     """
     rot_tol, trans_tol = fit_tol
+    if not (0.0 <= rot_tol < math.inf and 0.0 <= trans_tol < math.inf):
+        raise DemonstrationError(
+            "fit tolerances must be finite numbers >= 0")
     poses = demo.poses
     n = len(poses)
     Rs = np.stack([p.rotation for p in poses])

@@ -15,19 +15,21 @@ from importlib import resources
 
 import numpy as np
 
-from .screws import (UNITS, Pose, decode, exp_twists, hat, pose_from_record,
-                     pose_to_record, read_document, write_document)
+from .records import (UNITS, InputError, decode, pose_from_record,
+                      pose_to_record, read_document, reals, text, wholes,
+                      write_document)
+from .screws import Pose, exp_twists, hat
 
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
 REFERENCE_AXIS_TOL = 1e-6
 
 
-class InvalidRobotError(ValueError):
+class InvalidRobotError(InputError):
     pass
 
 
-class BadEpsError(ValueError):
+class BadEpsError(InputError):
     pass
 
 
@@ -48,6 +50,7 @@ class RobotModel:
     base_pose: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
+        text(self.name, "name", InvalidRobotError)
         twists = np.array(self.twists, dtype=float)
         if twists.ndim != 2 or twists.shape[1] != 6:
             raise InvalidRobotError("twists must be an (n, 6) array")
@@ -67,9 +70,8 @@ class RobotModel:
                     "unit translation direction")
         if np.any(lower >= upper):
             raise InvalidRobotError("lower limits must be below upper")
-        sew = tuple(int(i) for i in self.sew_indices)
-        if len(sew) != 3 or len(set(sew)) != 3 or not all(
-                0 <= i < n for i in sew) or list(sew) != sorted(sew):
+        sew = wholes(self.sew_indices, "sew_indices", InvalidRobotError, 3)
+        if not 0 <= sew[0] < sew[1] < sew[2] < n:
             raise InvalidRobotError(
                 "sew_indices must be three increasing joint indices")
         # stacked per-joint constants of the chain: hat(w), hat(w)^2, the
@@ -100,13 +102,14 @@ def load_robot_model(path, base_pose=None):
 
 
 def robot_from_record(doc, base_pose=None):
-    return decode(doc, InvalidRobotError, lambda doc: RobotModel(
+    E = InvalidRobotError
+    return decode(doc, E, lambda doc: RobotModel(
         name=doc["name"],
-        twists=np.array(doc["twists"], dtype=float),
+        twists=[reals(row, "twist", E, 6) for row in doc["twists"]],
         home_pose=pose_from_record(doc["home_pose"]),
-        lower=np.array(doc["joint_limits"]["lower"], dtype=float),
-        upper=np.array(doc["joint_limits"]["upper"], dtype=float),
-        sew_indices=tuple(doc["sew_indices"]),
+        lower=reals(doc["joint_limits"]["lower"], "lower", E),
+        upper=reals(doc["joint_limits"]["upper"], "upper", E),
+        sew_indices=doc["sew_indices"],
         base_pose=base_pose if base_pose is not None else Pose.identity(),
     ), units=UNITS)
 

@@ -12,17 +12,18 @@ j the column (length axis).
 """
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
-from .screws import (UNITS, Pose, compose, decode, pose_from_record,
-                     pose_to_record, read_document, write_document)
+from .records import (UNITS, InputError, decode, pose_from_record,
+                      pose_to_record, read_document, real, reals, whole,
+                      wholes, write_document)
+from .screws import Pose, compose
 
 
-class InvalidLayoutError(ValueError):
+class InvalidLayoutError(InputError):
     pass
 
 
@@ -43,9 +44,11 @@ class ObjectDims:
     width: float
 
     def __post_init__(self):
-        if not all(is_real(x) and math.isfinite(x) and x > 0.0
-                   for x in (self.length, self.breadth, self.width)):
-            raise InvalidLayoutError("object dimensions must be positive")
+        for name in ("length", "breadth", "width"):
+            x = real(getattr(self, name), name, InvalidLayoutError)
+            if x <= 0.0:
+                raise InvalidLayoutError("object dimensions must be positive")
+            object.__setattr__(self, name, x)
 
 
 def translation_x(t):
@@ -64,24 +67,6 @@ def yaw_rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     return Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
                 np.zeros(3))
-
-
-def is_real(x):
-    """True for a real number; a bool (a JSON true or false) is none."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def is_whole(x):
-    """True for a real number with no fractional part (3 or 3.0)."""
-    return is_real(x) and float(x).is_integer()
-
-
-def _finite_floats(values, count, message):
-    """values as `count` finite floats, else InvalidLayoutError(message)."""
-    if len(values) != count or not all(
-            is_real(x) and math.isfinite(x) for x in values):
-        raise InvalidLayoutError(message)
-    return tuple(float(x) for x in values)
 
 
 def delta_offset(x, y):
@@ -104,21 +89,17 @@ class LayoutSpec:
     offset_parity: str = "even"
 
     def __post_init__(self):
-        if not all(is_whole(n) and n >= 1
-                   for n in (self.layers, self.per_layer)):
-            raise InvalidLayoutError(
-                "layers and per_layer must be whole numbers >= 1")
-        object.__setattr__(self, "layers", int(self.layers))
-        object.__setattr__(self, "per_layer", int(self.per_layer))
-        spacing = _finite_floats(self.spacing, 3,
-                                 "spacing must be three nonnegative gaps")
+        for name in ("layers", "per_layer"):
+            object.__setattr__(self, name, whole(
+                getattr(self, name), name, InvalidLayoutError, low=1))
+        spacing = reals(self.spacing, "spacing", InvalidLayoutError, 3)
         if min(spacing) < 0.0:
             raise InvalidLayoutError("spacing must be three nonnegative gaps")
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "layer_offset", _finite_floats(
-            self.layer_offset, 2, "layer_offset must be two numbers (dx, dy)"))
-        object.__setattr__(self, "per_step_yaw", _finite_floats(
-            (self.per_step_yaw,), 1, "per_step_yaw must be a number")[0])
+        object.__setattr__(self, "layer_offset", reals(
+            self.layer_offset, "layer_offset", InvalidLayoutError, 2))
+        object.__setattr__(self, "per_step_yaw", real(
+            self.per_step_yaw, "per_step_yaw", InvalidLayoutError))
         if self.offset_parity not in ("even", "odd"):
             raise InvalidLayoutError("offset_parity must be 'even' or 'odd'")
         if self.kind is LayoutKind.CURVED_WALL:
@@ -128,12 +109,12 @@ class LayoutSpec:
             raise InvalidLayoutError(
                 "per_step_yaw only applies to curved walls")
         if self.kind is LayoutKind.CORNER_WALL:
-            c = self.corner_index
-            if not (is_whole(c) and 1 <= c <= self.per_layer):
+            c = whole(self.corner_index, "corner_index", InvalidLayoutError,
+                      low=1)
+            if c > self.per_layer:
                 raise InvalidLayoutError(
-                    "corner wall needs a whole corner_index in "
-                    "[1, per_layer]")
-            object.__setattr__(self, "corner_index", int(c))
+                    "corner wall needs a corner_index in [1, per_layer]")
+            object.__setattr__(self, "corner_index", c)
         elif self.corner_index is not None:
             raise InvalidLayoutError(
                 "corner_index only applies to corner walls")
@@ -260,8 +241,7 @@ def layout_spec_to_record(spec):
         "kind": spec.kind.value,
         "units": dict(UNITS),
         "base": pose_to_record(spec.base),
-        "dims": {"length": spec.dims.length, "breadth": spec.dims.breadth,
-                 "width": spec.dims.width},
+        "dims": asdict(spec.dims),
         "layers": spec.layers,
         "per_layer": spec.per_layer,
         "layer_offset": list(spec.layer_offset),
@@ -307,7 +287,8 @@ def save_goal_sequence(goals, path):
 def load_goal_sequence(path):
     return decode(read_document(path, InvalidLayoutError),
                   InvalidLayoutError, lambda doc: [
-                      LayoutGoal(*rec["index"][:3],
+                      LayoutGoal(*wholes(rec["index"], "index",
+                                         InvalidLayoutError, 3),
                                  pose=pose_from_record(rec["pose"]))
                       for rec in doc["goals"]],
                   "goal_sequence", {"length": "m"})

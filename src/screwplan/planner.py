@@ -19,34 +19,14 @@ import numpy as np
 
 # limit_status, log_pose and pose_error go uncalled: perfbench's tracer
 # rebinds them
-from .kinematics import (
-    _Chain,
-    arm_state,
-    check_eps,
-    limit_band,
-    limit_margin,
-    limit_status,
-    pseudoinverse,
-    self_motion_direction,
-    within,
-)
-from .layouts import is_real, is_whole
-from .screws import (
-    UNITS,
-    Pose,
-    _pose_error,
-    _relative_log,
-    decode,
-    error_twist,
-    log_pose,
-    pose_error,
-    pose_errors,
-    pose_from_record,
-    pose_to_record,
-    read_lines,
-    sclerp_path,
-    write_lines,
-)
+from .kinematics import (_Chain, arm_state, check_eps, limit_band,
+                         limit_margin, limit_status, pseudoinverse,
+                         self_motion_direction, within)
+from .records import (UNITS, InputError, decode, flag, pose_from_record,
+                      pose_to_record, read_lines, real, reals, whole, wholes,
+                      write_lines)
+from .screws import (Pose, _pose_error, _relative_log, error_twist, log_pose,
+                     pose_error, pose_errors, sclerp_path)
 
 STEP_CLAMP = 0.05  # per-joint displacement cap per iteration, radians
 PSI_TOL = 1e-3  # elbow angle convergence tolerance, radians
@@ -64,11 +44,11 @@ class Outcome(Enum):
     STEP_BUDGET_EXHAUSTED = "step_budget_exhausted"
 
 
-class InvalidPlannerConfigError(ValueError):
+class InvalidPlannerConfigError(InputError):
     pass
 
 
-class InvalidTrajectoryError(ValueError):
+class InvalidTrajectoryError(InputError):
     pass
 
 
@@ -94,32 +74,23 @@ class PlannerConfig:
     mode2_enabled: bool = True
 
     def __post_init__(self):
-        gains = ("eps_in", "eps_out", "kappa", "lam", "delta_t")
-        if not all(is_real(x) and math.isfinite(x) for x in (
-                *(getattr(self, g) for g in gains), *self.goal_tol,
-                *self.sew_search)):
-            raise InvalidPlannerConfigError("settings must be finite numbers")
-        if not isinstance(self.mode2_enabled, bool):
-            raise InvalidPlannerConfigError("mode2_enabled must be a bool")
-        if not (is_whole(self.max_steps) and self.max_steps >= 1):
-            raise InvalidPlannerConfigError(
-                "max_steps must be a whole number >= 1")
-        for g in gains:
-            object.__setattr__(self, g, float(getattr(self, g)))
-        object.__setattr__(self, "max_steps", int(self.max_steps))
+        E = InvalidPlannerConfigError
+        for name in ("eps_in", "eps_out", "kappa", "lam", "delta_t"):
+            object.__setattr__(self, name, real(getattr(self, name), name, E))
+        for name in ("goal_tol", "sew_search"):
+            object.__setattr__(self, name, reals(getattr(self, name), name,
+                                                 E, 2))
+        object.__setattr__(self, "max_steps", whole(
+            self.max_steps, "max_steps", E, low=1))
+        flag(self.mode2_enabled, "mode2_enabled", E)
         if min(self.kappa, self.lam, self.delta_t) <= 0.0:
-            raise InvalidPlannerConfigError(
-                "kappa, lam and delta_t must be positive")
-        if len(self.goal_tol) != 2 or min(self.goal_tol) <= 0.0:
-            raise InvalidPlannerConfigError(
-                "goal_tol must be positive (radians, meters)")
-        if len(self.sew_search) != 2 or self.sew_search[0] <= 0.0 \
-                or self.sew_search[1] < self.sew_search[0]:
-            raise InvalidPlannerConfigError(
-                "sew_search must be (step, range) with 0 < step <= range")
+            raise E("kappa, lam and delta_t must be positive")
+        if min(self.goal_tol) <= 0.0:
+            raise E("goal_tol must be positive (radians, meters)")
+        if not 0.0 < self.sew_search[0] <= self.sew_search[1]:
+            raise E("sew_search must be (step, range) with 0 < step <= range")
         if not 0.0 < self.eps_out < self.eps_in:
-            raise InvalidPlannerConfigError(
-                "need 0 < eps_out < eps_in")
+            raise E("need 0 < eps_out < eps_in")
 
 
 @dataclass(frozen=True)
@@ -260,8 +231,9 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
         pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
-        if damped:
-            # elbow direction unreliable at a self-motion singularity
+        if damped or not jpsi.any():
+            # elbow direction unreliable at a self-motion singularity, or
+            # none at all where psi has no gradient
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         # the log checks the flange rotation, the held one on entry
@@ -446,16 +418,11 @@ def _step_from_record(rec, first):
         mode = Mode(raw)
     if mode is None:
         raise InvalidTrajectoryError(f"{raw!r} is not a valid Mode")
-    q = np.array(rec["q"], dtype=float)
-    if q.ndim != 1 or not np.isfinite(q).all():
-        raise InvalidTrajectoryError(
-            "joint values must be finite numbers in one flat list")
+    q = reals(rec["q"], "joint values", InvalidTrajectoryError)
     if len(q) != first.setdefault("joints", len(q)):
         raise InvalidTrajectoryError(
             f"expected {first['joints']} joint values, got {len(q)}")
-    damped = rec.get("damped", False)
-    if not isinstance(damped, bool):
-        raise InvalidTrajectoryError("damped must be true or false")
+    damped = flag(rec.get("damped", False), "damped", InvalidTrajectoryError)
     pose = pose_from_record(rec["pose"])
     return TrajectoryStep(q, mode, pose.rotation, pose.translation, damped)
 
@@ -465,7 +432,9 @@ def load_trajectory(path):
     (outcome, starts), steps = read_lines(
         path, InvalidTrajectoryError,
         lambda doc: decode(doc, InvalidTrajectoryError, lambda doc: (
-            Outcome(doc["outcome"]), list(doc["segment_starts"])),
+            Outcome(doc["outcome"]), list(wholes(
+                doc["segment_starts"], "segment_starts",
+                InvalidTrajectoryError))),
             "trajectory", UNITS),
         lambda rec: _step_from_record(rec, first))
     return JointTrajectory(steps=steps, outcome=outcome,

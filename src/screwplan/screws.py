@@ -14,7 +14,6 @@ pitch is infinite).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -380,110 +379,3 @@ def sclerp_path(start, goal, taus):
     R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
                       xi[:3, None])
     return R @ start.rotation, R @ start.translation + p
-
-
-def pose_to_record(pose):
-    """Pose to the system-wide serialization record
-    {"t": [x, y, z], "q": [w, x, y, z]}."""
-    q = rot_to_quat(pose.rotation)
-    return {"t": [float(x) for x in pose.translation],
-            "q": [float(x) for x in q]}
-
-
-def pose_from_record(record):
-    q = np.asarray(record["q"], float)
-    t = np.asarray(record["t"], float)
-    if not (np.isfinite(q).all() and np.isfinite(t).all() and q.any()):
-        raise ValueError("pose record needs finite t and a nonzero, "
-                         "finite q")
-    return Pose(quat_to_rot(q), t)
-
-
-# what a malformed field raises on its way through a builder
-_FIELD_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError,
-                 OverflowError)
-
-UNITS = {"length": "m", "angle": "rad"}
-
-
-def decode(doc, error, build, fmt=None, units=None):
-    """build(doc) for a JSON object with the given "format" tag and
-    declared units: a string such as "m", or a dict every key of which
-    must match.  Any failure raises the caller's `error` class; an
-    `error` raised by build (or by a nested decode) passes unchanged."""
-    if not isinstance(doc, dict):
-        raise error(f"expected a JSON object, got {type(doc).__name__}")
-    if fmt is not None and doc.get("format") != fmt:
-        raise error(f'expected format "{fmt}"')
-    got = doc.get("units")
-    if units is not None and not (
-            got == units if isinstance(units, str)
-            else isinstance(got, dict) and units.items() <= got.items()):
-        raise error(f"expected units {units}, got {got}")
-    try:
-        return build(doc)
-    except error:
-        raise
-    except KeyError as e:
-        raise error(f"missing field {e}") from e
-    except _FIELD_ERRORS as e:
-        raise error(f"bad field: {e}") from e
-
-
-def write_document(doc, path, indent=1):
-    """One JSON document and a closing newline."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=indent)
-        f.write("\n")
-
-
-def read_document(path, error):
-    """One JSON document; the caller's `error` class, naming the path,
-    for a file that is not JSON."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as e:
-            raise error(f"{path}: not valid JSON: {e}") from e
-
-
-def write_lines(header, records, path):
-    """Line-delimited JSON: the header, then one record per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in (header, *records):
-            f.write(json.dumps(rec) + "\n")
-
-
-def read_lines(path, error, header, record):
-    """(header(first record), [record(r) for each later one]) of a
-    line-delimited JSON file, blank lines skipped; each builder runs
-    through decode, and every failure names the file and the line."""
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except ValueError as e:
-                raise error(f"{path} line {n}: not valid JSON: {e}") from e
-            try:
-                out.append(decode(doc, error, record if out else header))
-            except error as e:
-                raise type(e)(f"{path} line {n}: {e}") from e
-    if not out:
-        raise error(f"{path}: empty file")
-    return out[0], out[1:]
-
-
-def save_pose_sequence(poses, path):
-    """Ordered poses as one JSON document; the format the planner's
-    guiding-pose input rides in."""
-    write_document({"format": "pose_sequence", "units": {"length": "m"},
-                    "poses": [pose_to_record(p) for p in poses]}, path)
-
-
-def load_pose_sequence(path):
-    return decode(read_document(path, ValueError), ValueError,
-                  lambda doc: [pose_from_record(rec) for rec in doc["poses"]],
-                  "pose_sequence", {"length": "m"})

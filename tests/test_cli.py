@@ -19,8 +19,8 @@ from screwplan.kinematics import (PANDA_READY, RobotModel, forward_kinematics,
 from screwplan.layouts import (layout_goals, load_goal_sequence,
                                save_layout_spec, yaw_rotation)
 from screwplan.planner import load_trajectory, Outcome, PlannerConfig
-from screwplan.screws import (compose, pose_error, pose_to_record,
-                              save_pose_sequence, Pose)
+from screwplan.records import pose_to_record, save_pose_sequence
+from screwplan.screws import compose, pose_error, Pose
 from screwplan import scenarios as sc
 
 
@@ -298,3 +298,72 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         spec.write_text(json.dumps(doc))
         assert exits_two_with_error(capsys, [
             "run-activity", "--spec", str(spec), "--out", out])
+
+
+def test_wrong_kind_fields_exit_two(tmp_path, capsys):
+    # one field of the wrong kind in each format the CLI reads
+    out = str(tmp_path / "out")
+    demo = tmp_path / "demo.jsonl"
+    save_demonstration(sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE,
+                                          samples_per_leg=4), demo)
+    header, first, *rest = demo.read_text().splitlines()
+    demo.write_text("\n".join(
+        [header, json.dumps({**json.loads(first), "t": "0.0"}), *rest])
+        + "\n")
+    assert exits_two_with_error(capsys, [
+        "segment", "--demo", str(demo), "--out", out])
+    layout = tmp_path / "layout.json"
+    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    doc = json.loads(layout.read_text())
+    layout.write_text(json.dumps({**doc, "spacing": ["0.0", 0.0, 0.0]}))
+    assert exits_two_with_error(capsys, [
+        "layout", "--spec", str(layout), "--out", out])
+    robot, guiding = tmp_path / "robot.json", tmp_path / "guiding.json"
+    save_robot_model(panda_model(), robot)
+    save_pose_sequence([forward_kinematics(panda_model(), PANDA_READY)],
+                       guiding)
+    plan = ["plan", "--robot", str(robot), "--guiding", str(guiding),
+            "--q0", *[str(v) for v in PANDA_READY], "--out", out]
+    doc = json.loads(robot.read_text())
+    robot.write_text(json.dumps({**doc, "sew_indices": [0.7, 3, 5.9]}))
+    assert exits_two_with_error(capsys, plan)
+    save_robot_model(panda_model(), robot)
+    doc = json.loads(guiding.read_text())
+    doc["poses"][0]["q"] = [str(v) for v in doc["poses"][0]["q"]]
+    guiding.write_text(json.dumps(doc))
+    assert exits_two_with_error(capsys, plan)
+    guiding.write_text(json.dumps({**doc, "poses": []}))
+    assert exits_two_with_error(capsys, plan)
+    spec = tmp_path / "spec.json"
+    save_activity_spec(sc.brick_wall_activity(), spec)
+    doc = json.loads(spec.read_text())
+    spec.write_text(json.dumps(
+        {**doc, "q_start": [str(v) for v in doc["q_start"]]}))
+    for command in ("run-activity", "compare-baseline"):
+        assert exits_two_with_error(capsys, [
+            command, "--spec", str(spec), "--out", out])
+
+
+def test_segment_rejects_bad_tolerances(tmp_path, capsys):
+    demo = tmp_path / "demo.jsonl"
+    out = tmp_path / "segments.json"
+    save_demonstration(sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE), demo)
+    for flag, value in (("--rot-tol", "nan"), ("--rot-tol", "-0.1"),
+                        ("--trans-tol", "inf")):
+        assert exits_two_with_error(capsys, [
+            "segment", "--demo", str(demo), flag, value, "--out", str(out)])
+        assert not out.exists()
+
+
+def test_program_faults_are_not_bad_input(tmp_path, monkeypatch):
+    # only the package's input errors and OSError mean exit 2
+    spec = tmp_path / "layout.json"
+    save_layout_spec(sc.brick_wall_activity().layout, spec)
+
+    def fault(spec):
+        raise ValueError("shape mismatch")
+
+    monkeypatch.setattr("screwplan.cli.layout_goals", fault)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        main(["layout", "--spec", str(spec), "--out",
+              str(tmp_path / "out.json")])

@@ -516,6 +516,10 @@ def test_collinear_shoulder_elbow_wrist_has_no_elbow_gradient():
         assert np.array_equal(jpsi, np.zeros(3))
         direction, _ = self_motion_direction(toy, q)
         assert_allclose(direction, 0.0, atol=1e-12)
+        # the zero direction is not damped on three joints: mode 2 must
+        # still fail at once rather than hold q for its whole budget
+        traj = mode2_recovery(q, 0.5, toy, PlannerConfig())
+        assert traj.outcome is Outcome.MOTION_PLAN_FAILED and not traj.steps
     # with a four-joint wrist the zero row makes the augmented Jacobian
     # singular: the self-motion is damped and mode 2 fails at once
     wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],

@@ -1,11 +1,15 @@
 """Every loader against a file the package wrote: it reads back what it
 wrote, and a randomly broken copy either loads or raises the error the
-loader documents, never a bare KeyError, TypeError or JSONDecodeError."""
+loader documents, never a bare KeyError, TypeError or JSONDecodeError.
+A field swapped for a value of the wrong kind always raises that error.
+A lint over the package's source keeps loaders from coercing fields."""
 
+import ast
 import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,8 @@ from screwplan.layouts import (InvalidLayoutError, layout_goals,
 from screwplan.planner import (InvalidTrajectoryError, JointTrajectory,
                                Mode, Outcome, TrajectoryStep,
                                load_trajectory, save_trajectory)
-from screwplan.screws import load_pose_sequence, save_pose_sequence
+from screwplan.records import (PoseRecordError, load_pose_sequence,
+                               save_pose_sequence)
 
 
 def _demo():
@@ -83,7 +88,7 @@ def _report(mode2, steps):
 LOADERS = {
     "pose_sequence": (
         lambda p: save_pose_sequence(_demo().poses[::4], p),
-        load_pose_sequence, save_pose_sequence, ValueError),
+        load_pose_sequence, save_pose_sequence, PoseRecordError),
     "demonstration": (
         lambda p: save_demonstration(_demo(), p),
         load_demonstration, save_demonstration, DemonstrationError),
@@ -124,6 +129,13 @@ LOADERS = {
 }
 LINE_DELIMITED = ("demonstration", "trajectory")
 REPLACEMENTS = (None, "x", [], {}, math.inf, [[0.0, 1.0], [2.0]])
+# fields written for the reader's convenience that no loader reads
+UNREAD = {"segments": {"object_id", "fit_tol", "screw"},
+          "trajectory": {"robot", "step"},
+          "activity_report": {"successes"},
+          "paired_activity_report": {"successes"}}
+# lists of numbers whose length varies with the content
+ANY_LENGTH = {"anchor_initial", "anchor_goal", "segment_starts"}
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +172,33 @@ def paths(doc, at=()):
     for key, value in items:
         yield at + (key,), isinstance(doc, dict)
         yield from paths(value, at + (key,))
+
+
+def number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def swaps(doc, name):
+    """Every (path, value of the wrong kind) for a field a loader reads:
+    a string for a number, true for a number, 2.5 for a whole number, a
+    number for a string, and a list of numbers one short or one long."""
+    out = []
+    for path, _ in paths(doc):
+        if UNREAD.get(name, set()) & set(path):
+            continue
+        value = doc
+        for key in path:
+            value = value[key]
+        if number(value):
+            out += [(path, str(value)), (path, True)]
+            if isinstance(value, int):
+                out.append((path, 2.5))
+        elif isinstance(value, str):
+            out.append((path, 7))
+        elif (isinstance(value, list) and value and all(map(number, value))
+              and path[-1] not in ANY_LENGTH):
+            out += [(path, value[:-1]), (path, value + value[-1:])]
+    return out
 
 
 def documented(exc, error):
@@ -235,6 +274,123 @@ def test_broken_files_raise_only_the_documented_error(name, written,
         load(bad)
     except Exception as exc:
         assert documented(exc, error), repr(exc)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("name", LOADERS)
+@given(data=st.data())
+def test_type_swaps_raise_the_documented_error(name, written, tmp_path,
+                                               data):
+    _, load, _, error = LOADERS[name]
+    doc = parse(written[name], name)
+    path, value = data.draw(st.sampled_from(swaps(doc, name)))
+    _set(*path, value)(doc)
+    bad = tmp_path / "bad.json"
+    dump(doc, bad, name)
+    with pytest.raises(error) as info:
+        load(bad)
+    assert documented(info.value, error), repr(info.value)
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+# each of these loaded at one time, read as something else
+WRONG_KIND = {
+    "goal index of strings": (
+        "goal_sequence", _set("goals", 0, "index", ["a", "b", "c"])),
+    "segment bounds of true and 2.5": (
+        "segments", lambda doc: doc["segments"][0].update(start=True,
+                                                          end=2.5)),
+    "fractional sew_indices": (
+        "robot", _set("sew_indices", [0.7, 3, 5.9])),
+    "string twists": (
+        "robot", _set("twists", 0, ["0.0", "0.0", "0.0", "0.0", "0.0",
+                                    "1.0"])),
+    "string q_start": (
+        "activity_spec", _set("q_start", ["0.0"] * 7)),
+    "string trajectory q": (
+        "trajectory", _set(1, "q", ["0.1"] * 7)),
+    "string pose t": (
+        "pose_sequence", _set("poses", 0, "t", ["0.1", "0.2", "0.3"])),
+    "string pose q": (
+        "pose_sequence", _set("poses", 0, "q", ["1.0", "0.0", "0.0",
+                                                "0.0"])),
+    "string sample time": (
+        "demonstration", _set(1, "t", "0.0")),
+    "true sample time": (
+        "demonstration", _set(-1, "t", True)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND)
+def test_wrong_kind_fields_raise_the_documented_error(case, written,
+                                                      tmp_path):
+    name, edit = WRONG_KIND[case]
+    _, load, _, error = LOADERS[name]
+    doc = parse(written[name], name)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    dump(doc, bad, name)
+    with pytest.raises(error) as info:
+        load(bad)
+    assert documented(info.value, error), repr(info.value)
+
+
+RECORD_NAMES = {"rec", "doc", "record", "pol", "planner", "station"}
+COERCIONS = {"str", "int", "float", "bool", "tuple", "np.array",
+             "np.asarray"}
+SOURCE = Path(__file__).parent.parent / "src" / "screwplan"
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return None
+
+
+def _reads_record(node):
+    """node is a field of a record: rec[...] or rec.get(...), at any
+    depth of subscripts."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get"):
+            node = node.func.value
+        else:
+            return isinstance(node, ast.Name) and node.id in RECORD_NAMES
+
+
+def test_no_loader_coerces_a_record_field():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and _dotted(node.func) in COERCIONS
+                    and any(map(_reads_record, node.args))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_screws_is_only_the_algebra():
+    tree = ast.parse((SOURCE / "screws.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"json", "records", "screwplan.records"}
 
 
 def test_malformed_fields_name_the_problem(written, tmp_path):

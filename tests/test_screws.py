@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from screwplan.records import (load_pose_sequence, pose_from_record,
+                               pose_to_record, save_pose_sequence)
 from screwplan.screws import (
     INFINITE_PITCH,
     Pose,
@@ -28,15 +30,11 @@ from screwplan.screws import (
     exp_twists,
     hat,
     inverse,
-    load_pose_sequence,
     log_pose,
     pose_error,
     pose_errors,
-    pose_from_record,
-    pose_to_record,
     quat_to_rot,
     rot_to_quat,
-    save_pose_sequence,
     sclerp,
     sclerp_path,
     screw_from_pose,
