@@ -319,8 +319,12 @@ class FrameGeometry:
     opening_breadth: float
 
     def __post_init__(self):
-        if self.opening_length <= 0.0 or self.opening_breadth <= 0.0:
-            raise InvalidActivitySpecError("opening extents must be positive")
+        E = InvalidActivitySpecError
+        for name in ("opening_length", "opening_breadth"):
+            x = real(getattr(self, name), name, E)
+            if x <= 0.0:
+                raise E(f"{name} must be positive")
+            object.__setattr__(self, name, x)
 
 
 def _cuboid_corners(dims):

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import (UNITS, InputError, decode, pose_from_record,
-                      pose_to_record, read_document, read_lines, real, text,
-                      whole, wholes, write_document, write_lines)
+                      pose_to_record, read_document, read_lines, real,
+                      real_array, text, whole, wholes, write_document,
+                      write_lines)
 from .screws import (Pose, ScrewDisplacement, compose, inverse, pose_error,
                      pose_errors, quat_to_rot, sclerp_path, screw_from_pose)
 
@@ -65,13 +66,12 @@ class Demonstration:
     object_id: str
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
+        E = MalformedDemonstrationError
+        times = real_array(self.times, "times", E, (-1,))
+        text(self.object_id, "object_id", E)
         poses = tuple(self.poses)
-        if times.ndim != 1 or len(times) != len(poses) or len(poses) < 2:
-            raise MalformedDemonstrationError(
-                "need matching times and poses, at least 2 samples")
-        if not np.all(np.isfinite(times)):
-            raise MalformedDemonstrationError("non-finite timestamps")
+        if len(times) != len(poses) or len(poses) < 2:
+            raise E("need matching times and poses, at least 2 samples")
         if np.any(np.diff(times) <= 0.0):
             raise NonMonotoneTimeError("timestamps must strictly increase")
         times.setflags(write=False)

@@ -16,8 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .records import (UNITS, InputError, decode, pose_from_record,
-                      pose_to_record, read_document, reals, text, wholes,
-                      write_document)
+                      pose_to_record, read_document, real_array, text,
+                      wholes, write_document)
 from .screws import Pose, exp_twists, hat
 
 DAMPING = 1e-3
@@ -50,30 +50,23 @@ class RobotModel:
     base_pose: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self):
-        text(self.name, "name", InvalidRobotError)
-        twists = np.array(self.twists, dtype=float)
-        if twists.ndim != 2 or twists.shape[1] != 6:
-            raise InvalidRobotError("twists must be an (n, 6) array")
+        E = InvalidRobotError
+        text(self.name, "name", E)
+        twists = real_array(self.twists, "twists", E, (-1, 6))
         n = twists.shape[0]
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise InvalidRobotError("joint limits must match joint count")
-        if not all(np.isfinite(a).all() for a in (twists, lower, upper)):
-            raise InvalidRobotError("twists and joint limits must be finite")
+        lower = real_array(self.lower, "lower", E, (n,))
+        upper = real_array(self.upper, "upper", E, (n,))
         for row in twists:
             wn = np.linalg.norm(row[3:])
             if abs(wn - 1.0) > 1e-9 and not (
                     wn < 1e-12 and abs(np.linalg.norm(row[:3]) - 1.0) < 1e-9):
-                raise InvalidRobotError(
-                    "each twist needs a unit rotation axis, or none and a "
-                    "unit translation direction")
+                raise E("each twist needs a unit rotation axis, or none "
+                        "and a unit translation direction")
         if np.any(lower >= upper):
-            raise InvalidRobotError("lower limits must be below upper")
-        sew = wholes(self.sew_indices, "sew_indices", InvalidRobotError, 3)
+            raise E("lower limits must be below upper")
+        sew = wholes(self.sew_indices, "sew_indices", E, 3)
         if not 0 <= sew[0] < sew[1] < sew[2] < n:
-            raise InvalidRobotError(
-                "sew_indices must be three increasing joint indices")
+            raise E("sew_indices must be three increasing joint indices")
         # stacked per-joint constants of the chain: hat(w), hat(w)^2, the
         # columns v and w, and the point on each joint axis nearest the
         # origin
@@ -96,22 +89,19 @@ class RobotModel:
         return self.twists.shape[0]
 
 
-def load_robot_model(path, base_pose=None):
-    return robot_from_record(read_document(path, InvalidRobotError),
-                             base_pose=base_pose)
+def load_robot_model(path):
+    return robot_from_record(read_document(path, InvalidRobotError))
 
 
-def robot_from_record(doc, base_pose=None):
-    E = InvalidRobotError
-    return decode(doc, E, lambda doc: RobotModel(
-        name=doc["name"],
-        twists=[reals(row, "twist", E, 6) for row in doc["twists"]],
+def robot_from_record(doc):
+    """The robot a record describes, mounted at the identity; the
+    fields go to RobotModel unread, which reads each once."""
+    return decode(doc, InvalidRobotError, lambda doc: RobotModel(
+        name=doc["name"], twists=doc["twists"],
         home_pose=pose_from_record(doc["home_pose"]),
-        lower=reals(doc["joint_limits"]["lower"], "lower", E),
-        upper=reals(doc["joint_limits"]["upper"], "upper", E),
-        sew_indices=doc["sew_indices"],
-        base_pose=base_pose if base_pose is not None else Pose.identity(),
-    ), units=UNITS)
+        lower=doc["joint_limits"]["lower"],
+        upper=doc["joint_limits"]["upper"],
+        sew_indices=doc["sew_indices"]), units=UNITS)
 
 
 def robot_to_record(model):
@@ -132,11 +122,11 @@ def save_robot_model(model, path):
     write_document(robot_to_record(model), path)
 
 
-def panda_model(base_pose=None):
-    """The packaged 7-DoF arm."""
+def panda_model():
+    """The packaged 7-DoF arm, mounted at the identity."""
     ref = resources.files("screwplan.data").joinpath("panda_arm.json")
     with resources.as_file(ref) as path:
-        return load_robot_model(path, base_pose=base_pose)
+        return load_robot_model(path)
 
 
 # elbow-bent ready posture of the packaged arm, comfortably inside every
@@ -184,7 +174,11 @@ class _Chain:
         trans[1:] = (rots[:-1] @ p[:, :, None])[:, :, 0]
         self.partial_rots = rots
         self.partial_trans = np.cumsum(trans, axis=0)
-        self._jacobian = None
+        # world-frame Jacobian, columns are joint twists [v; w]
+        w = (rots[:-1] @ model._w)[:, :, 0].T
+        v = (rots[:-1] @ model._v)[:, :, 0].T
+        self.jacobian = np.concatenate(
+            [v + _cross(self.partial_trans[:-1].T, w), w])
 
     def flange(self):
         """Flange (rotation, translation) as fresh, unchecked arrays."""
@@ -192,19 +186,6 @@ class _Chain:
         p = (self.partial_rots[-1] @ self.model.home_pose.translation
              + self.partial_trans[-1])
         return r, p
-
-    @property
-    def jacobian(self):
-        """World-frame Jacobian, columns are joint twists [v; w]; built
-        on first use, then shared (a plain attribute test: Python 3.11's
-        cached_property takes a lock on every read)."""
-        if self._jacobian is None:
-            rots = self.partial_rots[:-1]
-            w = (rots @ self.model._w)[:, :, 0].T
-            v = (rots @ self.model._v)[:, :, 0].T
-            self._jacobian = np.concatenate(
-                [v + _cross(self.partial_trans[:-1].T, w), w])
-        return self._jacobian
 
     def sew_points(self):
         """World shoulder, elbow and wrist points: the marker joints'
@@ -236,54 +217,40 @@ def _reference_direction(model, u):
     return zhat
 
 
-def _point_jacobian(jac, point, upto):
-    """Velocity of a world point attached ahead of joint `upto`."""
-    jp = np.zeros((3, jac.shape[1]))
-    if upto:
-        v, w = jac[:3, :upto], jac[3:, :upto]
-        # w_j x point column-wise
-        jp[:, :upto] = v - hat(point) @ w
-    return jp
-
-
 def arm_state(model, q):
     """(R, p, jac, psi, dpsi/dq) from one chain pass: the flange as
     fresh, unchecked arrays, the world Jacobian, and the elbow angle
-    with its gradient.  The one definition of psi."""
+    with its gradient.  The one definition of psi.
+
+    The reference r and the elbow offset f both lie across the
+    shoulder-wrist direction u, so dpsi = u.(f x df)/|f|^2 -
+    u.(r x dr)/|r|^2, which is ce.d(e - s) + ca.d(w - s) for two fixed
+    3-vectors.  A point p carried ahead of joint i moves at
+    v_i + w_i x p, so each marker point with coefficient c adds
+    c.v_i + (p x c).w_i to every column before its marker joint."""
     chain = _Chain(model, q)
     jac = chain.jacobian
     s, e, w = chain.sew_points()
-    js, je, jw = (_point_jacobian(jac, p, i)
-                  for p, i in zip((s, e, w), model.sew_indices))
-
     a = w - s
     na = np.linalg.norm(a)
     if na == 0.0:
         # shoulder on the wrist: no plane, so psi has no gradient
         return (*chain.flange(), jac, 0.0, np.zeros(len(q)))
     u = a / na
-    da = jw - js
-    du = (da - np.outer(u, u @ da)) / na
-
     ref = _reference_direction(model, u)
     r = ref - np.dot(ref, u) * u
-    dr = -np.outer(u, ref @ du) - np.dot(ref, u) * du
-
     ew = e - s
     f = ew - np.dot(ew, u) * u
-    dew = je - js
-    df = dew - np.outer(u, ew @ du + u @ dew) - np.dot(ew, u) * du
-
-    rxf = _cross(r, f)
-    y = np.dot(u, rxf)
-    x = np.dot(r, f)
-    # columnwise dr x f and r x df
-    dy = rxf @ du + u @ (hat(f) @ dr * -1.0 + hat(r) @ df)
-    dx = f @ dr + r @ df
-    rho2 = x * x + y * y
+    psi = math.atan2(np.dot(u, _cross(r, f)), np.dot(r, f))
+    jpsi = np.zeros(len(q))
+    ff = np.dot(f, f)
     # an elbow on the shoulder-wrist line leaves psi without a gradient
-    jpsi = (x * dy - y * dx) / rho2 if rho2 != 0.0 else np.zeros(len(q))
-    psi = math.atan2(y, x)
+    if ff != 0.0:
+        ce = _cross(u, f) / ff
+        ca = (np.dot(ref, u) / np.dot(r, r) * _cross(u, r)
+              - np.dot(ew, u) * ce) / na
+        for c, p, i in zip((-ce - ca, ce, ca), (s, e, w), model.sew_indices):
+            jpsi[:i] += np.concatenate([c, _cross(p, c)]) @ jac[:, :i]
     return (*chain.flange(), jac, psi, jpsi)
 
 

@@ -148,12 +148,13 @@ def calculate_sew_change(q, model, config):
 
     Walks the self-motion in both directions from the offending
     configuration, never extending a direction past an outer-bound
-    crossing or a self-motion singularity.  Among candidates that put
-    every joint back inside the inner bound, the one with the best
-    worst-joint margin wins (deepest recovery, not the first escape, so
-    tracking does not immediately re-trigger); failing that, the
-    candidate that most improves the worst-joint margin (partial
-    retreat); zero when neither direction helps or nothing is wrong.
+    crossing, a self-motion singularity or a zero self-motion.  Among
+    candidates that put every joint back inside the inner bound, the
+    one with the best worst-joint margin wins (deepest recovery, not
+    the first escape, so tracking does not immediately re-trigger);
+    failing that, the candidate that most improves the worst-joint
+    margin (partial retreat); zero when neither direction helps or
+    nothing is wrong.
     """
     q = np.asarray(q, dtype=float)
     check_eps(model, config.eps_in, config.eps_out)
@@ -173,7 +174,8 @@ def calculate_sew_change(q, model, config):
             if not alive[sign]:
                 continue
             direction, damped = self_motion_direction(model, state[sign])
-            if damped:
+            if damped or not direction.any():
+                # a self-motion singularity, or no self-motion at all
                 alive[sign] = False
                 continue
             candidate = state[sign] + sign * step * direction
@@ -303,8 +305,7 @@ def plan_to_pose(q0, gd, model, config):
         steps.extend(fragment.steps)
         iterations += len(fragment.steps)
         if fragment.outcome is not Outcome.REACHED:
-            outcome = fragment.outcome if fragment.outcome is \
-                Outcome.STEP_BUDGET_EXHAUSTED else Outcome.MOTION_PLAN_FAILED
+            outcome = fragment.outcome
             break
         if fragment.steps:
             q_c = fragment.steps[-1].q.copy()
@@ -437,5 +438,11 @@ def load_trajectory(path):
                 InvalidTrajectoryError))),
             "trajectory", UNITS),
         lambda rec: _step_from_record(rec, first))
+    # a leg already at its goal adds no step, so two starts may be equal
+    if not (starts and starts[0] == 0 and starts[-1] < len(steps)
+            and all(a <= b for a, b in zip(starts, starts[1:]))):
+        raise InvalidTrajectoryError(
+            f"{path}: segment_starts must begin at 0, never decrease and "
+            f"stay below the step count {len(steps)}")
     return JointTrajectory(steps=steps, outcome=outcome,
                            segment_starts=starts)

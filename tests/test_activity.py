@@ -26,7 +26,8 @@ from screwplan.activity import (ActivityReport, ActivitySpec, FixedBase,
                                 run_activity, save_activity_spec,
                                 summary_table)
 from screwplan.demonstration import ConstraintModel, TaskInstance
-from screwplan.kinematics import forward_kinematics, panda_model
+from screwplan.kinematics import (forward_kinematics, panda_model,
+                                  robot_to_record, save_robot_model)
 from screwplan.layouts import LayoutKind, LayoutSpec, ObjectDims
 from screwplan.planner import (InvalidPlannerConfigError, Outcome,
                                PlannerConfig)
@@ -450,6 +451,28 @@ def test_activity_spec_round_trip(tmp_path):
     assert loaded.robot.name == "panda"
 
 
+def test_activity_spec_reads_a_robot_model_file(tmp_path, monkeypatch):
+    # a relative model_file resolves against the working directory
+    arm = replace(panda_model(), name="pinched",
+                  upper=panda_model().upper - 0.1)
+    (tmp_path / "arms").mkdir()
+    save_robot_model(arm, tmp_path / "arms" / "pinched.json")
+    doc = activity_spec_to_record(one_brick_spec())
+    doc["robot"] = {"model_file": "arms/pinched.json"}
+    monkeypatch.chdir(tmp_path)
+    loaded = activity_spec_from_record(doc)
+    assert robot_to_record(loaded.robot) == robot_to_record(arm)
+    (tmp_path / "arms" / "pinched.json").write_text('{"name": "x"}')
+    with pytest.raises(InvalidActivitySpecError):
+        activity_spec_from_record(doc)
+    doc["robot"] = {"model_file": "arms/missing.json"}
+    with pytest.raises(OSError):
+        activity_spec_from_record(doc)
+    doc["robot"] = {"model_file": 3}
+    with pytest.raises(InvalidActivitySpecError):
+        activity_spec_from_record(doc)
+
+
 def test_activity_spec_rejects_noise(tmp_path):
     good = activity_spec_to_record(one_brick_spec())
     for breakage in [
@@ -494,9 +517,14 @@ def test_spec_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidActivitySpecError):
             replace(one_brick_spec(), q_start=np.full(7, bad))
-    with pytest.raises(InvalidActivitySpecError):
-        FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=0.0,
-                      opening_breadth=0.3)
+    for length, breadth in ((0.0, 0.3), (math.nan, math.inf), (0.3, math.inf),
+                            ("0.3", 0.3), (0.3, True), (0.3, -0.1)):
+        with pytest.raises(InvalidActivitySpecError):
+            FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=length,
+                          opening_breadth=breadth)
+    frame = FrameGeometry(pose=flat([0, 0, 2.0]), opening_length=1,
+                          opening_breadth=0.3)
+    assert type(frame.opening_length) is float
     for bad in (0, 2.5, math.inf, math.nan, "3", True):
         with pytest.raises(InvalidActivitySpecError):
             PickStation(base=flat([0, 0, 0]), restock=bad)

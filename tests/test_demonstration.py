@@ -435,6 +435,16 @@ def test_demonstration_validation():
         Demonstration(np.array([0.0]), (g,), "b")
     with pytest.raises(ValueError):
         Demonstration(np.array([0.0, 0.0]), (g, h), "b")
+    # a Python caller gets the reader rule too: no strings for times,
+    # no number for the object id
+    for times, object_id in ((["0.0", "0.02"], "b"), ([0.0, True], "b"),
+                             ([0.0, math.nan], "b"), ([[0.0, 0.02]], "b"),
+                             (np.array(["0.0", "0.02"]), "b"),
+                             (np.array([0.0, math.inf]), "b"),
+                             (np.array([[0.0, 0.02]]), "b"),
+                             ([0.0, 0.02], 3)):
+        with pytest.raises(MalformedDemonstrationError):
+            Demonstration(times, (g, h), object_id)
 
 
 def test_segments_round_trip(tmp_path):

@@ -35,7 +35,9 @@ from screwplan.kinematics import (
     within,
     _Chain,
 )
-from screwplan.planner import Outcome, PlannerConfig, mode2_recovery
+from screwplan import planner
+from screwplan.planner import (Outcome, PlannerConfig, calculate_sew_change,
+                               mode2_recovery)
 from screwplan.screws import Pose, compose, hat, pose_error
 from util import rand_pose
 
@@ -122,7 +124,7 @@ def test_moving_base_left_multiplies():
     rng = np.random.default_rng(41)
     base = rand_pose(rng)
     fixed = panda_model()
-    moved = panda_model(base_pose=base)
+    moved = dataclasses.replace(fixed, base_pose=base)
     for _ in range(10):
         q = rand_q(rng, fixed)
         rot, trans = pose_error(forward_kinematics(moved, q),
@@ -131,8 +133,8 @@ def test_moving_base_left_multiplies():
 
 
 def test_jacobian_matches_finite_differences():
-    model = panda_model(base_pose=Pose(np.eye(3),
-                                       np.array([0.2, -0.1, 0.05])))
+    model = dataclasses.replace(
+        panda_model(), base_pose=Pose(np.eye(3), np.array([0.2, -0.1, 0.05])))
     rng = np.random.default_rng(42)
     h = 1e-6
     for _ in range(20):
@@ -288,29 +290,103 @@ def test_sew_angle_matches_point_formula_bitwise():
 
 
 def test_sew_jacobian_matches_finite_differences():
-    model = panda_model()
     rng = np.random.default_rng(43)
+    fixed = panda_model()
     h = 1e-6
-    checked = 0
-    for _ in range(40):
-        q = rand_q(rng, model)
-        s, e, w = _Chain(model, q).sew_points()
-        u = (w - s) / np.linalg.norm(w - s)
-        f = (e - s) - np.dot(e - s, u) * u
-        # skip near-degenerate geometries where psi itself is ill posed
-        if np.linalg.norm(f) < 0.05 or np.linalg.norm(w - s) < 0.1:
-            continue
-        psi, jpsi = arm_state(model, q)[3:]
-        for i in range(7):
-            dq = np.zeros(7)
-            dq[i] = h
-            lo = sew_angle(model, q - dq)
-            hi = sew_angle(model, q + dq)
-            diff = math.atan2(math.sin(hi - lo), math.cos(hi - lo))
-            fd = diff / (2.0 * h)
-            assert abs(jpsi[i] - fd) < 1e-5 * (1.0 + abs(fd))
-        checked += 1
-    assert checked >= 25
+    for model in (fixed, dataclasses.replace(fixed, base_pose=rand_pose(rng)),
+                  dataclasses.replace(fixed, base_pose=rand_pose(rng))):
+        checked = 0
+        for _ in range(40):
+            q = rand_q(rng, model)
+            s, e, w = _Chain(model, q).sew_points()
+            u = (w - s) / np.linalg.norm(w - s)
+            f = (e - s) - np.dot(e - s, u) * u
+            # skip near-degenerate geometries where psi itself is ill posed
+            if np.linalg.norm(f) < 0.05 or np.linalg.norm(w - s) < 0.1:
+                continue
+            psi, jpsi = arm_state(model, q)[3:]
+            for i in range(7):
+                dq = np.zeros(7)
+                dq[i] = h
+                lo = sew_angle(model, q - dq)
+                hi = sew_angle(model, q + dq)
+                diff = math.atan2(math.sin(hi - lo), math.cos(hi - lo))
+                fd = diff / (2.0 * h)
+                assert abs(jpsi[i] - fd) < 1e-5 * (1.0 + abs(fd))
+            checked += 1
+        assert checked >= 25
+
+
+def reference_sew_gradient(model, q):
+    """dpsi/dq by the chain rule: the 3 x n velocity Jacobians of the
+    shoulder, elbow and wrist points carried through u, r, f and then
+    atan2(y, x), step by step.  arm_state's closed form must match it."""
+    chain = _Chain(model, q)
+    jac = chain.jacobian
+    s, e, w = chain.sew_points()
+
+    def point_jacobian(p, upto):
+        # v_j + w_j x p for the joints ahead of the marker
+        jp = np.zeros((3, len(q)))
+        jp[:, :upto] = jac[:3, :upto] - hat(p) @ jac[3:, :upto]
+        return jp
+
+    js, je, jw = (point_jacobian(p, i)
+                  for p, i in zip((s, e, w), model.sew_indices))
+    a = w - s
+    na = np.linalg.norm(a)
+    if na == 0.0:
+        return np.zeros(len(q))
+    u = a / na
+    da = jw - js
+    du = (da - np.outer(u, u @ da)) / na
+    zhat = model.base_pose.rotation[:, 2]
+    ref = (model.base_pose.rotation[:, 0]
+           if np.linalg.norm(np.cross(zhat, u)) < REFERENCE_AXIS_TOL
+           else zhat)
+    r = ref - np.dot(ref, u) * u
+    dr = -np.outer(u, ref @ du) - np.dot(ref, u) * du
+    ew = e - s
+    f = ew - np.dot(ew, u) * u
+    dew = je - js
+    df = dew - np.outer(u, ew @ du + u @ dew) - np.dot(ew, u) * du
+    rxf = np.cross(r, f)
+    y = np.dot(u, rxf)
+    x = np.dot(r, f)
+    dy = rxf @ du + u @ (-hat(f) @ dr + hat(r) @ df)
+    dx = f @ dr + r @ df
+    rho2 = x * x + y * y
+    return (x * dy - y * dx) / rho2 if rho2 != 0.0 else np.zeros(len(q))
+
+
+def _assert_gradient_matches_chain_rule(model, q):
+    jpsi = arm_state(model, q)[4]
+    want = reference_sew_gradient(model, q)
+    assert np.abs(jpsi - want).max() <= 1e-10 * (1.0 + np.abs(jpsi).max())
+
+
+def test_sew_gradient_matches_chain_rule():
+    rng = np.random.default_rng(74)
+    fixed = panda_model()
+    moved = [dataclasses.replace(fixed, base_pose=rand_pose(rng))
+             for _ in range(5)]
+    for model in [fixed] + moved:
+        for q in [READY] + [rand_q(rng, model, shrink=0.0)
+                            for _ in range(100)]:
+            _assert_gradient_matches_chain_rule(model, q)
+        # shoulder-wrist line near the base vertical: inside the
+        # reference cone (x reference) and just outside it, where the
+        # z reference has a tiny in-plane part and psi a steep gradient
+        for tilt in np.geomspace(1e-9, 1e-5, 9):
+            for sign in (1.0, -1.0):
+                q = rng.uniform(-2.0, 2.0, size=7)
+                q[1], q[3] = sign * tilt, 0.0
+                _assert_gradient_matches_chain_rule(model, q)
+    toy = prismatic_toy()
+    for arm in (toy, toy_with_wrist(toy)):
+        for _ in range(50):
+            _assert_gradient_matches_chain_rule(
+                arm, rng.uniform(arm.lower, arm.upper))
 
 
 def test_augmented_jacobian_shape_and_rows():
@@ -442,7 +518,7 @@ def test_limit_masks_on_band_edges_and_nan():
 def test_fused_pass_matches_oracle_under_moved_base():
     rng = np.random.default_rng(44)
     base = rand_pose(rng)
-    model = panda_model(base_pose=base)
+    model = dataclasses.replace(panda_model(), base_pose=base)
     h = 1e-6
 
     def oracle(q):
@@ -494,6 +570,16 @@ def prismatic_toy():
     )
 
 
+def toy_with_wrist(toy):
+    """The toy with a four-joint spherical wrist on its end."""
+    wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+    return dataclasses.replace(
+        toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
+        lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
+        upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
+
+
 def test_prismatic_joint_supported():
     model = prismatic_toy()
     pose = forward_kinematics(model, np.array([np.pi / 2.0, 0.3, 0.2]))
@@ -504,7 +590,7 @@ def test_prismatic_joint_supported():
     assert_allclose(jac[:, 2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_collinear_shoulder_elbow_wrist_has_no_elbow_gradient():
+def test_collinear_shoulder_elbow_wrist_has_no_elbow_gradient(monkeypatch):
     # on the toy the elbow point sits on the shoulder, and at q[1] = 0
     # the wrist does too: no plane through the three points, so psi has
     # no gradient, and the stacked Jacobian has a zero last row
@@ -522,18 +608,22 @@ def test_collinear_shoulder_elbow_wrist_has_no_elbow_gradient():
         assert traj.outcome is Outcome.MOTION_PLAN_FAILED and not traj.steps
     # with a four-joint wrist the zero row makes the augmented Jacobian
     # singular: the self-motion is damped and mode 2 fails at once
-    wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
-    arm = dataclasses.replace(
-        toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
-        lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
-        upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
+    arm = toy_with_wrist(toy)
     q = np.array([0.3, 0.2, 0.1, 0.4, -0.2, 0.1, 0.3])
     assert not arm_state(arm, q)[4].any()
     direction, damped = self_motion_direction(arm, q)
     assert damped and np.isfinite(direction).all()
     traj = mode2_recovery(q, 0.5, arm, PlannerConfig())
     assert traj.outcome is Outcome.MOTION_PLAN_FAILED and not traj.steps
+    # nor does the elbow search walk the toy in place: each direction
+    # ends on its first, motionless candidate
+    calls = []
+    monkeypatch.setattr(planner, "self_motion_direction",
+                        lambda *args: calls.append(args)
+                        or self_motion_direction(*args))
+    q = np.array([2.8, 0.2, 0.1])
+    assert calculate_sew_change(q, toy, PlannerConfig(eps_in=0.3)) == 0.0
+    assert len(calls) <= 2
 
 
 def test_model_validation_and_file_errors(tmp_path):
@@ -552,7 +642,15 @@ def test_model_validation_and_file_errors(tmp_path):
                          ("lower", np.where(np.arange(7) == 2, np.nan,
                                             good.lower)),
                          ("upper", np.where(np.arange(7) == 4, np.inf,
-                                            good.upper))):
+                                            good.upper)),
+                         # a Python caller gets the reader rule too
+                         ("twists", [[str(x) for x in row]
+                                     for row in good.twists]),
+                         ("twists", good.twists[:, :5]),
+                         ("twists", 7.0),
+                         ("lower", [str(x) for x in good.lower]),
+                         ("upper", [True] * 7),
+                         ("upper", good.upper[:6])):
         with pytest.raises(InvalidRobotError):
             dataclasses.replace(good, **{field: value})
     f = tmp_path / "robot.json"

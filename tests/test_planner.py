@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -657,6 +658,32 @@ def test_trajectory_loader_rejects_malformed_records(tmp_path):
         f.write_text("\n".join([header, first, json.dumps(bad), *rest])
                      + "\n")
         with pytest.raises(InvalidTrajectoryError, match=message):
+            load_trajectory(f)
+
+
+def test_trajectory_loader_checks_segment_starts(tmp_path):
+    traj = plan_to_pose(READY, compose(world_turn(0.02), START), MODEL,
+                        PlannerConfig())
+    f = tmp_path / "traj.jsonl"
+    save_trajectory(traj, f, robot="panda")
+    header, *records = f.read_text().splitlines()
+    n = len(records)
+
+    def with_starts(starts):
+        f.write_text("\n".join([json.dumps({**json.loads(header),
+                                            "segment_starts": starts}),
+                                *records]) + "\n")
+
+    # a leg already at its goal adds no step: equal starts load
+    for good in ([0], [0, 0], [0, 1, 1, n - 1]):
+        with_starts(good)
+        assert load_trajectory(f).segment_starts == good
+    # a start past the last step used to load, and the carried-object
+    # poses then came out empty; so did starts that run backwards
+    for bad in ([0, 99999], [5, 2], [0, 3, 2], [1], [], [0, n]):
+        with_starts(bad)
+        with pytest.raises(InvalidTrajectoryError,
+                           match=re.escape(f"{f}: segment_starts must")):
             load_trajectory(f)
 
 
