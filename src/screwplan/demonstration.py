@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import (UNITS, InputError, decode, pose_from_record,
-                      pose_to_record, read_document, read_lines, real,
-                      real_array, text, whole, wholes, write_document,
-                      write_lines)
+                      pose_to_record, read_document, read_lines, real, reals,
+                      text, whole, wholes, write_document, write_lines)
 from .screws import (Pose, ScrewDisplacement, compose, inverse, pose_error,
                      pose_errors, quat_to_rot, sclerp_path, screw_from_pose)
 
@@ -67,7 +66,7 @@ class Demonstration:
 
     def __post_init__(self):
         E = MalformedDemonstrationError
-        times = real_array(self.times, "times", E, (-1,))
+        times = np.array(reals(self.times, "times", E))
         text(self.object_id, "object_id", E)
         poses = tuple(self.poses)
         if len(times) != len(poses) or len(poses) < 2:

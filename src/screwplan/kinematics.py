@@ -16,8 +16,8 @@ from importlib import resources
 import numpy as np
 
 from .records import (UNITS, InputError, decode, pose_from_record,
-                      pose_to_record, read_document, real_array, text,
-                      wholes, write_document)
+                      pose_to_record, read_document, reals, text, wholes,
+                      write_document)
 from .screws import Pose, exp_twists, hat
 
 DAMPING = 1e-3
@@ -52,10 +52,12 @@ class RobotModel:
     def __post_init__(self):
         E = InvalidRobotError
         text(self.name, "name", E)
-        twists = real_array(self.twists, "twists", E, (-1, 6))
+        if not isinstance(self.twists, (list, tuple, np.ndarray)):
+            raise E("twists must be a list of rows")
+        twists = np.array([reals(row, "twist", E, 6) for row in self.twists])
         n = twists.shape[0]
-        lower = real_array(self.lower, "lower", E, (n,))
-        upper = real_array(self.upper, "upper", E, (n,))
+        lower = np.array(reals(self.lower, "lower", E, n))
+        upper = np.array(reals(self.upper, "upper", E, n))
         for row in twists:
             wn = np.linalg.norm(row[3:])
             if abs(wn - 1.0) > 1e-9 and not (

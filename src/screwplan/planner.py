@@ -121,7 +121,7 @@ class TrajectoryStep:
 class JointTrajectory:
     steps: list
     outcome: Outcome
-    segment_starts: list = field(default_factory=list)
+    segment_starts: list = field(default_factory=lambda: [0])
 
     @property
     def final_q(self):
@@ -394,7 +394,9 @@ def geodesic_deviation(start, goal, poses, translation_scale=1.0):
 
 def save_trajectory(traj, path, robot=""):
     """Line-delimited trajectory file: a header, then one record per
-    step with its index, mode, joint values and end-effector pose."""
+    step with its index, mode, joint values and end-effector pose.
+    Refuses a trajectory that load_trajectory would refuse."""
+    _check_segment_starts(traj, path)
     write_lines({
         "format": "trajectory",
         "units": {"angle": "rad", "length": "m"},
@@ -438,11 +440,18 @@ def load_trajectory(path):
                 InvalidTrajectoryError))),
             "trajectory", UNITS),
         lambda rec: _step_from_record(rec, first))
-    # a leg already at its goal adds no step, so two starts may be equal
-    if not (starts and starts[0] == 0 and starts[-1] < len(steps)
+    return _check_segment_starts(JointTrajectory(
+        steps=steps, outcome=outcome, segment_starts=starts), path)
+
+
+def _check_segment_starts(traj, path):
+    """traj, when its segment_starts begin at 0, never decrease and stay
+    below its step count; a leg already at its goal adds no step, so
+    two starts may be equal."""
+    starts, n = traj.segment_starts, len(traj.steps)
+    if not (starts and starts[0] == 0 and starts[-1] < n
             and all(a <= b for a, b in zip(starts, starts[1:]))):
         raise InvalidTrajectoryError(
             f"{path}: segment_starts must begin at 0, never decrease and "
-            f"stay below the step count {len(steps)}")
-    return JointTrajectory(steps=steps, outcome=outcome,
-                           segment_starts=starts)
+            f"stay below the step count {n}")
+    return traj

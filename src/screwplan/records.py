@@ -6,8 +6,6 @@ class, and returns the value as its kind or raises that class: a number
 is a finite JSON number, never a bool or a string; a whole number has no
 fractional part (3 or 3.0, not 2.5); a flag is true or false; a list of
 numbers is one flat list, of a fixed length where the field has one.
-A numpy array of numbers holds nothing else, so real_array checks it
-whole.
 """
 
 import json
@@ -88,24 +86,6 @@ def reals(x, name, error, n=None):
 def wholes(x, name, error, n=None):
     """x as a tuple of ints: a flat list of whole numbers (n of them)."""
     return tuple(map(int, _flat(x, name, error, n, _whole, "whole numbers")))
-
-
-def real_array(x, name, error, shape):
-    """x as a new float array of the given shape, -1 standing for any
-    length: a numpy array of numbers is checked whole for finite values,
-    anything else is read through reals, row by row for two axes."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in "iuf":
-        a = _check(np.isfinite(x).all(), np.array(x, dtype=float), name,
-                   error, "finite numbers")
-    elif len(shape) == 1:
-        a = np.array(reals(x, name, error))
-    else:
-        rows = _check(isinstance(x, (list, tuple)), x, name, error,
-                      "a list of rows")
-        a = np.array([reals(row, name, error, shape[1]) for row in rows])
-    return _check(a.ndim == len(shape) and all(
-        want in (-1, got) for want, got in zip(shape, a.shape)), a, name,
-        error, f"an array of shape {shape}")
 
 
 # --------------------------------------------------------------- documents

@@ -687,6 +687,27 @@ def test_trajectory_loader_checks_segment_starts(tmp_path):
             load_trajectory(f)
 
 
+def test_trajectory_writer_keeps_the_loader_rule(tmp_path):
+    # a mode-2 fragment is one leg and round-trips
+    frag = mode2_recovery(READY, -0.3, MODEL, PlannerConfig())
+    f = tmp_path / "frag.jsonl"
+    save_trajectory(frag, f, robot="panda")
+    back = load_trajectory(f)
+    assert back.segment_starts == frag.segment_starts == [0]
+    assert np.array_equal(np.array([s.q for s in back.steps]),
+                          np.array([s.q for s in frag.steps]))
+    # what the loader refuses is never written
+    empty = mode2_recovery(READY, 0.0005, MODEL, PlannerConfig())
+    assert empty.steps == []
+    for bad in (empty, dataclasses.replace(frag, segment_starts=[]),
+                dataclasses.replace(frag, segment_starts=[0, 2, 1])):
+        g = tmp_path / "bad.jsonl"
+        with pytest.raises(InvalidTrajectoryError,
+                           match=re.escape(f"{g}: segment_starts must")):
+            save_trajectory(bad, g)
+        assert not g.exists()
+
+
 def test_committed_trajectory_file_loads_and_replans():
     # gallery/05_limit_aware_planning.py wrote it; modes are stored as 1/2
     path = (Path(__file__).parent.parent / "gallery" / "out"
