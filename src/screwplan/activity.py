@@ -21,14 +21,14 @@ import numpy as np
 from .demonstration import (ConstraintModel, TaskInstance,
                             constraint_model_from_record,
                             constraint_model_to_record, transfer_constraints)
-from .kinematics import (PANDA_READY, load_robot_model, panda_model,
-                         robot_from_record, robot_to_record)
+from .kinematics import (PANDA_READY, RobotModel, load_robot_model,
+                         panda_model, robot_from_record, robot_to_record)
 from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
                       layout_spec_to_record, pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
-from .records import (UNITS, InputError, decode, flag, pose_from_record,
-                      pose_to_record, read_document, real, reals, text,
-                      whole, wholes, write_document)
+from .records import (UNITS, InputError, decode, flag, instance,
+                      pose_from_record, pose_to_record, read_document, real,
+                      reals, text, whole, wholes, write_document)
 from .screws import Pose, compose, inverse, pose_error
 
 # placement is scored on translation distance and heading alone; the
@@ -68,6 +68,7 @@ class PickStation:
     restock: int = None
 
     def __post_init__(self):
+        instance(self.base, Pose, "base", InvalidActivitySpecError)
         flag(self.in_base_frame, "in_base_frame", InvalidActivitySpecError)
         object.__setattr__(self, "restock", whole(
             self.restock, "restock", InvalidActivitySpecError, low=1,
@@ -85,6 +86,9 @@ def pick_sequence(station, count, dims):
 @dataclass(frozen=True)
 class FixedBase:
     base: Pose
+
+    def __post_init__(self):
+        instance(self.base, Pose, "base", InvalidActivitySpecError)
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,8 @@ class MovingBase:
 
     def __post_init__(self):
         E = InvalidActivitySpecError
+        for name in ("initial", "step"):
+            instance(getattr(self, name), Pose, name, E)
         object.__setattr__(self, "seed", whole(self.seed, "seed", E))
         object.__setattr__(self, "relocate_every", whole(
             self.relocate_every, "relocate_every", E, low=1))
@@ -136,18 +142,23 @@ class ActivitySpec:
     demo_model: ConstraintModel
     pick_station: PickStation
     base_policy: object
-    robot: object = field(default_factory=panda_model)
+    robot: RobotModel = field(default_factory=panda_model)
     grasp_offset: Pose = field(default_factory=Pose.identity)
     planner_config: PlannerConfig = field(default_factory=PlannerConfig)
     q_start: np.ndarray = field(default_factory=lambda: PANDA_READY.copy())
 
     def __post_init__(self):
+        E = InvalidActivitySpecError
+        for name, kind in (("layout", LayoutSpec),
+                           ("demo_model", ConstraintModel),
+                           ("pick_station", PickStation),
+                           ("robot", RobotModel), ("grasp_offset", Pose),
+                           ("planner_config", PlannerConfig)):
+            instance(getattr(self, name), kind, name, E)
         if not isinstance(self.base_policy, (FixedBase, MovingBase)):
-            raise InvalidActivitySpecError(
-                "base_policy must be FixedBase or MovingBase")
+            raise E("base_policy must be FixedBase or MovingBase")
         object.__setattr__(self, "q_start", np.array(reals(
-            self.q_start, "q_start", InvalidActivitySpecError,
-            self.robot.n_joints)))
+            self.q_start, "q_start", E, self.robot.n_joints)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +207,27 @@ def evaluate_placement(achieved, goal):
     rot, dist = pose_error(achieved, goal)
     rel = goal.rotation.T @ achieved.rotation
     yaw = abs(math.atan2(rel[1, 0], rel[0, 0]))
-    ok = dist < POSITION_TOL and yaw < YAW_TOL
-    return dist, yaw, rot, ok
+    return dist, yaw, rot, _success(Outcome.REACHED, dist, yaw)
+
+
+def _success(outcome, position_error, yaw_error):
+    """A placement succeeds when its trajectory reached the goal and it
+    landed within POSITION_TOL and YAW_TOL."""
+    return bool(outcome is Outcome.REACHED and position_error < POSITION_TOL
+                and yaw_error < YAW_TOL)
+
+
+def _aggregates(placements):
+    """The report fields derived from its placements: the placements
+    whose trajectory reached its goal, and over those the mean position
+    error and the largest yaw error (None when there are none)."""
+    done = [p for p in placements if p.trajectory_outcome is Outcome.REACHED]
+    pos_errs = [p.position_error for p in done]
+    yaw_errs = [p.yaw_error for p in done]
+    return dict(
+        bricks_placed_before_failure=len(done),
+        mean_position_error=float(np.mean(pos_errs)) if pos_errs else None,
+        max_yaw_error=max(yaw_errs) if yaw_errs else None)
 
 
 def attached_object_poses(traj, grasp_offset=None):
@@ -262,31 +292,24 @@ def run_activity(spec, keep_trajectories=False):
         traj = plan_through_guiding_poses(q, ee_goals, model,
                                           spec.planner_config)
         achieved = compose(traj.final_pose, inv_grasp)
-        dist, yaw, rot, ok = evaluate_placement(achieved, instance.goal)
-        reached = traj.outcome is Outcome.REACHED
+        dist, yaw, rot, _ = evaluate_placement(achieved, instance.goal)
         placements.append(PlacementResult(
             index=(goal.i, goal.j, goal.k), goal=instance.goal,
             achieved=achieved, position_error=dist, yaw_error=yaw,
-            rotation_error=rot, success=bool(ok and reached),
+            rotation_error=rot, success=_success(traj.outcome, dist, yaw),
             trajectory_outcome=traj.outcome, steps=len(traj.steps)))
         if keep_trajectories:
             trajectories.append(traj)
-        if not reached:
+        if traj.outcome is not Outcome.REACHED:
             break
         q = traj.final_q
-    # the run stopped at the first placement that was not reached
-    done = [p for p in placements if p.trajectory_outcome is Outcome.REACHED]
-    pos_errs = [p.position_error for p in done]
-    yaw_errs = [p.yaw_error for p in done]
     return ActivityReport(
         robot=spec.robot.name,
         layout_kind=spec.layout.kind.value,
         mode2_enabled=spec.planner_config.mode2_enabled,
         goals_total=len(goals),
         placements=tuple(placements),
-        bricks_placed_before_failure=len(done),
-        mean_position_error=float(np.mean(pos_errs)) if pos_errs else None,
-        max_yaw_error=max(yaw_errs) if yaw_errs else None,
+        **_aggregates(placements),
         runtime_seconds=time.perf_counter() - t0,
         trajectories=tuple(trajectories) if keep_trajectories else None)
 
@@ -320,6 +343,7 @@ class FrameGeometry:
 
     def __post_init__(self):
         E = InvalidActivitySpecError
+        instance(self.pose, Pose, "pose", E)
         for name in ("opening_length", "opening_breadth"):
             x = real(getattr(self, name), name, E)
             if x <= 0.0:
@@ -413,7 +437,7 @@ def report_to_record(report):
 
 def _placement_from_record(rec):
     E = MalformedReportError
-    return PlacementResult(
+    p = PlacementResult(
         index=wholes(rec["index"], "index", E, 3),
         goal=pose_from_record(rec["goal"]),
         achieved=pose_from_record(rec["achieved"]),
@@ -423,16 +447,19 @@ def _placement_from_record(rec):
         success=flag(rec["success"], "success", E),
         trajectory_outcome=Outcome(rec["outcome"]),
         steps=whole(rec["steps"], "steps", E))
+    if p.success != _success(p.trajectory_outcome, p.position_error,
+                             p.yaw_error):
+        raise E(f"placement {list(p.index)}: success {p.success} "
+                "contradicts its outcome and errors")
+    return p
 
 
-def report_from_record(doc, runtime_seconds=0.0):
+def _report_from_doc(doc, runtime_seconds):
     E = MalformedReportError
-    return decode(doc, E, lambda doc: ActivityReport(
-        robot=text(doc["robot"], "robot", E),
-        layout_kind=text(doc["layout_kind"], "layout_kind", E),
-        mode2_enabled=flag(doc["mode2_enabled"], "mode2_enabled", E),
-        goals_total=whole(doc["goals_total"], "goals_total", E),
-        placements=tuple(map(_placement_from_record, doc["placements"])),
+    placements = tuple(map(_placement_from_record, doc["placements"]))
+    goals_total = whole(doc["goals_total"], "goals_total", E,
+                        low=len(placements))
+    stored = dict(
         bricks_placed_before_failure=whole(
             doc["bricks_placed_before_failure"],
             "bricks_placed_before_failure", E),
@@ -440,7 +467,26 @@ def report_from_record(doc, runtime_seconds=0.0):
                                  "mean_position_error", E, null=True),
         max_yaw_error=real(doc["max_yaw_error"], "max_yaw_error", E,
                            null=True),
-        runtime_seconds=real(runtime_seconds, "runtime_seconds", E)))
+        successes=whole(doc["successes"], "successes", E))
+    derived = _aggregates(placements)
+    for name, value in dict(
+            derived, successes=sum(p.success for p in placements)).items():
+        if stored[name] != value:
+            raise E(f"{name} is {stored[name]}, but the placements give "
+                    f"{value}")
+    return ActivityReport(
+        robot=text(doc["robot"], "robot", E),
+        layout_kind=text(doc["layout_kind"], "layout_kind", E),
+        mode2_enabled=flag(doc["mode2_enabled"], "mode2_enabled", E),
+        goals_total=goals_total, placements=placements, **derived,
+        runtime_seconds=real(runtime_seconds, "runtime_seconds", E))
+
+
+def report_from_record(doc, runtime_seconds=0.0):
+    """The report a results section records; its aggregates, successes
+    and success flags must be the ones its placements give."""
+    return decode(doc, MalformedReportError,
+                  lambda doc: _report_from_doc(doc, runtime_seconds))
 
 
 def summary_table(report):

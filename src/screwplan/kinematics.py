@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, pose_from_record,
+from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, reals, text, wholes,
                       write_document)
 from .screws import Pose, exp_twists, hat
@@ -52,6 +52,8 @@ class RobotModel:
     def __post_init__(self):
         E = InvalidRobotError
         text(self.name, "name", E)
+        for name in ("home_pose", "base_pose"):
+            instance(getattr(self, name), Pose, name, E)
         if not isinstance(self.twists, (list, tuple, np.ndarray)):
             raise E("twists must be a list of rows")
         twists = np.array([reals(row, "twist", E, 6) for row in self.twists])

@@ -17,9 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, pose_from_record,
-                      pose_to_record, read_document, real, reals, whole,
-                      wholes, write_document)
+from .records import (UNITS, InputError, decode, instance,
+                      pose_from_record, pose_to_record, read_document, real,
+                      reals, whole, wholes, write_document)
 from .screws import Pose, compose
 
 
@@ -89,6 +89,9 @@ class LayoutSpec:
     offset_parity: str = "even"
 
     def __post_init__(self):
+        for name, kind in (("kind", LayoutKind), ("base", Pose),
+                           ("dims", ObjectDims)):
+            instance(getattr(self, name), kind, name, InvalidLayoutError)
         for name in ("layers", "per_layer"):
             object.__setattr__(self, name, whole(
                 getattr(self, name), name, InvalidLayoutError, low=1))

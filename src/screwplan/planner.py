@@ -163,39 +163,29 @@ def calculate_sew_change(q, model, config):
     if within(q, inner).all():
         return 0.0
     step, span = config.sew_search
-    fallback_margin = limit_margin(model, q)
-    fallback_dpsi = 0.0
-    best_margin = None
-    best_dpsi = 0.0
-    state = {1: q.copy(), -1: q.copy()}
-    alive = {1: True, -1: True}
+    # the leading candidate (inside the inner band, worst-joint margin,
+    # dpsi); one inside beats every one outside, and among equals a
+    # margin must win by more than 1e-12
+    lead = (False, limit_margin(model, q), 0.0)
+    walks = {1: q.copy(), -1: q.copy()}  # the live walks, by sign
     for k in range(1, int(math.ceil(span / step)) + 1):
-        for sign in (1, -1):
-            if not alive[sign]:
+        for sign, q_w in list(walks.items()):
+            direction, damped = self_motion_direction(model, q_w)
+            candidate = q_w + sign * step * direction
+            # a self-motion singularity, no self-motion at all, or an
+            # outer-band crossing ends the walk
+            if damped or not direction.any() or not within(
+                    candidate, outer).all():
+                del walks[sign]
                 continue
-            direction, damped = self_motion_direction(model, state[sign])
-            if damped or not direction.any():
-                # a self-motion singularity, or no self-motion at all
-                alive[sign] = False
-                continue
-            candidate = state[sign] + sign * step * direction
-            if not within(candidate, outer).all():
-                alive[sign] = False
-                continue
-            state[sign] = candidate
+            walks[sign] = candidate
+            inside = bool(within(candidate, inner).all())
             margin = limit_margin(model, candidate)
-            if within(candidate, inner).all():
-                if best_margin is None or margin > best_margin + 1e-12:
-                    best_margin = margin
-                    best_dpsi = sign * k * step
-            elif margin > fallback_margin + 1e-12:
-                fallback_margin = margin
-                fallback_dpsi = sign * k * step
-        if not (alive[1] or alive[-1]):
+            if (inside, margin) > (lead[0], lead[1] + 1e-12):
+                lead = (inside, margin, sign * k * step)
+        if not walks:
             break
-    if best_margin is not None:
-        return best_dpsi
-    return fallback_dpsi
+    return lead[2]
 
 
 def mode2_recovery(q, psi_d, model, config, max_steps=None):
@@ -214,18 +204,12 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
     steps = []
-    outcome = None
-    psi_prev = None
+    # each step works on the chain's arrays and builds no Pose; the entry
+    # pass gives the flange held throughout and the angle's zero
+    R, p, jac, psi_prev, jpsi = arm_state(model, q_c)
+    hold = R, p
     psi_cont = 0.0  # unwrapped angle relative to entry
     while True:
-        # each step works on the chain's arrays and builds no Pose
-        R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
-        if psi_prev is None:
-            hold = R, p  # the flange held throughout: the entry pass's
-        else:
-            psi_cont += _wrap(psi_raw - psi_prev)
-            steps.append(TrajectoryStep(q_c, Mode.MODE2, R, p))
-        psi_prev = psi_raw
         if abs(psi_d - psi_cont) < PSI_TOL:
             outcome = Outcome.REACHED
             break
@@ -248,6 +232,10 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         q_c = candidate
+        R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
+        psi_cont += _wrap(psi_raw - psi_prev)
+        psi_prev = psi_raw
+        steps.append(TrajectoryStep(q_c, Mode.MODE2, R, p))
     return JointTrajectory(steps=steps, outcome=outcome)
 
 
@@ -307,15 +295,11 @@ def plan_to_pose(q0, gd, model, config):
         if fragment.outcome is not Outcome.REACHED:
             outcome = fragment.outcome
             break
-        if fragment.steps:
-            q_c = fragment.steps[-1].q.copy()
-        else:
-            # target inside tolerance of current angle: nothing to swing
+        # no step: the target was inside tolerance of the current angle
+        if not fragment.steps or not within(fragment.final_q, inner).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        if not within(q_c, inner).all():
-            outcome = Outcome.MOTION_PLAN_FAILED
-            break
+        q_c = fragment.final_q.copy()
     return JointTrajectory(steps=steps, outcome=outcome,
                            segment_starts=[0])
 
@@ -329,15 +313,15 @@ def plan_through_guiding_poses(q0, guiding, model, config):
     steps = []
     segment_starts = []
     q_c = np.asarray(q0, dtype=float)
-    for idx, goal in enumerate(guiding):
-        segment_starts.append(0 if idx == 0 else len(steps) - 1)
+    for goal in guiding:
+        # each later leg starts on the step the one before it ended on
+        segment_starts.append(max(len(steps) - 1, 0))
         traj = plan_to_pose(q_c, goal, model, config)
-        steps.extend(traj.steps if idx == 0 else traj.steps[1:])
+        steps.extend(traj.steps[1:] if steps else traj.steps)
         if traj.outcome is not Outcome.REACHED:
-            return JointTrajectory(steps=steps, outcome=traj.outcome,
-                                   segment_starts=segment_starts)
+            break
         q_c = traj.final_q
-    return JointTrajectory(steps=steps, outcome=Outcome.REACHED,
+    return JointTrajectory(steps=steps, outcome=traj.outcome,
                            segment_starts=segment_starts)
 
 

@@ -5,7 +5,8 @@ A reader takes a value, the name to report it by and the caller's error
 class, and returns the value as its kind or raises that class: a number
 is a finite JSON number, never a bool or a string; a whole number has no
 fractional part (3 or 3.0, not 2.5); a flag is true or false; a list of
-numbers is one flat list, of a fixed length where the field has one.
+numbers is one flat list, of a fixed length where the field has one;
+an object is an instance of its field's class.
 """
 
 import json
@@ -52,6 +53,12 @@ def flag(x, name, error):
 def text(x, name, error):
     """x, when it is a string."""
     return _check(isinstance(x, str), x, name, error, "a string")
+
+
+def instance(x, kind, name, error):
+    """x, when it is a kind."""
+    return _check(isinstance(x, kind), x, name, error,
+                  f"of type {kind.__name__}")
 
 
 def real(x, name, error, null=False):

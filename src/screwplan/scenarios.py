@@ -19,7 +19,6 @@ from .demonstration import (TaskInstance, extract_guiding_poses,
                             segment_demonstration, synthesize_demonstration)
 from .kinematics import PANDA_READY, forward_kinematics, panda_model
 from .layouts import LayoutKind, LayoutSpec, ObjectDims, yaw_rotation
-from .planner import PlannerConfig
 from .screws import Pose, compose, inverse
 
 # the paper-scale brick and ceiling tile, in meters

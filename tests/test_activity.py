@@ -26,9 +26,11 @@ from screwplan.activity import (ActivityReport, ActivitySpec, FixedBase,
                                 run_activity, save_activity_spec,
                                 summary_table)
 from screwplan.demonstration import ConstraintModel, TaskInstance
-from screwplan.kinematics import (forward_kinematics, panda_model,
-                                  robot_to_record, save_robot_model)
-from screwplan.layouts import LayoutKind, LayoutSpec, ObjectDims
+from screwplan.kinematics import (InvalidRobotError, forward_kinematics,
+                                  panda_model, robot_to_record,
+                                  save_robot_model)
+from screwplan.layouts import (InvalidLayoutError, LayoutKind, LayoutSpec,
+                               ObjectDims)
 from screwplan.planner import (InvalidPlannerConfigError, Outcome,
                                PlannerConfig)
 from screwplan.screws import Pose, compose, inverse, pose_error
@@ -430,6 +432,32 @@ def test_report_record_values_of_the_wrong_type(tmp_path, one_brick_report,
         load_report(out)
 
 
+@pytest.mark.parametrize("results, placement", [
+    ({"bricks_placed_before_failure": 7}, {}),
+    ({"mean_position_error": 3.0}, {}),
+    ({"max_yaw_error": 1.0}, {}),
+    ({"goals_total": 0}, {}),
+    ({"successes": 0}, {}),
+    # a placement 0.5 m off, its mean kept in step, still marked a success
+    ({"mean_position_error": 0.5}, {"position_error": 0.5}),
+    ({"successes": 0}, {"success": False}),
+    ({"bricks_placed_before_failure": 0, "mean_position_error": None,
+      "max_yaw_error": None, "successes": 0},
+     {"outcome": "motion_plan_failed"}),
+])
+def test_load_report_refuses_what_contradicts_the_placements(
+        tmp_path, one_brick_report, results, placement):
+    out = tmp_path / "report.json"
+    emit_report(one_brick_report, out)
+    doc = json.loads(out.read_text())
+    load_report(out)
+    doc["results"].update(results)
+    doc["results"]["placements"][0].update(placement)
+    out.write_text(json.dumps(doc))
+    with pytest.raises(MalformedReportError):
+        load_report(out)
+
+
 # ------------------------------------------------------------ spec files
 
 
@@ -545,6 +573,53 @@ def test_spec_validation():
     assert [type(v) for v in (base.seed, base.relocate_every,
                               base.stations_per_lap, base.radius)] == [
         int, int, int, float]
+
+
+def _pick_station():
+    return PickStation(base=DEMO_PICK)
+
+
+def _fixed_base():
+    return FixedBase(base=DEMO_PICK)
+
+
+def _moving_base():
+    return MovingBase(initial=flat([0, 0, 0]), step=flat([0, 0.1, 0]), seed=3)
+
+
+def _frame():
+    return FrameGeometry(flat([0, 0, 2.0]), 0.3, 0.3)
+
+
+def _layout():
+    return one_brick_spec().layout
+
+
+# (object, field, wrong value, error); a pose field gets a bare matrix
+@pytest.mark.parametrize("build, name, bad, error", [
+    pytest.param(build, name, bad, error, id=f"{build.__name__}.{name}")
+    for build, name, bad, error in (
+        (panda_model, "home_pose", np.eye(4), InvalidRobotError),
+        (panda_model, "base_pose", np.eye(4), InvalidRobotError),
+        (_frame, "pose", np.eye(4), InvalidActivitySpecError),
+        (_pick_station, "base", np.eye(4), InvalidActivitySpecError),
+        (_fixed_base, "base", np.eye(4), InvalidActivitySpecError),
+        (_moving_base, "initial", np.eye(4), InvalidActivitySpecError),
+        (_moving_base, "step", np.eye(4), InvalidActivitySpecError),
+        (one_brick_spec, "layout", "x", InvalidActivitySpecError),
+        (one_brick_spec, "demo_model", "x", InvalidActivitySpecError),
+        (one_brick_spec, "pick_station", "x", InvalidActivitySpecError),
+        (one_brick_spec, "robot", "x", InvalidActivitySpecError),
+        (one_brick_spec, "grasp_offset", np.eye(4),
+         InvalidActivitySpecError),
+        (one_brick_spec, "planner_config", "x", InvalidActivitySpecError),
+        (_layout, "kind", "straight_wall", InvalidLayoutError),
+        (_layout, "base", np.eye(4), InvalidLayoutError),
+        (_layout, "dims", "x", InvalidLayoutError))])
+def test_object_fields_must_be_their_class(build, name, bad, error):
+    # each of these used to build, and fail later or not at all
+    with pytest.raises(error):
+        replace(build(), **{name: bad})
 
 
 @pytest.mark.parametrize("section, changes", [

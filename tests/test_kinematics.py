@@ -39,7 +39,7 @@ from screwplan import planner
 from screwplan.planner import (Outcome, PlannerConfig, calculate_sew_change,
                                mode2_recovery)
 from screwplan.screws import Pose, compose, hat, pose_error
-from util import rand_pose
+from util import prismatic_toy, rand_pose, toy_with_wrist
 
 READY = np.array([0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2,
                   np.pi / 4])
@@ -555,29 +555,6 @@ def test_limit_status_rejects_bad_eps():
     with pytest.raises(BadEpsError):
         # inner eats the whole narrowest interval
         limit_status(model, READY, 1.6, 0.01)
-
-
-def prismatic_toy():
-    return RobotModel(
-        name="toy",
-        twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
-        home_pose=Pose.identity(),
-        lower=np.array([-3.0, -1.0, -1.0]),
-        upper=np.array([3.0, 1.0, 1.0]),
-        sew_indices=(0, 1, 2),
-    )
-
-
-def toy_with_wrist(toy):
-    """The toy with a four-joint spherical wrist on its end."""
-    wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
-    return dataclasses.replace(
-        toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
-        lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
-        upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
 
 
 def test_prismatic_joint_supported():

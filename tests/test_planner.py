@@ -16,11 +16,14 @@ from screwplan.kinematics import (
     LimitZone,
     _Chain,
     arm_state,
+    check_eps,
     forward_kinematics,
     limit_band,
+    limit_margin,
     limit_status,
     panda_model,
     pseudoinverse,
+    self_motion_direction,
     self_motion_rollout,
     sew_angle,
     within,
@@ -58,6 +61,7 @@ from screwplan.screws import (
     pose_error,
     unit_twist,
 )
+from util import prismatic_toy, toy_with_wrist
 
 READY = np.array([0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2,
                   np.pi / 4])
@@ -419,6 +423,128 @@ def test_determinism():
                     np.array([s.q for s in b.steps]), atol=0.0)
 
 
+# the elbow search as it stood with separate best and fallback trackers
+# and a state and a liveness dict per direction, kept verbatim so the
+# probes below pin which candidate the search picks
+def reference_calculate_sew_change(q, model, config):
+    """Signed elbow-angle change that relieves the joint limits.
+
+    Walks the self-motion in both directions from the offending
+    configuration, never extending a direction past an outer-bound
+    crossing, a self-motion singularity or a zero self-motion.  Among
+    candidates that put every joint back inside the inner bound, the
+    one with the best worst-joint margin wins (deepest recovery, not
+    the first escape, so tracking does not immediately re-trigger);
+    failing that, the candidate that most improves the worst-joint
+    margin (partial retreat); zero when neither direction helps or
+    nothing is wrong.
+    """
+    q = np.asarray(q, dtype=float)
+    check_eps(model, config.eps_in, config.eps_out)
+    inner = limit_band(model, config.eps_in)
+    outer = limit_band(model, config.eps_out)
+    if within(q, inner).all():
+        return 0.0
+    step, span = config.sew_search
+    fallback_margin = limit_margin(model, q)
+    fallback_dpsi = 0.0
+    best_margin = None
+    best_dpsi = 0.0
+    state = {1: q.copy(), -1: q.copy()}
+    alive = {1: True, -1: True}
+    for k in range(1, int(math.ceil(span / step)) + 1):
+        for sign in (1, -1):
+            if not alive[sign]:
+                continue
+            direction, damped = self_motion_direction(model, state[sign])
+            if damped or not direction.any():
+                # a self-motion singularity, or no self-motion at all
+                alive[sign] = False
+                continue
+            candidate = state[sign] + sign * step * direction
+            if not within(candidate, outer).all():
+                alive[sign] = False
+                continue
+            state[sign] = candidate
+            margin = limit_margin(model, candidate)
+            if within(candidate, inner).all():
+                if best_margin is None or margin > best_margin + 1e-12:
+                    best_margin = margin
+                    best_dpsi = sign * k * step
+            elif margin > fallback_margin + 1e-12:
+                fallback_margin = margin
+                fallback_dpsi = sign * k * step
+        if not (alive[1] or alive[-1]):
+            break
+    if best_margin is not None:
+        return best_dpsi
+    return fallback_dpsi
+
+
+def sew_search_probes():
+    """(q, model, config) cases for the elbow search, 100 and more."""
+    config = PlannerConfig()
+    probes = []
+    # each joint pinched against one limit or the other, at three depths
+    # into the band between the outer and the inner bound
+    for j in range(7):
+        for depth in (0.03, 0.1, 0.17):
+            probes.append((READY, tightened(j, -0.9, depth), config))
+            probes.append((READY, tightened(j, -depth, 0.9), config))
+    # a window symmetric about q beside a pinched joint: the two
+    # directions can tie
+    narrow = PlannerConfig(eps_in=0.1)
+    for j in range(7):
+        for k, half in (((j + 2) % 7, 0.15), ((j + 3) % 7, 0.13)):
+            model = tightened(j, -half, half)
+            upper = model.upper.copy()
+            upper[k] = READY[k] + 0.05
+            probes.append((READY, dataclasses.replace(model, upper=upper),
+                           narrow))
+    # antagonistic pairs, pinched on the same side: nothing helps
+    for j, k in ((0, 2), (2, 4), (4, 6)):
+        for depth in (0.1, 0.185):
+            lower, upper = MODEL.lower.copy(), MODEL.upper.copy()
+            upper[[j, k]] = READY[[j, k]] + depth
+            lower[[j, k]] = READY[[j, k]] - 0.5
+            probes.append((READY, dataclasses.replace(
+                MODEL, lower=lower, upper=upper), config))
+    rng = np.random.default_rng(11)
+    # comfortable configurations: nothing to relieve
+    for _ in range(8):
+        q = rng.uniform(MODEL.lower + 0.3, MODEL.upper - 0.3)
+        probes.append((q, MODEL, config))
+    # moved configurations, one random joint pinched, a coarser search
+    coarse = PlannerConfig(sew_search=(0.03, 1.5))
+    for _ in range(24):
+        q = READY + rng.uniform(-0.3, 0.3, 7)
+        j = int(rng.integers(7))
+        depth = float(rng.uniform(0.02, 0.19))
+        off = (-0.9, depth) if rng.random() < 0.5 else (-depth, 0.9)
+        probes.append((q, tightened(j, *off, at=q),
+                       config if rng.random() < 0.5 else coarse))
+    # both toy arms near their limits
+    toy = prismatic_toy()
+    arm = toy_with_wrist(toy)
+    for q in ([2.85, 0.2, 0.1], [-2.9, 0.5, -0.3], [0.3, 0.9, 0.1]):
+        probes.append((np.array(q), toy, PlannerConfig(eps_in=0.3)))
+    for q in ([0.3, 0.2, 0.1, 2.9, -0.2, 0.1, 0.3],
+              [0.3, 0.2, 0.1, 0.4, -2.85, 0.1, 0.3],
+              [2.9, 0.2, 0.1, 0.4, -0.2, 0.1, -2.9]):
+        probes.append((np.array(q), arm, PlannerConfig(eps_in=0.3)))
+    return probes
+
+
+def test_elbow_search_matches_reference():
+    probes = sew_search_probes()
+    assert len(probes) >= 100
+    got = [calculate_sew_change(*probe) for probe in probes]
+    assert got == [reference_calculate_sew_change(*probe)
+                   for probe in probes]
+    # the probes reach every branch: a swing either way, and none
+    assert min(got) < 0.0 < max(got) and 0.0 in got
+
+
 def reference_mode2_recovery(q, psi_d, model, config, max_steps=None):
     """mode2_recovery through Pose objects: the held flange from
     forward_kinematics, a checked flange Pose each step, and
@@ -497,7 +623,7 @@ def reference_plan_to_pose(q0, gd, model, config):
             continue
         if not config.mode2_enabled:
             return done(Outcome.MOTION_PLAN_FAILED)
-        dpsi = calculate_sew_change(candidate, model, config)
+        dpsi = reference_calculate_sew_change(candidate, model, config)
         if dpsi == 0.0:
             return done(Outcome.MOTION_PLAN_FAILED)
         fragment = reference_mode2_recovery(

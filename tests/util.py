@@ -5,8 +5,11 @@ exponential: plain scaling-and-squaring on the 4x4 twist matrix, no shared
 code with the package internals.
 """
 
+import dataclasses
+
 import numpy as np
 
+from screwplan.kinematics import RobotModel
 from screwplan.screws import (
     INFINITE_PITCH,
     Pose,
@@ -70,3 +73,26 @@ def expm_dense(A):
     for _ in range(s):
         X = X @ X
     return X
+
+
+def prismatic_toy():
+    return RobotModel(
+        name="toy",
+        twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+        home_pose=Pose.identity(),
+        lower=np.array([-3.0, -1.0, -1.0]),
+        upper=np.array([3.0, 1.0, 1.0]),
+        sew_indices=(0, 1, 2),
+    )
+
+
+def toy_with_wrist(toy):
+    """The toy with a four-joint spherical wrist on its end."""
+    wrist = [[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+    return dataclasses.replace(
+        toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
+        lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
+        upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
