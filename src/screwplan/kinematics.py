@@ -18,7 +18,7 @@ import numpy as np
 from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, reals, text, wholes,
                       write_document)
-from .screws import Pose, exp_twists, hat
+from .screws import Pose, _apply, _mul, hat
 
 DAMPING = 1e-3
 SINGULAR_TOL = 1e-4
@@ -71,22 +71,27 @@ class RobotModel:
         sew = wholes(self.sew_indices, "sew_indices", E, 3)
         if not 0 <= sew[0] < sew[1] < sew[2] < n:
             raise E("sew_indices must be three increasing joint indices")
-        # stacked per-joint constants of the chain: hat(w), hat(w)^2, the
-        # columns v and w, and the point on each joint axis nearest the
-        # origin
-        hats = np.array([hat(w) for w in twists[:, 3:]])
-        consts = dict(
-            _hats=hats, _hats2=hats @ hats,
-            _v=twists[:, :3, None].copy(), _w=twists[:, 3:, None].copy(),
-            _axis_points=np.cross(twists[:, 3:], twists[:, :3]))
-        for arr in (twists, lower, upper, *consts.values()):
+        for arr in (twists, lower, upper):
             arr.setflags(write=False)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "sew_indices", sew)
-        for name, arr in consts.items():
-            object.__setattr__(self, name, arr)
+        # the chain's constants as floats: per joint v, w, w x v (for a
+        # marker joint its axis point nearest the origin), w x (w x v),
+        # the six distinct entries of hat(w)^2 and the marker flag; and
+        # the base and home poses as rows
+        v, w = twists[:, :3], twists[:, 3:]
+        wv = np.cross(w, v)
+        hats = np.array([hat(x) for x in w])
+        hats2 = (hats @ hats)[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+        object.__setattr__(self, "_joints", tuple(
+            (*row, i in sew) for i, row in enumerate(np.hstack(
+                [v, w, wv, np.cross(w, wv), hats2]).tolist())))
+        for name, pose in (("_base", self.base_pose),
+                           ("_home", self.home_pose)):
+            object.__setattr__(self, name, (pose.rotation.tolist(),
+                                            pose.translation.tolist()))
 
     @property
     def n_joints(self):
@@ -147,55 +152,91 @@ def _cross(a, b):
 
 
 class _Chain:
-    """One pass down the arm: partial products, flange pose, world
-    Jacobian.  partial_rots (n+1, 3, 3) and partial_trans (n+1, 3) are
-    stacked; entry i is the transform ahead of joint i, so it carries
-    both joint i's axis and the frame its link-(i-1) points live in.
+    """One pass down the arm on Python floats: the world Jacobian as a
+    (6, n) array, the flange, and the shoulder, elbow and wrist points.
 
-    Every joint's exponential comes from one screws.exp_twists call over
-    the model's stacked hat(w), hat(w)^2 and v; a prismatic joint's zero
-    hat(w) makes it a translation with no branch.  The rotation chain
-    stays a loop of 3x3 products: a cumulative matrix product has no
-    batched form that rounds the same way.  Translations then take one
-    stacked product and one cumulative sum, the same adds in the same
-    order."""
+    The frame (R, t) ahead of joint i carries both joint i's axis and
+    the frame its link-(i-1) points live in.  Joint i's world twist is
+    the Jacobian column [R v + t x R w; R w].  Its exponential is
+    Rodrigues' formula I + s hat(w) + c2 hat(w)^2 and its translation
+    integral q v + c2 (w x v) + (q - s) (w x (w x v)), with s = sin q
+    and c2 = 1 - cos q; a prismatic joint's zero w leaves I and q v, so
+    nothing branches on the joint type.  One 3x3 product then moves the
+    frame past the joint: (R E, R p + t)."""
 
     def __init__(self, model, q):
         q = np.asarray(q, dtype=float)
         if q.shape != (model.n_joints,):
             raise ValueError(
                 f"expected {model.n_joints} joint values, got {q.shape}")
+        qs = q.tolist()
+        if not all(map(math.isfinite, qs)):
+            raise ValueError("joint values must be finite")
         self.model = model
-        rot, p = exp_twists(q, model._hats, model._hats2, model._v)
-        n = len(q)
-        rots = np.empty((n + 1, 3, 3))
-        rots[0] = model.base_pose.rotation
-        for i in range(n):
-            # the BLAS product that @ makes, with half its dispatch cost
-            np.dot(rots[i], rot[i], rots[i + 1])
-        trans = np.empty((n + 1, 3))
-        trans[0] = model.base_pose.translation
-        trans[1:] = (rots[:-1] @ p[:, :, None])[:, :, 0]
-        self.partial_rots = rots
-        self.partial_trans = np.cumsum(trans, axis=0)
-        # world-frame Jacobian, columns are joint twists [v; w]
-        w = (rots[:-1] @ model._w)[:, :, 0].T
-        v = (rots[:-1] @ model._v)[:, :, 0].T
-        self.jacobian = np.concatenate(
-            [v + _cross(self.partial_trans[:-1].T, w), w])
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = model._base[0]
+        t0, t1, t2 = model._base[1]
+        cols = []
+        sew = []
+        for qi, (vx, vy, vz, wx, wy, wz, ax, ay, az, bx, by, bz,
+                 h00, h11, h22, h01, h02, h12, mark) in zip(qs, model._joints):
+            ux = r00 * wx + r01 * wy + r02 * wz
+            uy = r10 * wx + r11 * wy + r12 * wz
+            uz = r20 * wx + r21 * wy + r22 * wz
+            cols.append((r00 * vx + r01 * vy + r02 * vz + (t1 * uz - t2 * uy),
+                         r10 * vx + r11 * vy + r12 * vz + (t2 * ux - t0 * uz),
+                         r20 * vx + r21 * vy + r22 * vz + (t0 * uy - t1 * ux),
+                         ux, uy, uz))
+            if mark:
+                sew.append((r00 * ax + r01 * ay + r02 * az + t0,
+                            r10 * ax + r11 * ay + r12 * az + t1,
+                            r20 * ax + r21 * ay + r22 * az + t2))
+            s = math.sin(qi)
+            half = math.sin(0.5 * qi)
+            # 2 sin^2(q/2) == 1 - cos q without cancellation near zero
+            c2 = 2.0 * (half * half)
+            ts = qi - s
+            px = qi * vx + c2 * ax + ts * bx
+            py = qi * vy + c2 * ay + ts * by
+            pz = qi * vz + c2 * az + ts * bz
+            # t moves first, by the R it is carried by; R E is written
+            # out, since a screws._mul call per joint costs a fifth of
+            # the pass
+            t0 += r00 * px + r01 * py + r02 * pz
+            t1 += r10 * px + r11 * py + r12 * pz
+            t2 += r20 * px + r21 * py + r22 * pz
+            e00 = 1.0 + c2 * h00
+            e11 = 1.0 + c2 * h11
+            e22 = 1.0 + c2 * h22
+            e01 = c2 * h01 - s * wz
+            e10 = c2 * h01 + s * wz
+            e02 = c2 * h02 + s * wy
+            e20 = c2 * h02 - s * wy
+            e12 = c2 * h12 - s * wx
+            e21 = c2 * h12 + s * wx
+            r00, r01, r02 = (r00 * e00 + r01 * e10 + r02 * e20,
+                             r00 * e01 + r01 * e11 + r02 * e21,
+                             r00 * e02 + r01 * e12 + r02 * e22)
+            r10, r11, r12 = (r10 * e00 + r11 * e10 + r12 * e20,
+                             r10 * e01 + r11 * e11 + r12 * e21,
+                             r10 * e02 + r11 * e12 + r12 * e22)
+            r20, r21, r22 = (r20 * e00 + r21 * e10 + r22 * e20,
+                             r20 * e01 + r21 * e11 + r22 * e21,
+                             r20 * e02 + r21 * e12 + r22 * e22)
+        self.jacobian = np.array(cols).T
+        self._end = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), \
+            (t0, t1, t2)
+        self._sew = sew
 
     def flange(self):
-        """Flange (rotation, translation) as fresh, unchecked arrays."""
-        r = self.partial_rots[-1] @ self.model.home_pose.rotation
-        p = (self.partial_rots[-1] @ self.model.home_pose.translation
-             + self.partial_trans[-1])
-        return r, p
+        """Flange (rotation rows, translation) as floats: the frame past
+        the last joint carrying the home pose."""
+        (R, t), (H, h) = self._end, self.model._home
+        return _mul(R, H), _apply(R, h, t)
 
     def sew_points(self):
-        """World shoulder, elbow and wrist points: the marker joints'
-        axis points, carried by the links ahead of them."""
-        return tuple(self.partial_rots[i] @ self.model._axis_points[i]
-                     + self.partial_trans[i] for i in self.model.sew_indices)
+        """World shoulder, elbow and wrist points as arrays: the marker
+        joints' axis points, carried by the frames ahead of them."""
+        return tuple(np.array(p) for p in self._sew)
 
 
 def forward_kinematics(model, q):
@@ -234,12 +275,13 @@ def arm_state(model, q):
     c.v_i + (p x c).w_i to every column before its marker joint."""
     chain = _Chain(model, q)
     jac = chain.jacobian
+    R, p = map(np.array, chain.flange())
     s, e, w = chain.sew_points()
     a = w - s
     na = np.linalg.norm(a)
     if na == 0.0:
         # shoulder on the wrist: no plane, so psi has no gradient
-        return (*chain.flange(), jac, 0.0, np.zeros(len(q)))
+        return R, p, jac, 0.0, np.zeros(len(q))
     u = a / na
     ref = _reference_direction(model, u)
     r = ref - np.dot(ref, u) * u
@@ -253,9 +295,10 @@ def arm_state(model, q):
         ce = _cross(u, f) / ff
         ca = (np.dot(ref, u) / np.dot(r, r) * _cross(u, r)
               - np.dot(ew, u) * ce) / na
-        for c, p, i in zip((-ce - ca, ce, ca), (s, e, w), model.sew_indices):
-            jpsi[:i] += np.concatenate([c, _cross(p, c)]) @ jac[:, :i]
-    return (*chain.flange(), jac, psi, jpsi)
+        for c, point, i in zip((-ce - ca, ce, ca), (s, e, w),
+                               model.sew_indices):
+            jpsi[:i] += np.concatenate([c, _cross(point, c)]) @ jac[:, :i]
+    return R, p, jac, psi, jpsi
 
 
 def sew_angle(model, q):

@@ -207,7 +207,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     # each step works on the chain's arrays and builds no Pose; the entry
     # pass gives the flange held throughout and the angle's zero
     R, p, jac, psi_prev, jpsi = arm_state(model, q_c)
-    hold = R, p
+    hold = R.tolist(), p.tolist()
     psi_cont = 0.0  # unwrapped angle relative to entry
     while True:
         if abs(psi_d - psi_cont) < PSI_TOL:
@@ -223,7 +223,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         # the log checks the flange rotation, the held one on entry
-        xi, theta = _relative_log(*hold, R, p)
+        xi, theta = _relative_log(*hold, R.tolist(), p.tolist())
         correction = np.concatenate([config.kappa * (xi * theta),
                                      [psi_d - psi_cont]])
         dq = _clamp(config.lam * config.delta_t * (pinv @ correction))
@@ -245,9 +245,9 @@ def plan_to_pose(q0, gd, model, config):
     for planning failures; the outcome says how it ended."""
     check_eps(model, config.eps_in, config.eps_out)
     inner = limit_band(model, config.eps_in)
-    # gd is a checked Pose; each step works on its arrays and the
+    # gd is a checked Pose; each step works on its float rows and the
     # chain's, and builds no Pose
-    Rg, pg = gd.rotation, gd.translation
+    Rg, pg = gd.rotation.tolist(), gd.translation.tolist()
     q_c = np.asarray(q0, dtype=float).copy()
     steps = []
     pending = (q_c, False)

@@ -15,6 +15,7 @@ pitch is infinite).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ def _norm(x):
 
 
 def _check_rotation(R):
-    """ValueError unless R is finite, orthonormal within _ORTHO_TOL and of
-    positive determinant; non-finite entries fail before any product."""
-    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    """ValueError unless the float rows R are finite, orthonormal within
+    _ORTHO_TOL and of positive determinant; non-finite entries fail
+    before any product."""
+    (a, b, c), (d, e, f), (g, h, i) = R
     if not math.isfinite(a + b + c + d + e + f + g + h + i):
         raise ValueError("rotation not orthonormal (non-finite entries)")
     # the six distinct entries of R^T R - I, column against column
@@ -65,6 +67,26 @@ def _check_rotation(R):
         raise ValueError(f"rotation not orthonormal (deviation {dev:.3e})")
 
 
+def _mul(A, B):
+    """The 3x3 product A B of two matrices given as float rows."""
+    (a, b, c), (d, e, f), (g, h, i) = A
+    (j, k, l), (m, n, o), (p, q, r) = B
+    return ((a * j + b * m + c * p, a * k + b * n + c * q,
+             a * l + b * o + c * r),
+            (d * j + e * m + f * p, d * k + e * n + f * q,
+             d * l + e * o + f * r),
+            (g * j + h * m + i * p, g * k + h * n + i * q,
+             g * l + h * o + i * r))
+
+
+def _apply(R, x, p):
+    """R x + p for float rows R and float 3-vectors x and p."""
+    (a, b, c), (d, e, f), (g, h, i) = R
+    x0, x1, x2 = x
+    return (a * x0 + b * x1 + c * x2 + p[0], d * x0 + e * x1 + f * x2 + p[1],
+            g * x0 + h * x1 + i * x2 + p[2])
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: x maps to rotation @ x + translation."""
@@ -77,7 +99,7 @@ class Pose:
         p = np.array(self.translation, dtype=float)
         if R.shape != (3, 3) or p.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector")
-        _check_rotation(R)
+        _check_rotation(R.tolist())
         if not np.isfinite(p).all():
             raise ValueError("pose translation must be finite")
         R.setflags(write=False)
@@ -95,20 +117,37 @@ class Pose:
 
 
 def _compose(Ra, pa, Rb, pb):
-    R = Ra @ Rb
-    # one Newton step keeps long chains orthonormal
-    R = R @ (1.5 * _EYE3 - 0.5 * (R.T @ R))
-    return R, Ra @ pb + pa
+    """(R, p) of the pose a(b(x)), on float rows and 3-vectors, unchecked;
+    R takes one Newton step, R (3 I - R^T R) / 2, which keeps long chains
+    orthonormal."""
+    R = _mul(Ra, Rb)
+    (a, b, c), (d, e, f), (g, h, i) = R
+    ab = -0.5 * (a * b + d * e + g * h)
+    ac = -0.5 * (a * c + d * f + g * i)
+    bc = -0.5 * (b * c + e * f + h * i)
+    return _mul(R, ((1.5 - 0.5 * (a * a + d * d + g * g), ab, ac),
+                    (ab, 1.5 - 0.5 * (b * b + e * e + h * h), bc),
+                    (ac, bc, 1.5 - 0.5 * (c * c + f * f + i * i)))), \
+        _apply(Ra, pb, pa)
 
 
 def compose(a, b):
     """a then b is NOT this: compose(a, b) maps x to a(b(x))."""
-    return Pose(*_compose(a.rotation, a.translation, b.rotation,
-                          b.translation))
+    return Pose(*_compose(a.rotation.tolist(), a.translation.tolist(),
+                          b.rotation.tolist(), b.translation.tolist()))
+
+
+def _inverse(R, p):
+    """(R^T, -R^T p) on float rows and a float 3-vector, unchecked."""
+    (a, b, c), (d, e, f), (g, h, i) = R
+    x, y, z = p
+    return ((a, d, g), (b, e, h), (c, f, i)), (
+        -(a * x + d * y + g * z), -(b * x + e * y + h * z),
+        -(c * x + f * y + i * z))
 
 
 def inverse(a):
-    return Pose(a.rotation.T, -(a.rotation.T @ a.translation))
+    return Pose(*_inverse(a.rotation.tolist(), a.translation.tolist()))
 
 
 def pose_error(a, b):
@@ -118,16 +157,25 @@ def pose_error(a, b):
     coincide. The angle uses atan2 of the skew norm against the trace, which
     stays accurate near 0 and near pi.
     """
-    return _pose_error(a.rotation, a.translation, b.rotation, b.translation)
+    return _pose_error(a.rotation.tolist(), a.translation.tolist(),
+                       b.rotation.tolist(), b.translation.tolist())
 
 
 def _pose_error(Ra, pa, Rb, pb):
-    """pose_error of the poses (Ra, pa) and (Rb, pb), unchecked."""
-    R = Ra.T @ Rb
-    s = _norm(R - R.T) / math.sqrt(8.0)
-    c = (R.trace() - 1.0) / 2.0
-    rot = math.atan2(min(s, 1.0), max(-1.0, min(c, 1.0)))
-    return rot, _norm(pa - pb)
+    """pose_error of the poses (Ra, pa) and (Rb, pb), as float rows and
+    3-vectors, unchecked.  Of R = Ra^T Rb it takes the trace and the
+    skew part R - R^T, whose Frobenius norm over sqrt(8) is half the
+    norm of its axial vector."""
+    (a, b, c), (d, e, f), (g, h, i) = Ra
+    (j, k, l), (m, n, o), (p, q, r) = Rb
+    s = 0.5 * math.hypot(
+        (c * k + f * n + i * q) - (b * l + e * o + h * r),
+        (a * l + d * o + g * r) - (c * j + f * m + i * p),
+        (b * j + e * m + h * p) - (a * k + d * n + g * q))
+    cos = ((a * j + d * m + g * p) + (b * k + e * n + h * q)
+           + (c * l + f * o + i * r) - 1.0) / 2.0
+    rot = math.atan2(min(s, 1.0), max(-1.0, min(cos, 1.0)))
+    return rot, math.dist(pa, pb)
 
 
 def pose_errors(Ra, pa, Rb, pb):
@@ -234,10 +282,10 @@ def exp_screw(xi, theta):
 
 
 def _quat_pivot(R):
-    """Unnormalised quaternion (w, x, y, z) of a rotation matrix, as
-    floats.  Pivots on the largest of trace and diagonal entries, so the
+    """Unnormalised quaternion (w, x, y, z) of a rotation given as float
+    rows.  Pivots on the largest of trace and diagonal entries, so the
     axis stays accurate for rotations arbitrarily close to pi."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
     t = r00 + r11 + r22
     if t >= r00 and t >= r11 and t >= r22:
         r = math.sqrt(1.0 + t)
@@ -259,7 +307,7 @@ def _quat_pivot(R):
 def rot_to_quat(R):
     """Rotation matrix to unit quaternion [w, x, y, z], w >= 0 (see
     _quat_pivot)."""
-    q = np.array(_quat_pivot(R))
+    q = np.array(_quat_pivot(R.tolist()))
     q /= _norm(q)
     if q[0] < 0.0:
         q = -q
@@ -279,14 +327,15 @@ def quat_to_rot(q):
 
 def _log(R, p):
     """(unit twist xi = [v; w] (6,), magnitude theta) of the displacement
-    (R, p): the one log behind log_pose, screw_from_pose, error_twist and
-    sclerp.  The rotation is the caller's to check.
+    given as float rows R and a float 3-vector p: the one log behind
+    log_pose, screw_from_pose, error_twist and sclerp.  The rotation is
+    the caller's to check.
 
     The closed-form SE(3) logarithm (Lynch & Park, Modern Robotics, 2017,
     section 3.3.3.2; Murray, Li & Sastry, 1994): theta and w from the
     pivoted quaternion, then v = G(theta)^-1 p =
     p / theta - (w x p) / 2 + c2 (w (w . p) - p), the inverse of
-    exp_twists' translation map, on Python floats.
+    exp_twists' translation map.
 
     Rotations with angle below ROT_IDENTITY_TOL are pure translations,
     [p / |p|; 0] and theta = |p|; the exact identity yields the canonical
@@ -299,19 +348,22 @@ def _log(R, p):
         w, x, y, z = -w, -x, -y, -z
     n = math.sqrt(x * x + y * y + z * z)
     theta = 2.0 * math.atan2(n, w)
+    px, py, pz = p
     if theta < ROT_IDENTITY_TOL:
-        d = _norm(p)
+        d = math.hypot(px, py, pz)
         if d == 0.0:
             return np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), 0.0
-        if d < 1e-154:  # p @ p is subnormal: normalise a rescaled p
-            s = float(np.abs(p).max())
-            u = p / s
-            return np.concatenate([u / _norm(u), np.zeros(3)]), s * _norm(u)
-        return np.concatenate([p / d, np.zeros(3)]), d
+        if d < sys.float_info.min:
+            # a subnormal length has too few bits to divide by: take the
+            # direction of p scaled by its largest entry
+            s = max(abs(px), abs(py), abs(pz))
+            px, py, pz = px / s, py / s, pz / s
+            u = math.hypot(px, py, pz)
+            return np.array([px / u, py / u, pz / u, 0.0, 0.0, 0.0]), s * u
+        return np.array([px / d, py / d, pz / d, 0.0, 0.0, 0.0]), d
     wx, wy, wz = x / n, y / n, z / n
     if not abs(wx * wx + wy * wy + wz * wz - 1.0) <= _ORTHO_TOL:
         raise ValueError("angular part must be unit or zero")
-    px, py, pz = p.tolist()
     # series near zero, where the closed form cancels
     c2 = (theta / 12.0 + theta ** 3 / 720.0 if theta < 1e-4
           else 1.0 / theta - 0.5 / math.tan(0.5 * theta))
@@ -327,7 +379,7 @@ def screw_from_pose(pose):
     """Chasles decomposition of a displacement, from its log [v; w]:
     axis w, pitch w . v and moment v - pitch w; a pure translation has
     axis v, infinite pitch and zero moment (see _log)."""
-    xi, theta = _log(pose.rotation, pose.translation)
+    xi, theta = _log(pose.rotation.tolist(), pose.translation.tolist())
     v, omega = xi[:3], xi[3:]
     if not omega.any():
         return ScrewDisplacement(v, np.zeros(3), INFINITE_PITCH, theta)
@@ -340,16 +392,17 @@ def screw_from_pose(pose):
 
 def log_pose(pose):
     """(unit twist, magnitude) such that exp_screw reproduces the pose."""
-    return _log(pose.rotation, pose.translation)
+    return _log(pose.rotation.tolist(), pose.translation.tolist())
 
 
 def _relative_log(Rg, pg, Rs, ps):
     """_log of the goal (Rg, pg) composed with the inverse of the start
-    (Rs, ps), checked but unbuilt: the start's rotation is checked here,
-    the goal's is the caller's."""
-    Rt = Rs.T
+    (Rs, ps), all float rows and 3-vectors, checked but unbuilt: the
+    start's inverse rotation is checked here, as Pose would check it,
+    and the goal's is the caller's."""
+    Rt, pt = _inverse(Rs, ps)
     _check_rotation(Rt)
-    R, p = _compose(Rg, pg, Rt, -(Rt @ ps))
+    R, p = _compose(Rg, pg, Rt, pt)
     _check_rotation(R)
     return _log(R, p)
 
@@ -357,8 +410,10 @@ def _relative_log(Rg, pg, Rs, ps):
 def error_twist(goal, pose):
     """Log coordinates xi * theta of compose(goal, inverse(pose)), the
     spatial twist that carries pose onto goal in unit time."""
-    xi, theta = _relative_log(goal.rotation, goal.translation,
-                              pose.rotation, pose.translation)
+    xi, theta = _relative_log(goal.rotation.tolist(),
+                              goal.translation.tolist(),
+                              pose.rotation.tolist(),
+                              pose.translation.tolist())
     return xi * theta
 
 
@@ -373,8 +428,10 @@ def sclerp(start, goal, tau):
 def sclerp_path(start, goal, taus):
     """Vectorized sclerp: returns rotations (n, 3, 3) and translations
     (n, 3) for an array of interpolation parameters."""
-    xi, theta = _relative_log(goal.rotation, goal.translation,
-                              start.rotation, start.translation)
+    xi, theta = _relative_log(goal.rotation.tolist(),
+                              goal.translation.tolist(),
+                              start.rotation.tolist(),
+                              start.translation.tolist())
     W = hat(xi[3:])
     R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
                       xi[:3, None])

@@ -182,9 +182,9 @@ def test_pseudoinverse_identities():
 
 
 def reference_chain(model, q):
-    """The chain one joint at a time, each exponential built on its own:
-    the stacked kernel must reproduce it bit for bit.  Returns (partial
-    rotations, partial translations, flange pose, Jacobian)."""
+    """The chain one joint at a time in numpy, each exponential built on
+    its own: the float chain must match it within 1e-12.  Returns
+    (partial rotations, partial translations, flange pose, Jacobian)."""
     eye = np.eye(3)
     rots = [model.base_pose.rotation]
     trans = [model.base_pose.translation]
@@ -215,26 +215,45 @@ def reference_chain(model, q):
     return np.array(rots), np.array(trans), pose, jac
 
 
-def _assert_chain_bitwise(model, q):
+def _assert_chain_matches(model, q):
     rots, trans, pose, jac = reference_chain(model, q)
     chain = _Chain(model, q)
-    assert np.array_equal(chain.partial_rots, rots)
-    assert np.array_equal(chain.partial_trans, trans)
     got_R, got_p = chain.flange()
-    assert np.array_equal(got_R, pose.rotation)
-    assert np.array_equal(got_p, pose.translation)
-    assert np.array_equal(chain.jacobian, jac)
+    assert_allclose(got_R, pose.rotation, rtol=0.0, atol=1e-12)
+    assert_allclose(got_p, pose.translation, rtol=0.0, atol=1e-12)
+    assert chain.jacobian.shape == jac.shape
+    assert_allclose(chain.jacobian, jac, rtol=0.0, atol=1e-12)
+    # each marker joint's axis point nearest the origin, w x v, carried
+    # by the frame ahead of it
+    points = [rots[i] @ np.cross(model.twists[i, 3:], model.twists[i, :3])
+              + trans[i] for i in model.sew_indices]
+    assert_allclose(chain.sew_points(), points, rtol=0.0, atol=1e-12)
 
 
-def test_stacked_chain_matches_per_joint_chain_bitwise():
+def test_float_chain_matches_per_joint_chain():
     rng = np.random.default_rng(71)
     model = dataclasses.replace(panda_model(), base_pose=rand_pose(rng))
     for _ in range(200):
-        _assert_chain_bitwise(model, rand_q(rng, model, shrink=0.0))
-    _assert_chain_bitwise(model, np.zeros(7))
+        _assert_chain_matches(model, rand_q(rng, model, shrink=0.0))
+    _assert_chain_matches(model, np.zeros(7))
     toy = prismatic_toy()
-    for _ in range(50):
-        _assert_chain_bitwise(toy, rng.uniform(toy.lower, toy.upper))
+    for arm in (toy, toy_with_wrist(toy)):
+        for _ in range(50):
+            _assert_chain_matches(arm, rng.uniform(arm.lower, arm.upper))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_joint_values_are_refused(bad):
+    model = panda_model()
+    goal = forward_kinematics(model, READY)
+    q = READY.copy()
+    q[3] = bad
+    for call in (lambda: forward_kinematics(model, q),
+                 lambda: arm_state(model, q),
+                 lambda: planner.plan_to_pose(q, goal, model,
+                                              PlannerConfig())):
+        with pytest.raises(ValueError, match="joint values must be finite"):
+            call()
 
 
 def test_sew_points_frozen_at_zero():

@@ -471,8 +471,8 @@ def test_scalar_rotation_check_matches_numpy_form(q, change, k, e, transpose):
     elif change != "none":
         R.flat[k] = float(change)
     if transpose:
-        R = R.T  # a view, as _relative_log checks it
-    verdict = _rotation_verdict(_check_rotation, R)
+        R = R.T  # the transpose, as _relative_log checks it
+    verdict = _rotation_verdict(_check_rotation, R.tolist())
     assert verdict == _rotation_verdict(_numpy_check_rotation, R)
     assert (verdict is None) == (change in ("none", "1e-10"))
 
@@ -589,17 +589,20 @@ def _log_input(draw):
     """(R, p) at each end and branch of the log: theta = 0, theta in the
     c2 series range [1.01 ROT_IDENTITY_TOL, 1e-4], within 1e-6 of pi about
     an axis near each coordinate axis (so each diagonal pivot of the
-    quaternion is taken), pure translations of ordinary and subnormal
-    length, and random poses."""
+    quaternion is taken), pure translations of ordinary length, of a
+    length whose square underflows and of subnormal length, and random
+    poses."""
     unit = st.floats(-1.0, 1.0)
     vec = st.lists(unit, min_size=3, max_size=3).map(np.array)
     kind = draw(st.sampled_from(("zero", "series", "near_pi", "translation",
-                                 "subnormal", "random")))
+                                 "subnormal", "denormal", "random")))
     p = draw(vec)
     if kind in ("zero", "translation"):
         return np.eye(3), (p if kind == "translation" else 0.0 * p)
     if kind == "subnormal":
         return np.eye(3), p * draw(st.floats(1e-170, 1e-155))
+    if kind == "denormal":
+        return np.eye(3), p * draw(st.floats(1e-320, 1e-309))
     if kind == "random":
         q = draw(st.lists(unit, min_size=4, max_size=4).filter(
             lambda v: np.linalg.norm(v) > 0.1))
@@ -619,7 +622,7 @@ def _log_input(draw):
 @given(_log_input())
 def test_closed_form_log_matches_chasles_reference(Rp):
     R, p = Rp
-    xi, theta = _log(R, p)
+    xi, theta = _log(R.tolist(), p.tolist())
     _assert_matches_chasles(xi, theta, R, p)
     if theta > 0.0:
         assert abs(np.linalg.norm(xi[3:]) - 1.0) <= 1e-15 or (
