@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, pose_from_record,
+from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, read_lines, real, reals,
                       text, whole, wholes, write_document, write_lines)
-from .screws import (Pose, ScrewDisplacement, compose, inverse, pose_error,
-                     pose_errors, quat_to_rot, sclerp_path, screw_from_pose)
+from .screws import (Pose, ScrewDisplacement, _pose_error, _relative_log,
+                     compose, exp_twists, inverse, pose_errors, quat_to_rot,
+                     sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -68,7 +69,7 @@ class Demonstration:
         E = MalformedDemonstrationError
         times = np.array(reals(self.times, "times", E))
         text(self.object_id, "object_id", E)
-        poses = tuple(self.poses)
+        poses = tuple(instance(p, Pose, "pose", E) for p in self.poses)
         if len(times) != len(poses) or len(poses) < 2:
             raise E("need matching times and poses, at least 2 samples")
         if np.any(np.diff(times) <= 0.0):
@@ -84,6 +85,10 @@ class TaskInstance:
 
     initial: Pose
     goal: Pose
+
+    def __post_init__(self):
+        for name in ("initial", "goal"):
+            instance(getattr(self, name), Pose, name, DemonstrationError)
 
 
 @dataclass(frozen=True)
@@ -243,18 +248,46 @@ def load_segments(source):
 # ------------------------------------------------------------- segmentation
 
 
-def _deviation_from_chord(poses, Rs, ps, start, end, cum):
-    """Worst (rotation, translation) deviation of interior samples from the
-    constant-screw interpolant between samples start and end. Interior
-    samples sit at interpolation parameters proportional to accumulated
-    pose-error arc length."""
-    span = cum[end] - cum[start]
-    if span <= 0.0:
-        return 0.0, 0.0
-    taus = (cum[start + 1:end] - cum[start]) / span
-    rot, trans = pose_errors(*sclerp_path(poses[start], poses[end], taus),
-                             Rs[start + 1:end], ps[start + 1:end])
-    return float(rot.max(initial=0.0)), float(trans.max(initial=0.0))
+# Interior samples scored in one stacked pass.  A run of windows costs
+# one exp_twists and one pose_errors call whatever its length, but its
+# stacked (n, 3, 3) temporaries grow by about half a KiB per sample and
+# the windows scored past the first misfit are wasted work.  The saving
+# levels off at a few hundred samples, where the temporaries (about
+# 130 KiB) are of the size of a 150-sample demonstration's float rows.
+_RUN_SAMPLES = 256
+
+
+def _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol):
+    """The first of the window ends (increasing, all after start a) whose
+    window misfits, or None when every window fits.  Rs, ps are the
+    stacked samples and Rl, pl the same as float rows.
+
+    A window fits when each interior sample lies within tol (rotation
+    radians, translation meters) of the constant-screw interpolant
+    between the window's endpoints, at an interpolation parameter
+    proportional to accumulated pose-error arc length; a window of zero
+    arc length fits.  The chords are scalar logs and the interpolants of
+    all windows one stacked exponential, with the arithmetic of
+    sclerp_path and pose_errors window by window."""
+    ends = [e for e in ends if cum[e] > cum[a]]
+    if not ends:
+        return None
+    logs = [_relative_log(Rl[e], pl[e], Rl[a], pl[a]) for e in ends]
+    xi = np.array([x for x, _ in logs])
+    # hat of every angular part at once, written into flat 3x3 rows
+    W = np.zeros((len(ends), 9))
+    W[:, [7, 2, 3]] = xi[:, 3:]
+    W[:, [5, 6, 1]] = -xi[:, 3:]
+    W = W.reshape(-1, 3, 3)
+    # window k holds samples a + 1 ... ends[k] - 1, windows one after another
+    k = np.repeat(np.arange(len(ends)), np.array(ends) - a - 1)
+    idx = np.concatenate([np.arange(a + 1, e) for e in ends])
+    taus = (cum[idx] - cum[a]) / (cum[ends] - cum[a])[k]
+    thetas = np.array([theta for _, theta in logs])
+    R, p = exp_twists(thetas[k] * taus, W[k], (W @ W)[k], xi[k, :3, None])
+    rot, trans = pose_errors(R @ Rs[a], R @ ps[a] + p, Rs[idx], ps[idx])
+    bad = np.flatnonzero((rot > tol[0]) | (trans > tol[1]))
+    return ends[k[bad[0]]] if bad.size else None
 
 
 def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
@@ -263,18 +296,19 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     Each window grows while every interior sample stays within fit_tol
     (rotation radians, translation meters) of the screw interpolant between
     the window endpoints; consecutive segments share their boundary sample.
+    Windows from one start are scored in runs of ends, and a segment stops
+    before the first window that misfits.
     """
-    rot_tol, trans_tol = fit_tol
-    if not (0.0 <= rot_tol < math.inf and 0.0 <= trans_tol < math.inf):
-        raise DemonstrationError(
-            "fit tolerances must be finite numbers >= 0")
+    tol = reals(fit_tol, "fit_tol", DemonstrationError, 2)
+    if min(tol) < 0.0:
+        raise DemonstrationError("fit tolerances must be finite numbers >= 0")
     poses = demo.poses
     n = len(poses)
     Rs = np.stack([p.rotation for p in poses])
     ps = np.stack([p.translation for p in poses])
+    Rl, pl = Rs.tolist(), ps.tolist()
     # arc length: one radian of rotation counts as one meter
-    inc = [r + t for r, t in (pose_error(a, b)
-                              for a, b in zip(poses, poses[1:]))]
+    inc = [r + t for r, t in map(_pose_error, Rl, pl, Rl[1:], pl[1:])]
     cum = np.concatenate([[0.0], np.cumsum(inc)])
     if cum[-1] < 1e-12:
         raise DegenerateDemonstrationError(
@@ -283,11 +317,18 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     a = 0
     while a < n - 1:
         b = a + 1
-        while b + 1 <= n - 1:
-            rot, trans = _deviation_from_chord(poses, Rs, ps, a, b + 1, cum)
-            if rot > rot_tol or trans > trans_tol:
+        while b < n - 1:
+            ends, total = [], 0
+            for e in range(b + 1, n):
+                total += e - a - 1
+                if ends and total > _RUN_SAMPLES:
+                    break
+                ends.append(e)
+            misfit = _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol)
+            if misfit is not None:
+                b = misfit - 1
                 break
-            b += 1
+            b = ends[-1]
         segments.append(ScrewSegment(
             a, b,
             screw_from_pose(compose(poses[b], inverse(poses[a]))),
@@ -383,11 +424,13 @@ def synthesize_demonstration(key_poses, samples_per_leg=50,
         counts = list(samples_per_leg)
     if len(counts) != len(keys) - 1 or any(c < 1 for c in counts):
         raise ValueError("need a positive sample count per leg")
+    rot_amp, trans_amp = reals(noise, "noise", ValueError, 2)
+    if rot_amp < 0.0 or trans_amp < 0.0:
+        raise ValueError("noise amplitudes must be finite numbers >= 0")
     poses = [keys[0]]
     for a, b, m in zip(keys, keys[1:], counts):
         R, p = sclerp_path(a, b, np.linspace(0.0, 1.0, m + 1)[1:])
         poses.extend(Pose(R[k], p[k]) for k in range(m))
-    rot_amp, trans_amp = noise
     if rot_amp > 0.0 or trans_amp > 0.0:
         rng = np.random.default_rng() if rng is None else rng
         wobbled = []

@@ -100,7 +100,7 @@ class Pose:
         if R.shape != (3, 3) or p.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector")
         _check_rotation(R.tolist())
-        if not np.isfinite(p).all():
+        if not all(map(math.isfinite, p.tolist())):
             raise ValueError("pose translation must be finite")
         R.setflags(write=False)
         p.setflags(write=False)

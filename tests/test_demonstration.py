@@ -13,6 +13,7 @@ from screwplan.demonstration import (
     BadQuaternionError,
     ConstraintModel,
     DegenerateDemonstrationError,
+    DemonstrationError,
     Demonstration,
     MalformedDemonstrationError,
     MalformedModelError,
@@ -38,7 +39,9 @@ from screwplan.screws import (
     exp_screw,
     inverse,
     pose_error,
+    pose_errors,
     quat_to_rot,
+    sclerp_path,
     unit_twist,
 )
 from util import rand_pose, rand_unit
@@ -277,6 +280,129 @@ def test_segmentation_frame_equivariance():
     assert a == b
 
 
+def _deviation_from_chord(poses, Rs, ps, start, end, cum):
+    """Reference: worst (rotation, translation) deviation of the interior
+    samples of one window from its constant-screw interpolant, one
+    sclerp_path and pose_errors call per window."""
+    span = cum[end] - cum[start]
+    if span <= 0.0:
+        return 0.0, 0.0
+    taus = (cum[start + 1:end] - cum[start]) / span
+    rot, trans = pose_errors(*sclerp_path(poses[start], poses[end], taus),
+                             Rs[start + 1:end], ps[start + 1:end])
+    return float(rot.max(initial=0.0)), float(trans.max(initial=0.0))
+
+
+def _arc_length(poses):
+    inc = [r + t for r, t in (pose_error(a, b)
+                              for a, b in zip(poses, poses[1:]))]
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+def reference_segment(demo, fit_tol=(0.02, 0.005)):
+    """Reference: the greedy longest-fit split grown one window at a time,
+    as (start, end) pairs."""
+    rot_tol, trans_tol = fit_tol
+    poses = demo.poses
+    n = len(poses)
+    Rs = np.stack([p.rotation for p in poses])
+    ps = np.stack([p.translation for p in poses])
+    cum = _arc_length(poses)
+    out = []
+    a = 0
+    while a < n - 1:
+        b = a + 1
+        while b + 1 <= n - 1:
+            rot, trans = _deviation_from_chord(poses, Rs, ps, a, b + 1, cum)
+            if rot > rot_tol or trans > trans_tol:
+                break
+            b += 1
+        out.append((a, b))
+        a = b
+    return out
+
+
+def _spans(segments):
+    return [(s.start_index, s.end_index) for s in segments]
+
+
+def _reference_cases(rng):
+    """(demo, fit_tol) pairs: clean and noisy demos of 1-3 screws, some
+    with pure-translation legs or legs near pi, some with dwells
+    (repeated samples, so windows of zero arc length), 2- and 3-sample
+    demos, under tight, default and loose tolerances."""
+    tols = ((0.002, 0.0005), (0.02, 0.005), (0.2, 0.05))
+    noise = (math.radians(0.2), 0.001)
+
+    def leg(kind):
+        axis = rand_unit(rng)
+        if kind == "translation":
+            return ScrewDisplacement(axis, np.zeros(3), INFINITE_PITCH,
+                                     rng.uniform(0.05, 0.5))
+        m = np.cross(rng.uniform(-0.3, 0.3, 3), axis)
+        theta = (rng.uniform(math.pi - 1e-3, math.pi) if kind == "pi"
+                 else rng.uniform(0.3, 1.5))
+        return ScrewDisplacement(axis, m, rng.uniform(-0.2, 0.2), theta)
+
+    def keys(k, kinds):
+        out = [rand_pose(rng)]
+        for _ in range(k):
+            s = leg(kinds[rng.integers(len(kinds))])
+            out.append(compose(exp_screw(unit_twist(s), s.magnitude), out[-1]))
+        return out
+
+    cases = []
+    for i in range(60):
+        k = i % 3 + 1
+        tol = tols[i % len(tols)]
+        for kinds in (("screw",), ("screw", "translation"), ("pi", "screw")):
+            demo = synthesize_demonstration(
+                keys(k, kinds), samples_per_leg=int(rng.integers(8, 41)),
+                noise=noise if i % 2 else (0.0, 0.0), rng=rng)
+            cases.append((demo, tol))
+        # dwells: repeat some samples, one of them the first
+        poses = list(demo.poses)
+        for j in (0, *rng.integers(0, len(poses), 3)):
+            poses[j:j] = [poses[j]] * int(rng.integers(1, 4))
+        cases.append((Demonstration(0.02 * np.arange(len(poses)),
+                                    tuple(poses), "dwell"), tol))
+        # 2 and 3 samples
+        short = tuple(rand_pose(rng) for _ in range(2 + i % 2))
+        cases.append((Demonstration(0.02 * np.arange(len(short)), short,
+                                    "short"), tol))
+    return cases
+
+
+def test_split_matches_window_by_window_reference():
+    cases = _reference_cases(np.random.default_rng(24))
+    assert len(cases) >= 300
+    for demo, tol in cases:
+        assert _spans(segment_demonstration(demo, tol)) == \
+            reference_segment(demo, tol)
+
+
+def test_split_stops_at_the_first_misfit():
+    # x positions along a line that backtracks once: the window 0..3
+    # misfits (sample 2 sits 0.19 m off its arc-length place), the longer
+    # window 0..4 fits (worst 0.1 m), and the turn at sample 6 breaks
+    # every window past it
+    xs = ((0, 0), (1, 0), (2, 0), (1.9, 0), (4, 0), (5.8, 0), (5.8, 2),
+          (5.8, 4))
+    poses = tuple(Pose(np.eye(3), np.array([x, y, 0.0])) for x, y in xs)
+    demo = Demonstration(0.02 * np.arange(len(poses)), poses, "backtrack")
+    tol = (0.01, 0.15)
+    Rs = np.stack([p.rotation for p in poses])
+    ps = np.stack([p.translation for p in poses])
+    cum = _arc_length(poses)
+    worst = [_deviation_from_chord(poses, Rs, ps, 0, e, cum)[1]
+             for e in range(2, len(poses))]
+    fits = [w <= tol[1] for w in worst]
+    assert fits == [True, False, True, True, False, False]
+    want = [(0, 2), (2, 3), (3, 5), (5, 7)]
+    assert reference_segment(demo, tol) == want
+    assert _spans(segment_demonstration(demo, tol)) == want
+
+
 # ------------------------------------------------- guiding poses, transfer
 
 
@@ -445,6 +571,26 @@ def test_demonstration_validation():
                              ([0.0, 0.02], 3)):
         with pytest.raises(MalformedDemonstrationError):
             Demonstration(times, (g, h), object_id)
+    # samples must be poses
+    for poses in (("x", "y"), (np.eye(4), np.eye(4)), (g, None)):
+        with pytest.raises(MalformedDemonstrationError, match="pose"):
+            Demonstration([0.0, 0.02], poses, "o")
+    for initial, goal in (("a", 3), (g, None), (np.eye(4), h)):
+        with pytest.raises(DemonstrationError):
+            TaskInstance(initial, goal)
+
+
+def test_numeric_arguments_are_checked():
+    demo = synthesize_demonstration(pick_place_keys(), samples_per_leg=10)
+    for fit_tol in ((True, 0.005), (0.02, math.nan), (-0.01, 0.005),
+                    (0.02, math.inf), ("0.02", 0.005), (0.02,), 0.02):
+        with pytest.raises(DemonstrationError, match="fit"):
+            segment_demonstration(demo, fit_tol)
+    for noise in ((math.nan, 0.0), (0.0, -0.001), (True, 0.0),
+                  (0.0, math.inf), (0.01,)):
+        with pytest.raises(ValueError, match="noise"):
+            synthesize_demonstration(pick_place_keys(), samples_per_leg=5,
+                                     noise=noise)
 
 
 def test_segments_round_trip(tmp_path):

@@ -430,6 +430,13 @@ def test_pose_rejects_non_finite_rotation_and_translation():
             Pose(rot, np.zeros(3))
         with pytest.raises(ValueError, match="translation must be finite"):
             Pose(np.eye(3), np.array([0.0, 0.0, bad]))
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(3):
+            p = [0.5, -0.25, 1.0]
+            p[k] = bad
+            with pytest.raises(ValueError,
+                               match="translation must be finite"):
+                Pose(np.eye(3), p)
     # a reflection that passes the orthonormality test is still refused
     with pytest.raises(ValueError, match="not orthonormal"):
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
