@@ -16,7 +16,7 @@ from screwplan import (PANDA_READY, Pose, arm_state, forward_kinematics,
 
 if __name__ == "__main__":
     model = panda_model()
-    # the flange comes back as bare (R, p) arrays
+    # the flange comes back as float rows
     R, p, jac, psi, _ = arm_state(model, PANDA_READY)
     pose = Pose(R, p)
     print(f"arm: {model.name}, {model.n_joints} joints")

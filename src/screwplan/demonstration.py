@@ -23,9 +23,10 @@ import numpy as np
 from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, read_lines, real, reals,
                       text, whole, wholes, write_document, write_lines)
-from .screws import (Pose, ScrewDisplacement, _pose_error, _relative_log,
-                     compose, exp_twists, inverse, pose_errors, quat_to_rot,
-                     sclerp_path, screw_from_pose)
+from .screws import (Pose, ScrewDisplacement, _check_rotation, _compose,
+                     _inverse, _log, _pose_error, compose, exp_twists,
+                     inverse, pose_errors, quat_to_rot, sclerp_path,
+                     screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -272,7 +273,15 @@ def _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol):
     ends = [e for e in ends if cum[e] > cum[a]]
     if not ends:
         return None
-    logs = [_relative_log(Rl[e], pl[e], Rl[a], pl[a]) for e in ends]
+    # each chord is _relative_log's, with the start inverted and checked
+    # once for the run
+    Rt, pt = _inverse(Rl[a], pl[a])
+    _check_rotation(Rt)
+    logs = []
+    for e in ends:
+        Rc, pc = _compose(Rl[e], pl[e], Rt, pt)
+        _check_rotation(Rc)
+        logs.append(_log(Rc, pc))
     xi = np.array([x for x, _ in logs])
     # hat of every angular part at once, written into flat 3x3 rows
     W = np.zeros((len(ends), 9))

@@ -144,16 +144,28 @@ PANDA_READY = np.array([0.0, -math.pi / 4, 0.0, -3 * math.pi / 4, 0.0,
                         math.pi / 2, math.pi / 4])
 
 
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _cross(a, b):
-    # np.cross's axis bookkeeping costs more than the product here
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
 class _Chain:
     """One pass down the arm on Python floats: the world Jacobian as a
-    (6, n) array, the flange, and the shoulder, elbow and wrist points.
+    (6, n) array and as float columns, the flange, and in sew the world
+    shoulder, elbow and wrist points as float triples (the marker
+    joints' axis points, carried by the frames ahead of them).
 
     The frame (R, t) ahead of joint i carries both joint i's axis and
     the frame its link-(i-1) points live in.  Joint i's world twist is
@@ -222,21 +234,17 @@ class _Chain:
             r20, r21, r22 = (r20 * e00 + r21 * e10 + r22 * e20,
                              r20 * e01 + r21 * e11 + r22 * e21,
                              r20 * e02 + r21 * e12 + r22 * e22)
+        self.columns = cols
         self.jacobian = np.array(cols).T
         self._end = ((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)), \
             (t0, t1, t2)
-        self._sew = sew
+        self.sew = sew
 
     def flange(self):
         """Flange (rotation rows, translation) as floats: the frame past
         the last joint carrying the home pose."""
         (R, t), (H, h) = self._end, self.model._home
         return _mul(R, H), _apply(R, h, t)
-
-    def sew_points(self):
-        """World shoulder, elbow and wrist points as arrays: the marker
-        joints' axis points, carried by the frames ahead of them."""
-        return tuple(np.array(p) for p in self._sew)
 
 
 def forward_kinematics(model, q):
@@ -253,52 +261,64 @@ def pseudoinverse(jac):
     return (vt.T * d) @ u.T, damped
 
 
-def _reference_direction(model, u):
-    """In-plane zero reference for the elbow angle: base vertical,
-    or base x when the shoulder-wrist line is vertical."""
-    zhat = model.base_pose.rotation[:, 2]
-    if np.linalg.norm(_cross(zhat, u)) < REFERENCE_AXIS_TOL:
-        return model.base_pose.rotation[:, 0]
-    return zhat
-
-
 def arm_state(model, q):
     """(R, p, jac, psi, dpsi/dq) from one chain pass: the flange as
-    fresh, unchecked arrays, the world Jacobian, and the elbow angle
-    with its gradient.  The one definition of psi.
+    float rows, the world Jacobian, and the elbow angle with its
+    gradient, on the chain's floats.  The one definition of psi.
 
-    The reference r and the elbow offset f both lie across the
-    shoulder-wrist direction u, so dpsi = u.(f x df)/|f|^2 -
-    u.(r x dr)/|r|^2, which is ce.d(e - s) + ca.d(w - s) for two fixed
-    3-vectors.  A point p carried ahead of joint i moves at
+    u is the shoulder-wrist direction, ew the shoulder-to-elbow offset
+    and ref the base vertical, or base x when u lies along it.  With
+    m = ref x u, the in-plane reference is r = u x m and
+    psi = atan2(-m.ew, r.ew); no subtraction that cancels near the
+    reference cone forms r.  With g = u x ew, dpsi = ce.d(e - s) +
+    ca.d(w - s) for ce = g/|g|^2 and ca = -((ref.u) m/|m|^2 +
+    (ew.u) ce)/|w - s|.  A point p carried ahead of joint i moves at
     v_i + w_i x p, so each marker point with coefficient c adds
-    c.v_i + (p x c).w_i to every column before its marker joint."""
+    c.v_i + (p x c).w_i to every column before its marker joint; the
+    markers ahead of a column sum to one (c, p x c) pair, and the
+    shoulder's, elbow's and wrist's c sum to zero."""
     chain = _Chain(model, q)
+    R, p = chain.flange()
     jac = chain.jacobian
-    R, p = map(np.array, chain.flange())
-    s, e, w = chain.sew_points()
-    a = w - s
-    na = np.linalg.norm(a)
+    s, e, w = chain.sew
+    a = _sub(w, s)
+    na = math.hypot(*a)
     if na == 0.0:
         # shoulder on the wrist: no plane, so psi has no gradient
         return R, p, jac, 0.0, np.zeros(len(q))
-    u = a / na
-    ref = _reference_direction(model, u)
-    r = ref - np.dot(ref, u) * u
-    ew = e - s
-    f = ew - np.dot(ew, u) * u
-    psi = math.atan2(np.dot(u, _cross(r, f)), np.dot(r, f))
-    jpsi = np.zeros(len(q))
-    ff = np.dot(f, f)
+    u = a[0] / na, a[1] / na, a[2] / na
+    base = model._base[0]
+    ref = base[0][2], base[1][2], base[2][2]
+    m = _cross(ref, u)
+    if math.hypot(*m) < REFERENCE_AXIS_TOL:
+        ref = base[0][0], base[1][0], base[2][0]
+        m = _cross(ref, u)
+    ew = _sub(e, s)
+    psi = math.atan2(-_dot(m, ew), _dot(_cross(u, m), ew))
+    g = _cross(u, ew)
+    gg = _dot(g, g)
+    jpsi = [0.0] * len(q)
     # an elbow on the shoulder-wrist line leaves psi without a gradient
-    if ff != 0.0:
-        ce = _cross(u, f) / ff
-        ca = (np.dot(ref, u) / np.dot(r, r) * _cross(u, r)
-              - np.dot(ew, u) * ce) / na
-        for c, point, i in zip((-ce - ca, ce, ca), (s, e, w),
-                               model.sew_indices):
-            jpsi[:i] += np.concatenate([c, _cross(point, c)]) @ jac[:, :i]
-    return R, p, jac, psi, jpsi
+    if gg != 0.0:
+        ce = g[0] / gg, g[1] / gg, g[2] / gg
+        k = _dot(ref, u) / _dot(m, m)
+        h = _dot(ew, u)
+        ca = tuple(-(k * mi + h * ci) / na for mi, ci in zip(m, ce))
+        # (c, p x c) summed over the markers ahead of each range of
+        # columns; ahead of the shoulder the c cancel, and the moments
+        # are taken about the shoulder
+        wca = _cross(w, ca)
+        ranges = (
+            ((0.0, 0.0, 0.0), _add(_cross(ew, ce), _cross(a, ca))),
+            (_add(ce, ca), _add(_cross(e, ce), wca)),
+            (ca, wca))
+        cols = chain.columns
+        for lo, hi, ((cx, cy, cz), (kx, ky, kz)) in zip(
+                (0,) + model.sew_indices, model.sew_indices, ranges):
+            for j, (vx, vy, vz, ox, oy, oz) in enumerate(cols[lo:hi], lo):
+                jpsi[j] = (cx * vx + cy * vy + cz * vz
+                           + kx * ox + ky * oy + kz * oz)
+    return R, p, jac, psi, np.array(jpsi)
 
 
 def sew_angle(model, q):
@@ -341,18 +361,51 @@ def limit_margin(model, q):
     return float(np.min(np.minimum(q - model.lower, model.upper - q)))
 
 
+def self_motion(jac, jpsi):
+    """(J+, d, flag) from one full SVD of the world Jacobian J.
+
+    J+ is the pseudoinverse of J.  d is the joint rate along the
+    flange-preserving self-motion that turns the elbow angle at unit
+    rate: with N the null rows of J (one on seven joints, none on six
+    or fewer) and b = N jpsi, d = N^T b/(b.b), so J d = 0 and
+    jpsi.d = 1.  flag names the tests that fired, empty when none:
+    "arm singular" when the smallest singular value of J is below
+    SINGULAR_TOL, and "elbow still" when |b| is, so the elbow angle
+    does not move along the self-motion (and |d| = 1/|b| would pass
+    1/SINGULAR_TOL).  J+ and d are zeros when flagged."""
+    u, sigma, vt = np.linalg.svd(jac)
+    k = len(sigma)  # min(6, n); the rows of vt past it are null rows of J
+    null = vt[k:]
+    b = null @ jpsi
+    bb = float(b @ b)
+    flag = tuple(name for name, fired in (
+        ("arm singular", sigma[-1] < SINGULAR_TOL),
+        ("elbow still", bb < SINGULAR_TOL ** 2)) if fired)
+    if flag:
+        return np.zeros(jac.shape[::-1]), np.zeros(jac.shape[1]), flag
+    return (vt[:k].T / sigma) @ u[:, :k].T, b @ null / bb, flag
+
+
 def self_motion_direction(model, q):
-    """dq/dpsi along the flange-preserving self-motion: the augmented
-    Jacobian mapped back from a pure elbow-angle rate."""
+    """(d, flag) of self_motion at q: dq/dpsi along the
+    flange-preserving self-motion, zeros when flagged."""
     _, _, jac, _, jpsi = arm_state(model, q)
-    pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
-    return pinv[:, -1].copy(), damped
+    _, d, flag = self_motion(jac, jpsi)
+    return d, flag
 
 
 def self_motion_rollout(model, q0, delta_psi, step=0.01):
     """Integrate the self-motion field over an elbow-angle interval
     with classical Runge-Kutta.  Returns (psi offsets, configurations),
-    both including the start."""
+    both including the start.  A flagged self-motion raises ValueError
+    naming the test that fired."""
+
+    def rate(q):
+        d, flag = self_motion_direction(model, q)
+        if flag:
+            raise ValueError(f"no self-motion to follow: {', '.join(flag)}")
+        return d
+
     q = np.asarray(q0, dtype=float).copy()
     total = abs(delta_psi)
     sign = 1.0 if delta_psi >= 0.0 else -1.0
@@ -362,10 +415,10 @@ def self_motion_rollout(model, q0, delta_psi, step=0.01):
     done = 0.0
     for _ in range(n):
         h = sign * min(step, total - done)
-        k1, _ = self_motion_direction(model, q)
-        k2, _ = self_motion_direction(model, q + 0.5 * h * k1)
-        k3, _ = self_motion_direction(model, q + 0.5 * h * k2)
-        k4, _ = self_motion_direction(model, q + h * k3)
+        k1 = rate(q)
+        k2 = rate(q + 0.5 * h * k1)
+        k3 = rate(q + 0.5 * h * k2)
+        k4 = rate(q + h * k3)
         q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         done += abs(h)
         psis.append(sign * done)

@@ -7,8 +7,13 @@ current pose to the goal.  When a tentative step would push any joint
 out of the inner limit bound, the step is discarded and Mode 2 swings
 the elbow angle along the arm's self-motion until every joint is
 comfortable again, holding the flange pose with a feedback term; Mode 1
-then resumes.  A planner with mode2_enabled=False is the baseline that
-simply fails at the first limit event.
+then resumes.  Each mode-2 step takes one SVD of the world Jacobian J
+(kinematics.self_motion): the pose correction goes through J's
+pseudoinverse, and the elbow-angle gap through J's null vector, scaled
+so the angle turns at unit rate.  Mode 2 fails where J is singular or
+where the elbow angle does not move along the null vector.  A planner
+with mode2_enabled=False is the baseline that simply fails at the first
+limit event.
 """
 
 import math
@@ -21,7 +26,7 @@ import numpy as np
 # rebinds them
 from .kinematics import (_Chain, arm_state, check_eps, limit_band,
                          limit_margin, limit_status, pseudoinverse,
-                         self_motion_direction, within)
+                         self_motion, self_motion_direction, within)
 from .records import (UNITS, InputError, decode, flag, pose_from_record,
                       pose_to_record, read_lines, real, reals, whole, wholes,
                       write_lines)
@@ -148,7 +153,7 @@ def calculate_sew_change(q, model, config):
 
     Walks the self-motion in both directions from the offending
     configuration, never extending a direction past an outer-bound
-    crossing, a self-motion singularity or a zero self-motion.  Among
+    crossing or a flagged self-motion (arm singular or elbow still).  Among
     candidates that put every joint back inside the inner bound, the
     one with the best worst-joint margin wins (deepest recovery, not
     the first escape, so tracking does not immediately re-trigger);
@@ -170,12 +175,10 @@ def calculate_sew_change(q, model, config):
     walks = {1: q.copy(), -1: q.copy()}  # the live walks, by sign
     for k in range(1, int(math.ceil(span / step)) + 1):
         for sign, q_w in list(walks.items()):
-            direction, damped = self_motion_direction(model, q_w)
+            direction, flag = self_motion_direction(model, q_w)
             candidate = q_w + sign * step * direction
-            # a self-motion singularity, no self-motion at all, or an
-            # outer-band crossing ends the walk
-            if damped or not direction.any() or not within(
-                    candidate, outer).all():
+            # a flagged self-motion or an outer-band crossing ends the walk
+            if flag or not within(candidate, outer).all():
                 del walks[sign]
                 continue
             walks[sign] = candidate
@@ -191,23 +194,26 @@ def calculate_sew_change(q, model, config):
 def mode2_recovery(q, psi_d, model, config, max_steps=None):
     """Swing the elbow angle to psi_d while holding the flange pose.
 
-    The update maps a stacked correction through the augmented
-    Jacobian: the spatial rows servo back to the pose held at entry
-    (open-loop nulling alone drifts past the pose-preservation budget),
-    the last row closes the elbow-angle gap.  psi_d is an absolute
-    target on the unwrapped angle scale whose zero is the entry angle.
-    Returns a trajectory fragment of MODE2 steps, without the entry
-    configuration.
+    Each step servos back to the pose held at entry (open-loop nulling
+    alone drifts past the pose-preservation budget) and closes the
+    elbow-angle gap: with x = J+ kappa xi theta, the step is
+    x + d (dpsi - jpsi.x) for the self-motion direction d, which is the
+    inverse of the Jacobian with jpsi stacked under it applied to the
+    stacked correction, without forming that matrix.  The step fails
+    when self_motion flags the arm singular or the elbow still.  psi_d
+    is an absolute target on the unwrapped angle scale whose zero is
+    the entry angle.  Returns a trajectory fragment of MODE2 steps,
+    without the entry configuration.
     """
     q_c = np.asarray(q, dtype=float).copy()
     check_eps(model, config.eps_in, config.eps_out)
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
     steps = []
-    # each step works on the chain's arrays and builds no Pose; the entry
+    # each step works on the chain's floats and builds no Pose; the entry
     # pass gives the flange held throughout and the angle's zero
     R, p, jac, psi_prev, jpsi = arm_state(model, q_c)
-    hold = R.tolist(), p.tolist()
+    hold = R, p
     psi_cont = 0.0  # unwrapped angle relative to entry
     while True:
         if abs(psi_d - psi_cont) < PSI_TOL:
@@ -216,17 +222,17 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         if len(steps) >= budget:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
-        if damped or not jpsi.any():
-            # elbow direction unreliable at a self-motion singularity, or
-            # none at all where psi has no gradient
+        pinv, d, flag = self_motion(jac, jpsi)
+        if flag:
+            # the arm is singular, or the elbow angle does not move along
+            # the self-motion (nor at all where psi has no gradient)
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         # the log checks the flange rotation, the held one on entry
-        xi, theta = _relative_log(*hold, R.tolist(), p.tolist())
-        correction = np.concatenate([config.kappa * (xi * theta),
-                                     [psi_d - psi_cont]])
-        dq = _clamp(config.lam * config.delta_t * (pinv @ correction))
+        xi, theta = _relative_log(*hold, R, p)
+        x = pinv @ (config.kappa * (xi * theta))
+        dq = _clamp(config.lam * config.delta_t
+                    * (x + d * (psi_d - psi_cont - jpsi @ x)))
         candidate = q_c + dq
         if not within(candidate, outer).all():
             outcome = Outcome.MOTION_PLAN_FAILED

@@ -23,6 +23,7 @@ from screwplan.kinematics import (
     limit_status,
     panda_model,
     pseudoinverse,
+    self_motion,
     self_motion_direction,
     self_motion_rollout,
     sew_angle,
@@ -573,13 +574,12 @@ def reference_mode2_recovery(q, psi_d, model, config, max_steps=None):
             return done(Outcome.REACHED)
         if len(steps) >= budget:
             return done(Outcome.STEP_BUDGET_EXHAUSTED)
-        pinv, damped = pseudoinverse(np.vstack([jac, jpsi]))
-        if damped:
+        pinv, d, flag = self_motion(jac, jpsi)
+        if flag:
             return done(Outcome.MOTION_PLAN_FAILED)
-        correction = np.concatenate([
-            config.kappa * error_twist(hold, pose), [psi_d - psi_cont]])
+        x = pinv @ (config.kappa * error_twist(hold, pose))
         candidate = q_c + _clamp(config.lam * config.delta_t
-                                 * (pinv @ correction))
+                                 * (x + d * (psi_d - psi_cont - jpsi @ x)))
         if not within(candidate, outer).all():
             return done(Outcome.MOTION_PLAN_FAILED)
         q_c = candidate
