@@ -16,17 +16,16 @@ File format (line-delimited JSON): a header record
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, read_lines, real, reals,
                       text, whole, wholes, write_document, write_lines)
-from .screws import (Pose, ScrewDisplacement, _check_rotation, _compose,
-                     _inverse, _log, _pose_error, compose, exp_twists,
-                     inverse, pose_errors, quat_to_rot, sclerp_path,
-                     screw_from_pose)
+from .screws import (Pose, ScrewDisplacement, _pose_error, _relative_log,
+                     compose, exp_twists, hat, inverse, pose_errors,
+                     quat_to_rot, sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -94,17 +93,21 @@ class TaskInstance:
 
 @dataclass(frozen=True)
 class ScrewSegment:
-    """Maximal demonstration span fitted by one constant screw."""
+    """Maximal demonstration span fitted by one constant screw; the
+    screw is the displacement from start_pose to end_pose, derived
+    from them here."""
 
     start_index: int
     end_index: int
-    screw: ScrewDisplacement
     start_pose: Pose
     end_pose: Pose
+    screw: ScrewDisplacement = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.start_index < self.end_index:
             raise ValueError("segment indices must satisfy start < end")
+        object.__setattr__(self, "screw", screw_from_pose(
+            compose(self.end_pose, inverse(self.start_pose))))
 
 
 @dataclass(frozen=True)
@@ -230,13 +233,11 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
 
 
 def _segment(rec):
-    start = pose_from_record(rec["start_pose"])
-    end = pose_from_record(rec["end_pose"])
     return ScrewSegment(whole(rec["start"], "start",
                               MalformedDemonstrationError),
                         whole(rec["end"], "end", MalformedDemonstrationError),
-                        screw_from_pose(compose(end, inverse(start))),
-                        start, end)
+                        pose_from_record(rec["start_pose"]),
+                        pose_from_record(rec["end_pose"]))
 
 
 def load_segments(source):
@@ -267,27 +268,16 @@ def _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol):
     radians, translation meters) of the constant-screw interpolant
     between the window's endpoints, at an interpolation parameter
     proportional to accumulated pose-error arc length; a window of zero
-    arc length fits.  The chords are scalar logs and the interpolants of
-    all windows one stacked exponential, with the arithmetic of
-    sclerp_path and pose_errors window by window."""
+    arc length fits.  Each chord is one _relative_log, and the
+    interpolants of all windows one stacked exponential over one stacked
+    hat, with the arithmetic of sclerp_path and pose_errors window by
+    window."""
     ends = [e for e in ends if cum[e] > cum[a]]
     if not ends:
         return None
-    # each chord is _relative_log's, with the start inverted and checked
-    # once for the run
-    Rt, pt = _inverse(Rl[a], pl[a])
-    _check_rotation(Rt)
-    logs = []
-    for e in ends:
-        Rc, pc = _compose(Rl[e], pl[e], Rt, pt)
-        _check_rotation(Rc)
-        logs.append(_log(Rc, pc))
+    logs = [_relative_log(Rl[e], pl[e], Rl[a], pl[a]) for e in ends]
     xi = np.array([x for x, _ in logs])
-    # hat of every angular part at once, written into flat 3x3 rows
-    W = np.zeros((len(ends), 9))
-    W[:, [7, 2, 3]] = xi[:, 3:]
-    W[:, [5, 6, 1]] = -xi[:, 3:]
-    W = W.reshape(-1, 3, 3)
+    W = hat(xi[:, 3:])
     # window k holds samples a + 1 ... ends[k] - 1, windows one after another
     k = np.repeat(np.arange(len(ends)), np.array(ends) - a - 1)
     idx = np.concatenate([np.arange(a + 1, e) for e in ends])
@@ -338,10 +328,7 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
                 b = misfit - 1
                 break
             b = ends[-1]
-        segments.append(ScrewSegment(
-            a, b,
-            screw_from_pose(compose(poses[b], inverse(poses[a]))),
-            poses[a], poses[b]))
+        segments.append(ScrewSegment(a, b, poses[a], poses[b]))
         a = b
     return segments
 

@@ -83,7 +83,7 @@ class RobotModel:
         # the base and home poses as rows
         v, w = twists[:, :3], twists[:, 3:]
         wv = np.cross(w, v)
-        hats = np.array([hat(x) for x in w])
+        hats = hat(w)
         hats2 = (hats @ hats)[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
         object.__setattr__(self, "_joints", tuple(
             (*row, i in sew) for i, row in enumerate(np.hstack(
@@ -252,13 +252,17 @@ def forward_kinematics(model, q):
 
 
 def pseudoinverse(jac):
-    """Pseudoinverse from one SVD: the right one for six joints or
-    more, the left one below.  Switches to damped least squares when
-    the smallest singular value collapses.  Returns (pinv, damped)."""
-    u, sigma, vt = np.linalg.svd(jac, full_matrices=False)
+    """(pinv, damped, null) from one full SVD of jac: the right
+    pseudoinverse for six joints or more, the left one below, switched
+    to damped least squares when the smallest singular value collapses
+    below SINGULAR_TOL; and null, the rows of V^T past the singular
+    values, which span jac's null space (one row for seven joints, none
+    for six or fewer)."""
+    u, sigma, vt = np.linalg.svd(jac)
+    k = len(sigma)
     damped = bool(sigma[-1] < SINGULAR_TOL)
     d = sigma / (sigma * sigma + DAMPING ** 2) if damped else 1.0 / sigma
-    return (vt.T * d) @ u.T, damped
+    return (vt[:k].T * d) @ u[:, :k].T, damped, vt[k:]
 
 
 def arm_state(model, q):
@@ -362,28 +366,26 @@ def limit_margin(model, q):
 
 
 def self_motion(jac, jpsi):
-    """(J+, d, flag) from one full SVD of the world Jacobian J.
+    """(J+, d, flag) from pseudoinverse(J) of the world Jacobian J.
 
     J+ is the pseudoinverse of J.  d is the joint rate along the
     flange-preserving self-motion that turns the elbow angle at unit
-    rate: with N the null rows of J (one on seven joints, none on six
-    or fewer) and b = N jpsi, d = N^T b/(b.b), so J d = 0 and
-    jpsi.d = 1.  flag names the tests that fired, empty when none:
-    "arm singular" when the smallest singular value of J is below
-    SINGULAR_TOL, and "elbow still" when |b| is, so the elbow angle
-    does not move along the self-motion (and |d| = 1/|b| would pass
-    1/SINGULAR_TOL).  J+ and d are zeros when flagged."""
-    u, sigma, vt = np.linalg.svd(jac)
-    k = len(sigma)  # min(6, n); the rows of vt past it are null rows of J
-    null = vt[k:]
+    rate: with N the null rows pseudoinverse returns and b = N jpsi,
+    d = N^T b/(b.b), so J d = 0 and jpsi.d = 1.  flag names the tests
+    that fired, empty when none: "arm singular" when pseudoinverse
+    damped (the smallest singular value of J is below SINGULAR_TOL),
+    and "elbow still" when |b| is below SINGULAR_TOL, so the elbow
+    angle does not move along the self-motion (and |d| = 1/|b| would
+    pass 1/SINGULAR_TOL).  J+ and d are zeros when flagged."""
+    pinv, damped, null = pseudoinverse(jac)
     b = null @ jpsi
     bb = float(b @ b)
     flag = tuple(name for name, fired in (
-        ("arm singular", sigma[-1] < SINGULAR_TOL),
+        ("arm singular", damped),
         ("elbow still", bb < SINGULAR_TOL ** 2)) if fired)
     if flag:
         return np.zeros(jac.shape[::-1]), np.zeros(jac.shape[1]), flag
-    return (vt[:k].T / sigma) @ u[:, :k].T, b @ null / bb, flag
+    return pinv, b @ null / bb, flag
 
 
 def self_motion_direction(model, q):

@@ -8,7 +8,8 @@ out of the inner limit bound, the step is discarded and Mode 2 swings
 the elbow angle along the arm's self-motion until every joint is
 comfortable again, holding the flange pose with a feedback term; Mode 1
 then resumes.  Each mode-2 step takes one SVD of the world Jacobian J
-(kinematics.self_motion): the pose correction goes through J's
+in kinematics.pseudoinverse, the routine mode 1 uses, reached through
+kinematics.self_motion: the pose correction goes through J's
 pseudoinverse, and the elbow-angle gap through J's null vector, scaled
 so the angle turns at unit rate.  Mode 2 fails where J is singular or
 where the elbow angle does not move along the null vector.  A planner
@@ -276,7 +277,7 @@ def plan_to_pose(q0, gd, model, config):
         # tentative mode-1 update along the error twist; the log checks
         # the flange rotation
         xi, theta = _relative_log(Rg, pg, R, p)
-        pinv, damped = pseudoinverse(chain.jacobian)
+        pinv, damped, _ = pseudoinverse(chain.jacobian)
         candidate = q_c + _clamp(config.kappa * config.delta_t
                                  * (pinv @ (xi * theta)))
         iterations += 1

@@ -31,12 +31,13 @@ _EYE3 = np.eye(3)
 
 
 def hat(v):
-    """3-vector to the skew-symmetric matrix such that hat(v) @ x = v x x."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """3-vectors (..., 3) to the skew-symmetric matrices (..., 3, 3) such
+    that hat(v) @ x = v x x."""
+    v = np.asarray(v, dtype=float)
+    W = np.zeros(v.shape[:-1] + (9,))
+    W[..., [7, 2, 3]] = v
+    W[..., [5, 6, 1]] = -v
+    return W.reshape(v.shape[:-1] + (3, 3))
 
 
 def _norm(x):
@@ -397,14 +398,15 @@ def log_pose(pose):
 
 def _relative_log(Rg, pg, Rs, ps):
     """_log of the goal (Rg, pg) composed with the inverse of the start
-    (Rs, ps), all float rows and 3-vectors, checked but unbuilt: the
-    start's inverse rotation is checked here, as Pose would check it,
-    and the goal's is the caller's."""
+    (Rs, ps), all float rows and 3-vectors, checked but unbuilt.  A
+    relative pose is one product, R = Rg Rs^T, so it takes no Newton
+    step; its one rotation check refuses a bad start as well, since for
+    an orthonormal goal R^T R = Rs Rs^T and det R = det Rs.  The goal's
+    own check is the caller's."""
     Rt, pt = _inverse(Rs, ps)
-    _check_rotation(Rt)
-    R, p = _compose(Rg, pg, Rt, pt)
+    R = _mul(Rg, Rt)
     _check_rotation(R)
-    return _log(R, p)
+    return _log(R, _apply(Rg, pt, pg))
 
 
 def error_twist(goal, pose):

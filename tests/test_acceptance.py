@@ -216,7 +216,7 @@ def test_05_kinematics_checks():
             worst_jac = max(worst_jac,
                             float(np.max(np.abs(fd - jac[:, i]))))
 
-        pinv, damped = pseudoinverse(jac)
+        pinv, damped, _ = pseudoinverse(jac)
         if not damped:
             worst_pinv = max(
                 worst_pinv,

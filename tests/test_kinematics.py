@@ -158,18 +158,18 @@ def test_jacobian_matches_finite_differences():
 
 def test_pseudoinverse_identities():
     jac = np.hstack([np.eye(6), np.zeros((6, 1))])
-    pinv, damped = pseudoinverse(jac)
+    pinv, damped, _ = pseudoinverse(jac)
     assert not damped
     assert_allclose(pinv, np.vstack([np.eye(6), np.zeros((1, 6))]),
                     atol=1e-12)
     model = panda_model()
     jac = arm_state(model, READY)[2]
-    pinv, damped = pseudoinverse(jac)
+    pinv, damped, _ = pseudoinverse(jac)
     assert not damped
     assert_allclose(jac @ pinv, np.eye(6), atol=1e-9)
     # rank-collapsed: damped answer stays finite and flagged
     singular = np.vstack([np.ones((1, 7)), np.zeros((5, 7))])
-    pinv, damped = pseudoinverse(singular)
+    pinv, damped, _ = pseudoinverse(singular)
     assert damped
     assert np.all(np.isfinite(pinv))
     assert np.linalg.norm(pinv) < 1e4
@@ -177,7 +177,7 @@ def test_pseudoinverse_identities():
     # J J^T alone is numerically singular and only the damping saves it
     jac = arm_state(model, np.zeros(7))[2]
     assert np.linalg.svd(jac, compute_uv=False)[-1] < 1e-12
-    pinv, damped = pseudoinverse(jac)
+    pinv, damped, _ = pseudoinverse(jac)
     assert damped
     assert np.all(np.isfinite(pinv))
 
@@ -447,7 +447,7 @@ def test_self_motion_matches_stacked_pseudoinverse():
         for _ in range(40):
             q = rand_q(rng, model)
             _, _, jac, _, jpsi = arm_state(model, q)
-            pinv_a, damped = stacked_self_motion(jac, jpsi)
+            pinv_a, damped, _ = stacked_self_motion(jac, jpsi)
             pinv, d, flag = self_motion(jac, jpsi)
             assert flag == () and not damped
             assert np.abs(d - pinv_a[:, -1]).max() <= 1e-12 * np.abs(d).max()

@@ -2,7 +2,9 @@
 wrote, and a randomly broken copy either loads or raises the error the
 loader documents, never a bare KeyError, TypeError or JSONDecodeError.
 A field swapped for a value of the wrong kind always raises that error.
-A lint over the package's source keeps loaders from coercing fields."""
+A lint over the package's source keeps loaders from coercing fields, and
+each JSON example in FORMATS.md has the keys and nesting of the file the
+package writes."""
 
 import ast
 import json
@@ -426,3 +428,112 @@ def test_trajectory_steps_share_a_joint_count(written, tmp_path):
                        match="bad.json line 3: expected 7 joint values, "
                              "got 3"):
         load_trajectory(bad)
+
+
+# FORMATS.md section -> the LOADERS file its JSON example documents
+FORMAT_SECTIONS = {
+    "Demonstration (line-delimited)": "demonstration",
+    "Pose sequence": "pose_sequence",
+    "Segments": "segments",
+    "Constraint model": "constraint_model",
+    "Layout spec": "layout_spec",
+    "Goal sequence": "goal_sequence",
+    "Robot model": "robot",
+    "Trajectory (line-delimited)": "trajectory",
+    "Activity spec": "activity_spec",
+    "Activity report": "activity_report",
+    "Paired activity report": "paired_activity_report",
+}
+# a JSON string, a number, or a bare placeholder such as pose, x or ...
+_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")|(-?\d[\d.eE+-]*)'
+                    r'|(\.\.\.|[A-Za-z_][\w-]*)')
+
+
+def _documented_examples():
+    """FORMATS.md's JSON examples by section title (the document's own
+    title before the first section): per fenced json block, the JSON
+    values it holds, with each placeholder read as the string "*" and
+    its name ("*pose", "*...")."""
+    text = (Path(__file__).parent.parent / "FORMATS.md").read_text()
+    out = {}
+    for part in text.split("\n## "):
+        title, _, body = part.partition("\n")
+        for block in re.findall(r"```json\n(.*?)```", body, re.S):
+            block = _TOKEN.sub(lambda m: (
+                m.group(0) if not m.group(3)
+                or m.group(3) in ("true", "false", "null")
+                else f'"*{m.group(3)}"'), block)
+            values, at = [], 0
+            while block[at:].strip():
+                at += len(block[at:]) - len(block[at:].lstrip())
+                value, at = json.JSONDecoder().raw_decode(block, at)
+                values.append(value)
+            out.setdefault(title, []).append(values)
+    return out
+
+
+def _placeholder(x):
+    return isinstance(x, str) and x.startswith("*")
+
+
+def _departures(doc, got, refs, at=()):
+    """Paths where the written value got departs from the documented
+    doc: a key one has and the other lacks, a container where the other
+    has a scalar or another container, or a format or units value that
+    differs.  A placeholder named in refs stands for that example, any
+    other matches anything; every element of a written list must match
+    the documented list's first element that is not such a wildcard."""
+    if _placeholder(doc):
+        return _departures(refs[doc], got, refs, at) if doc in refs else []
+    if isinstance(doc, dict):
+        if not isinstance(got, dict):
+            return [at]
+        out = [at + (k,) for k in sorted(doc.keys() ^ got.keys())]
+        for k in doc.keys() & got.keys():
+            if k in ("format", "units"):
+                out += [at + (k,)] if doc[k] != got[k] else []
+            else:
+                out += _departures(doc[k], got[k], refs, at + (k,))
+        return out
+    if isinstance(doc, list):
+        if not isinstance(got, list):
+            return [at]
+        template = [x for x in doc if not _placeholder(x) or x in refs][:1]
+        return [p for i, x in enumerate(got) for t in template
+                for p in _departures(t, x, refs, at + (i,))]
+    return [at] if isinstance(got, (dict, list)) else []
+
+
+def test_formats_md_matches_the_written_files(written, tmp_path):
+    examples = _documented_examples()
+    ((pose,),) = examples.pop("# File formats")
+    assert examples.keys() == FORMAT_SECTIONS.keys()
+    doc_of = {title: blocks[0][0] for title, blocks in examples.items()}
+    # the placeholders that name another example
+    refs = {"*pose": pose,
+            "*layout-spec-record": doc_of["Layout spec"],
+            "*constraint-model-record": doc_of["Constraint model"],
+            "*report-results": doc_of["Activity report"]["results"]}
+    for title, name in FORMAT_SECTIONS.items():
+        got = parse(written[name], name)
+        if name in LINE_DELIMITED:
+            # one header line, then one record per line
+            header, record, *_ = examples[title][0]
+            bad = _departures(header, got[0], refs) + [
+                p for rec in got[1:] for p in _departures(record, rec, refs)]
+            assert len(got) > 1
+        else:
+            bad = _departures(doc_of[title], got, refs)
+        if name == "activity_spec":
+            # the spec shown has the stock arm and a fixed base; the
+            # written spec embeds a pinched arm as a robot model record
+            # and holds the section's second example, a moving base
+            ((moving,),) = examples[title][1:]
+            bad = [p for p in bad
+                   if p[:1] not in (("robot",), ("base_policy",))]
+            bad += _departures(doc_of["Robot model"], got["robot"], refs)
+            bad += _departures(moving, got["base_policy"], refs)
+            stock = tmp_path / "stock_spec.json"
+            save_activity_spec(sc.brick_wall_activity(1, 1), stock)
+            bad += _departures(doc_of[title], parse(stock, name), refs)
+        assert bad == [], f"{title}: {bad}"

@@ -614,7 +614,7 @@ def reference_plan_to_pose(q0, gd, model, config):
         if iterations >= config.max_steps:
             return done(Outcome.STEP_BUDGET_EXHAUSTED)
         xi = error_twist(gd, pose)
-        pinv, damped = pseudoinverse(jac)
+        pinv, damped, _ = pseudoinverse(jac)
         candidate = q_c + _clamp(config.kappa * config.delta_t * (pinv @ xi))
         iterations += 1
         if within(candidate, inner).all():

@@ -1,5 +1,6 @@
 """perfbench's span tracer against the library: every name it rebinds
-must exist, and an installed tracer must put the originals back."""
+must exist, an installed tracer must put the originals back, and the
+mode-2 linear algebra must show as spans of its own."""
 
 import importlib
 import importlib.util
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from screwplan import planner
+from screwplan.kinematics import PANDA_READY, panda_model
 
 
 def _load_spans():
@@ -43,3 +47,19 @@ def test_installed_tracer_restores_the_originals():
         with tracer.installed():
             raise RuntimeError("interrupted run")
     assert all(r is o for r, o in zip(_bound(), originals))
+
+
+def test_mode2_steps_record_their_pseudoinverse():
+    # each mode-2 step takes its SVD through kinematics.pseudoinverse,
+    # so the traced run sees it under the recovery that made it
+    tracer = spans.Tracer()
+    with tracer.installed():
+        fragment = planner.mode2_recovery(PANDA_READY, -0.3, panda_model(),
+                                          planner.PlannerConfig(),
+                                          max_steps=5)
+    assert fragment.outcome is planner.Outcome.STEP_BUDGET_EXHAUSTED
+    names = [s[0] for s in tracer.spans]
+    recovery = names.index("planner.mode2_recovery")
+    svds = [s for s in tracer.spans if s[0] == "kinematics.pseudoinverse"]
+    assert len(svds) == len(fragment.steps) == 5
+    assert all(s[3] == recovery for s in svds)
