@@ -358,9 +358,9 @@ def _cuboid_corners(dims):
     return signs * half
 
 
-# corner indices differing in exactly one sign bit
-_CUBOID_EDGES = tuple((i, j) for i in range(8) for j in range(i + 1, 8)
-                      if bin(i ^ j).count("1") == 1)
+# the 12 edges as (first, second) corner indices differing in one sign bit
+_EDGE_ENDS = np.array([(i, j) for i in range(8) for j in range(i + 1, 8)
+                       if bin(i ^ j).count("1") == 1]).T
 _BOTTOM_CORNERS = (0, 2, 4, 6)
 
 
@@ -372,34 +372,42 @@ def evaluate_ceiling(tile_poses, dims, frame):
     opening, and the final pose lies flat on the lip: tilt below the
     yaw tolerance, bottom corners within the position tolerance of the
     plane, center over the opening.  Support is scored by pose, not
-    statics.
+    statics.  The poses (any iterable) are scored in one stacked pass.
     """
-    if not tile_poses:
+    poses = list(tile_poses)
+    if not poses:
         raise InvalidActivitySpecError("need at least one tile pose")
+    bad = [k for k, pose in enumerate(poses) if not isinstance(pose, Pose)]
+    if bad:
+        raise InvalidActivitySpecError(f"tile pose {bad[0]} is not a Pose")
     inv_frame = inverse(frame.pose)
+    Rf, pf = inv_frame.rotation, inv_frame.translation
     corners = _cuboid_corners(dims)
     hl, hb = frame.opening_length / 2.0, frame.opening_breadth / 2.0
-    for pose in tile_poses:
-        pts = compose(inv_frame, pose).apply(corners)
-        z = pts[:, 2]
-        if z.min() >= 0.0 or z.max() <= 0.0:
-            continue
-        for i, j in _CUBOID_EDGES:
-            zi, zj = z[i], z[j]
-            if (zi > 0.0) == (zj > 0.0):
-                continue
-            t = zi / (zi - zj)
-            cut = pts[i] + t * (pts[j] - pts[i])
-            if abs(cut[0]) > hl or abs(cut[1]) > hb:
-                return False
-    final = compose(inv_frame, tile_poses[-1])
+    # every corner of every pose in the frame: corners (Rf Rs)^T + Rf ps + pf
+    R = Rf @ np.array([pose.rotation for pose in poses])
+    t = np.array([pose.translation for pose in poses]) @ Rf.T + pf
+    pts = corners @ R.transpose(0, 2, 1) + t[:, None]
+    z = pts[..., 2]
+    up = z > 0.0
+    i, j = _EDGE_ENDS
+    # edges of straddling poses with ends either side of the plane,
+    # picked before dividing, so that zi != zj
+    k, e = np.nonzero((up[:, i] != up[:, j])
+                      & ((z.min(axis=1) < 0.0) & up.any(axis=1))[:, None])
+    zi, zj = z[k, i[e]], z[k, j[e]]
+    start = pts[k, i[e], :2]
+    cut = start + (zi / (zi - zj))[:, None] * (pts[k, j[e], :2] - start)
+    if (np.abs(cut) > (hl, hb)).any():
+        return False
+    final = compose(inv_frame, poses[-1])
     tilt = math.acos(max(-1.0, min(1.0, final.rotation[2, 2])))
     if tilt > YAW_TOL:
         return False
     pts = final.apply(corners)
     if any(abs(pts[i, 2]) > POSITION_TOL for i in _BOTTOM_CORNERS):
         return False
-    return abs(final.translation[0]) <= hl and abs(final.translation[1]) <= hb
+    return bool((np.abs(final.translation[:2]) <= (hl, hb)).all())
 
 
 # ---------------------------------------------------------------- reports

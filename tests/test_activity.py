@@ -6,12 +6,15 @@ stays fast; the twelve-brick walls live with the acceptance checks.
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from screwplan.activity import (ActivityReport, ActivitySpec, FixedBase,
+from screwplan import scenarios
+from screwplan.activity import (POSITION_TOL, YAW_TOL, ActivityReport,
+                                ActivitySpec, FixedBase,
                                 FrameGeometry, InvalidActivitySpecError,
                                 MalformedReportError, MovingBase,
                                 PairedReport, PickStation,
@@ -24,7 +27,8 @@ from screwplan.activity import (ActivityReport, ActivitySpec, FixedBase,
                                 load_paired_report, load_report,
                                 pick_sequence, report_to_record,
                                 run_activity, save_activity_spec,
-                                summary_table)
+                                summary_table, _BOTTOM_CORNERS,
+                                _cuboid_corners)
 from screwplan.demonstration import ConstraintModel, TaskInstance
 from screwplan.kinematics import (InvalidRobotError, forward_kinematics,
                                   panda_model, robot_to_record,
@@ -33,9 +37,10 @@ from screwplan.layouts import (InvalidLayoutError, LayoutKind, LayoutSpec,
                                ObjectDims)
 from screwplan.planner import (InvalidPlannerConfigError, Outcome,
                                PlannerConfig)
-from screwplan.screws import Pose, compose, inverse, pose_error
+from screwplan.screws import (Pose, compose, inverse, pose_error,
+                              quat_to_rot)
 
-from util import records_close
+from util import rand_pose, rand_unit, records_close
 
 BRICK = ObjectDims(0.1016, 0.0508, 0.0508)
 TILE = ObjectDims(0.302, 0.302, 0.014)
@@ -274,11 +279,11 @@ def seated(frame_z, dims):
     return Pose(np.eye(3), np.array([0.0, 0.0, frame_z + dims.width / 2]))
 
 
-def tilt_insert(dims, tilt=math.radians(20.0)):
+def tilt_insert(dims, tilt=math.radians(20.0), rise_steps=40):
     """Lay-in install: rise tilted through the opening from below,
     flatten above it, lower flat onto the lip."""
     rise = [Pose(rot_x(tilt), np.array([0.0, 0.0, z]))
-            for z in np.linspace(1.8, 2.08, 40)]
+            for z in np.linspace(1.8, 2.08, rise_steps)]
     flatten = [Pose(rot_x(a), np.array([0.0, 0.0, 2.08]))
                for a in np.linspace(tilt, 0.0, 15)]
     lower = drop(np.linspace(2.08, 2.0 + dims.width / 2, 15))
@@ -287,37 +292,211 @@ def tilt_insert(dims, tilt=math.radians(20.0)):
 
 def test_straight_drop_through_matching_frame():
     poses = drop(np.linspace(2.2, 2.0 + TILE.width / 2, 30))
-    assert evaluate_ceiling(poses, TILE, CEILING)
+    assert evaluate_ceiling(poses, TILE, CEILING) is True
 
 
 def test_tilted_insert_clears_then_seats():
-    assert evaluate_ceiling(tilt_insert(TILE), TILE, CEILING)
+    assert evaluate_ceiling(tilt_insert(TILE), TILE, CEILING) is True
 
 
 def test_oversize_tile_fails_containment():
     fat = ObjectDims(TILE.length * 1.2, TILE.breadth * 1.2, TILE.width)
-    assert not evaluate_ceiling(tilt_insert(fat), fat, CEILING)
+    assert evaluate_ceiling(tilt_insert(fat), fat, CEILING) is False
 
 
 def test_tile_longer_than_opening_fails_even_tilted():
     small = FrameGeometry(pose=flat([0.0, 0.0, 2.0]), opening_length=0.2,
                           opening_breadth=0.2)
-    assert not evaluate_ceiling(
-        tilt_insert(TILE, tilt=math.radians(30.0)), TILE, small)
+    assert evaluate_ceiling(
+        tilt_insert(TILE, tilt=math.radians(30.0)), TILE, small) is False
 
 
 def test_final_seat_checks():
     through = drop(np.linspace(2.2, 2.0 + TILE.width / 2, 30))
     leaning = through + [Pose(rot_x(math.radians(10.0)),
                               np.array([0.0, 0.0, 2.0 + TILE.width / 2]))]
-    assert not evaluate_ceiling(leaning, TILE, CEILING)
+    assert evaluate_ceiling(leaning, TILE, CEILING) is False
     hovering = drop(np.linspace(2.3, 2.05, 30))
-    assert not evaluate_ceiling(hovering, TILE, CEILING)
+    assert evaluate_ceiling(hovering, TILE, CEILING) is False
     shifted = through + [Pose(np.eye(3),
                               np.array([0.2, 0.0, 2.0 + TILE.width / 2]))]
-    assert not evaluate_ceiling(shifted, TILE, CEILING)
+    assert evaluate_ceiling(shifted, TILE, CEILING) is False
     with pytest.raises(InvalidActivitySpecError):
         evaluate_ceiling([], TILE, CEILING)
+
+
+def test_ceiling_takes_any_iterable_of_poses():
+    poses = tilt_insert(TILE)
+    assert evaluate_ceiling(iter(poses), TILE, CEILING) is True
+    assert evaluate_ceiling(tuple(poses), TILE, CEILING) is True
+    assert evaluate_ceiling((p for p in poses), TILE, CEILING) is True
+    with pytest.raises(InvalidActivitySpecError, match="at least one"):
+        evaluate_ceiling(iter([]), TILE, CEILING)
+
+
+def test_ceiling_names_a_pose_that_is_not_a_pose():
+    poses = tilt_insert(TILE)
+    for k, bad in ((0, "pose"), (3, None), (len(poses), np.eye(4))):
+        sweep = poses[:k] + [bad] + poses[k:]
+        with pytest.raises(InvalidActivitySpecError,
+                           match=f"tile pose {k} is not a Pose"):
+            evaluate_ceiling(sweep, TILE, CEILING)
+
+
+# corner indices differing in exactly one sign bit
+_EDGES = tuple((i, j) for i in range(8) for j in range(i + 1, 8)
+               if bin(i ^ j).count("1") == 1)
+
+
+def reference_evaluate_ceiling(tile_poses, dims, frame):
+    """evaluate_ceiling as a per-pose loop: one checked compose per swept
+    pose and scalar arithmetic per crossing edge."""
+    if not tile_poses:
+        raise InvalidActivitySpecError("need at least one tile pose")
+    inv_frame = inverse(frame.pose)
+    corners = _cuboid_corners(dims)
+    hl, hb = frame.opening_length / 2.0, frame.opening_breadth / 2.0
+    for pose in tile_poses:
+        pts = compose(inv_frame, pose).apply(corners)
+        z = pts[:, 2]
+        if z.min() >= 0.0 or z.max() <= 0.0:
+            continue
+        for i, j in _EDGES:
+            zi, zj = z[i], z[j]
+            if (zi > 0.0) == (zj > 0.0):
+                continue
+            t = zi / (zi - zj)
+            cut = pts[i] + t * (pts[j] - pts[i])
+            if abs(cut[0]) > hl or abs(cut[1]) > hb:
+                return False
+    final = compose(inv_frame, tile_poses[-1])
+    tilt = math.acos(max(-1.0, min(1.0, final.rotation[2, 2])))
+    if tilt > YAW_TOL:
+        return False
+    pts = final.apply(corners)
+    if any(abs(pts[i, 2]) > POSITION_TOL for i in _BOTTOM_CORNERS):
+        return False
+    return abs(final.translation[0]) <= hl and abs(final.translation[1]) <= hb
+
+
+def about(axis, angle):
+    return quat_to_rot(np.append(math.cos(angle / 2),
+                                 math.sin(angle / 2) * axis))
+
+
+def random_sweep(rng, kind):
+    """A random frame and tile, and a sweep in world coordinates: up
+    through the opening and onto the lip, down onto the lip from above,
+    or wholly below the plane.  Tiles are tilted about a random in-plane
+    axis, shifted off centre and sized from 0.6 to 1.25 times the
+    opening."""
+    frame = FrameGeometry(pose=rand_pose(rng),
+                          opening_length=rng.uniform(0.2, 0.6),
+                          opening_breadth=rng.uniform(0.2, 0.6))
+    dims = ObjectDims(frame.opening_length * rng.uniform(0.6, 1.25),
+                      frame.opening_breadth * rng.uniform(0.6, 1.25),
+                      rng.uniform(0.005, 0.05))
+    axis = rand_unit(rng) * [1.0, 1.0, 0.0]
+    axis /= np.linalg.norm(axis)
+    tilt = rng.choice([0.0, rng.uniform(0.0, math.radians(45.0))])
+    shift = np.append(rng.normal(0.0, rng.choice([0.0, 0.01, 0.1]), 2), 0.0)
+    # never exactly on the lip: a seat whose bottom corners sit on the
+    # plane is a tie that rounding decides (the dyadic test below)
+    seat = dims.width / 2 + rng.choice([1e-3, 0.01]) * rng.uniform(-1.0, 1.0)
+    n = int(rng.integers(5, 60))
+    if kind == "through":
+        heights = np.linspace(-rng.uniform(0.05, 0.4), rng.uniform(0.02, 0.2),
+                              n)
+    elif kind == "above":
+        heights = np.linspace(rng.uniform(0.4, 0.8), 0.4, n)
+    else:
+        heights = np.linspace(-rng.uniform(0.4, 0.8), -0.4, n)
+    local = [Pose(about(axis, tilt), shift + [0.0, 0.0, h])
+             for h in heights]
+    if kind != "below":
+        local += [Pose(about(axis, tilt * (1.0 - s)), shift
+                       + [0.0, 0.0, heights[-1] + (seat - heights[-1]) * s])
+                  for s in np.linspace(0.0, 1.0, 8)[1:]]
+    return [compose(frame.pose, p) for p in local], dims, frame
+
+
+def test_stacked_ceiling_matches_per_pose_loop():
+    rng = np.random.default_rng(2021)
+    outcomes = {}
+    for trial in range(240):
+        kind = ("through", "through", "above", "below")[trial % 4]
+        poses, dims, frame = random_sweep(rng, kind)
+        expected = bool(reference_evaluate_ceiling(poses, dims, frame))
+        assert evaluate_ceiling(poses, dims, frame) is expected, trial
+        if not expected and reference_evaluate_ceiling(poses[-1:], dims,
+                                                       frame):
+            kind = "cut"  # fails on the way, though its seat passes
+        outcomes[kind, expected] = outcomes.get((kind, expected), 0) + 1
+    assert min(outcomes.get((k, v), 0) for k in ("through", "above")
+               for v in (True, False)) >= 10, outcomes
+    assert outcomes.get(("cut", False), 0) >= 10, outcomes
+    assert outcomes.get(("below", False), 0) == 60, outcomes
+
+
+def test_ceiling_corner_exactly_on_the_plane():
+    # dyadic numbers, so the corners land on z == 0 with no rounding:
+    # a pose touching the plane from above or below does not straddle
+    # it, however far off the opening it sits
+    frame = FrameGeometry(pose=flat([0.0, 0.0, 1.0]), opening_length=0.5,
+                          opening_breadth=0.5)
+    dims = ObjectDims(0.25, 0.25, 0.25)
+    seated = flat([0.0, 0.0, 1.125])
+    for off in (flat([1.0, 0.0, 1.125]), flat([0.0, -1.0, 0.875])):
+        z = compose(inverse(frame.pose), off).apply(_cuboid_corners(dims))
+        assert 0.0 in z[:, 2]
+        for sweep in ([off, seated], [seated, off, seated]):
+            assert reference_evaluate_ceiling(sweep, dims, frame)
+            assert evaluate_ceiling(sweep, dims, frame) is True
+    assert not reference_evaluate_ceiling([seated, off], dims, frame)
+    assert evaluate_ceiling([seated, off], dims, frame) is False
+
+
+@pytest.fixture(scope="module")
+def ceiling_carry():
+    spec, frame = scenarios.ceiling_tile_activity()
+    report = run_activity(spec, keep_trajectories=True)
+    return attached_object_poses(report.trajectories[0],
+                                 spec.grasp_offset), frame
+
+
+def test_stacked_ceiling_matches_on_the_planned_carry(ceiling_carry):
+    swept, frame = ceiling_carry
+    assert len(swept) == 2891
+    for dims, fits in ((scenarios.TILE, True),
+                       (scenarios.oversized_tile(frame), False)):
+        assert reference_evaluate_ceiling(swept, dims, frame) == fits
+        assert evaluate_ceiling(swept, dims, frame) is fits
+
+
+def python_calls(fn, *args):
+    """Python-level call events (sys.setprofile) during fn(*args)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_ceiling_call_count_does_not_grow_with_the_sweep():
+    fat = ObjectDims(TILE.length * 1.2, TILE.breadth * 1.2, TILE.width)
+    for dims in (TILE, fat):  # passes, and fails on a cut
+        short, long = (tilt_insert(dims, rise_steps=n) for n in (40, 400))
+        evaluate_ceiling(short, dims, CEILING)  # lazy imports, caches
+        counts = [python_calls(evaluate_ceiling, sweep, dims, CEILING)
+                  for sweep in (short, long, short)]
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 # --------------------------------------------------------------- reports
