@@ -23,9 +23,9 @@ import numpy as np
 from .records import (UNITS, InputError, decode, instance, pose_from_record,
                       pose_to_record, read_document, read_lines, real, reals,
                       text, whole, wholes, write_document, write_lines)
-from .screws import (Pose, ScrewDisplacement, _pose_error, _relative_log,
-                     compose, exp_twists, hat, inverse, pose_errors,
-                     quat_to_rot, sclerp_path, screw_from_pose)
+from .screws import (Pose, ScrewDisplacement, _compose, _inverse,
+                     _pose_error, _quat_pivot, _relative_log, _rows, compose,
+                     exp_twists, hat, inverse, sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -251,42 +251,98 @@ def load_segments(source):
 
 
 # Interior samples scored in one stacked pass.  A run of windows costs
-# one exp_twists and one pose_errors call whatever its length, but its
-# stacked (n, 3, 3) temporaries grow by about half a KiB per sample and
-# the windows scored past the first misfit are wasted work.  The saving
-# levels off at a few hundred samples, where the temporaries (about
-# 130 KiB) are of the size of a 150-sample demonstration's float rows.
+# one pass of row arithmetic whatever its length, but its temporaries
+# (rows of up to 16 floats per sample) grow by about 0.4 KiB per sample
+# and the windows scored past the first misfit are wasted work.  The
+# saving levels off at a few hundred samples, where the temporaries
+# (about 100 KiB) are of the size of a 150-sample demonstration's float
+# rows.
 _RUN_SAMPLES = 256
 
 
-def _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol):
+def _window_errors(Rl, pl, P, q, cum, a, ends):
+    """Per-sample (rotation, translation) deviations from the constant-
+    screw interpolant of each window from start a to one of ends
+    (increasing, all of positive arc), and each sample's window end:
+    the windows' interior samples a + 1 ... end - 1, one window after
+    another.  Rl, pl are the samples as float rows, and P and q their
+    translations (3, n) and unit quaternions (4, n) as rows.
+
+    Each chord is one _relative_log [v; w], theta, and its interpolant
+    at tau is exp(phi [v; w]) applied to the start, phi = tau theta.
+    Rodrigues' formula and its integral (Lynch & Park, Modern Robotics,
+    2017, section 3.3) put the start's translation p_a at
+    p_a + phi D + sin phi E + (1 - cos phi) F, with D = v + w x (w x v),
+    E = w x p_a - w x (w x v) and F = w x v + w x (w x p_a), and its
+    rotation relative to the start at the quaternion (cos phi/2,
+    sin phi/2 w).  A sample's rotation error is the angle of that
+    quaternion's conjugate times the sample's quaternion relative to the
+    start, 2 atan2(|e_v|, |e_w|); for a pure translation (w = 0) both
+    parts scale by cos phi/2, which leaves the angle alone."""
+    a0, a1, a2 = pl[a]
+    rows, first = [], a + 1
+    for e in ends:
+        xi, theta = _relative_log(Rl[e], pl[e], Rl[a], pl[a])
+        v0, v1, v2, w0, w1, w2 = xi.tolist()
+        # w x v, w x (w x v), w x p_a and w x (w x p_a) on floats
+        u0, u1, u2 = w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0
+        uu0, uu1, uu2 = (w1 * u2 - w2 * u1, w2 * u0 - w0 * u2,
+                         w0 * u1 - w1 * u0)
+        r0, r1, r2 = w1 * a2 - w2 * a1, w2 * a0 - w0 * a2, w0 * a1 - w1 * a0
+        # first: the sample index of a window's first entry, less the
+        # entry's position in the stacked samples
+        rows.append((theta, cum[e] - cum[a], e, first,
+                     v0 + uu0, v1 + uu1, v2 + uu2,
+                     r0 - uu0, r1 - uu1, r2 - uu2,
+                     u0 + w1 * r2 - w2 * r1, u1 + w2 * r0 - w0 * r2,
+                     u2 + w0 * r1 - w1 * r0, w0, w1, w2))
+        first -= e - a - 1
+    # one column per interior sample of each window
+    cols = np.repeat(np.array(rows, dtype=float).T,
+                     [e - a - 1 for e in ends], axis=1)
+    idx = (np.arange(cols.shape[1]) + cols[3]).astype(np.intp)
+    theta, span, end = cols[:3]
+    D, E, F, W = cols[4:7], cols[7:10], cols[10:13], cols[13:16]
+    w0, w1, w2 = W
+    phi = theta * ((cum[idx] - cum[a]) / span)
+    sh, ch = np.sin(0.5 * phi), np.cos(0.5 * phi)
+    d = P[:, a, None] - P.take(idx, axis=1)
+    d += phi * D
+    # sin phi, and 2 sin^2(phi/2) == 1 - cos phi without cancellation
+    d += (2.0 * sh * ch) * E
+    d += (2.0 * (sh * sh)) * F
+    trans = np.sqrt((d * d).sum(axis=0))
+    # the samples' quaternions relative to the start, q_s q_a^*
+    aw, ax, ay, az = q[:, a].tolist()
+    Q = np.array([[aw, ax, ay, az], [-ax, aw, -az, ay], [-ay, az, aw, -ax],
+                  [-az, -ay, ax, aw]]) @ q.take(idx, axis=1)
+    Qw, Qx, Qy, Qz = Q
+    Qv = Q[1:]
+    # (cos phi/2, -sin phi/2 w) times (Qw, Qv)
+    ew = ch * Qw + sh * (W * Qv).sum(axis=0)
+    ev = ch * Qv - sh * (Qw * W + np.array([w1 * Qz - w2 * Qy,
+                                             w2 * Qx - w0 * Qz,
+                                             w0 * Qy - w1 * Qx]))
+    rot = 2.0 * np.arctan2(np.sqrt((ev * ev).sum(axis=0)), np.abs(ew))
+    return rot, trans, end
+
+
+def _first_misfit(Rl, pl, P, q, cum, a, ends, tol):
     """The first of the window ends (increasing, all after start a) whose
-    window misfits, or None when every window fits.  Rs, ps are the
-    stacked samples and Rl, pl the same as float rows.
+    window misfits, or None when every window fits (see _window_errors
+    for the arguments).
 
     A window fits when each interior sample lies within tol (rotation
     radians, translation meters) of the constant-screw interpolant
     between the window's endpoints, at an interpolation parameter
     proportional to accumulated pose-error arc length; a window of zero
-    arc length fits.  Each chord is one _relative_log, and the
-    interpolants of all windows one stacked exponential over one stacked
-    hat, with the arithmetic of sclerp_path and pose_errors window by
-    window."""
+    arc length fits."""
     ends = [e for e in ends if cum[e] > cum[a]]
     if not ends:
         return None
-    logs = [_relative_log(Rl[e], pl[e], Rl[a], pl[a]) for e in ends]
-    xi = np.array([x for x, _ in logs])
-    W = hat(xi[:, 3:])
-    # window k holds samples a + 1 ... ends[k] - 1, windows one after another
-    k = np.repeat(np.arange(len(ends)), np.array(ends) - a - 1)
-    idx = np.concatenate([np.arange(a + 1, e) for e in ends])
-    taus = (cum[idx] - cum[a]) / (cum[ends] - cum[a])[k]
-    thetas = np.array([theta for _, theta in logs])
-    R, p = exp_twists(thetas[k] * taus, W[k], (W @ W)[k], xi[k, :3, None])
-    rot, trans = pose_errors(R @ Rs[a], R @ ps[a] + p, Rs[idx], ps[idx])
+    rot, trans, end = _window_errors(Rl, pl, P, q, cum, a, ends)
     bad = np.flatnonzero((rot > tol[0]) | (trans > tol[1]))
-    return ends[k[bad[0]]] if bad.size else None
+    return int(end[bad[0]]) if bad.size else None
 
 
 def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
@@ -303,9 +359,11 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
         raise DemonstrationError("fit tolerances must be finite numbers >= 0")
     poses = demo.poses
     n = len(poses)
-    Rs = np.stack([p.rotation for p in poses])
-    ps = np.stack([p.translation for p in poses])
-    Rl, pl = Rs.tolist(), ps.tolist()
+    Rl = [p.rotation.tolist() for p in poses]
+    P = np.stack([p.translation for p in poses], axis=1)
+    pl = P.T.tolist()
+    q = np.array([_quat_pivot(R) for R in Rl], dtype=float).T
+    q /= np.sqrt((q * q).sum(axis=0))
     # arc length: one radian of rotation counts as one meter
     inc = [r + t for r, t in map(_pose_error, Rl, pl, Rl[1:], pl[1:])]
     cum = np.concatenate([[0.0], np.cumsum(inc)])
@@ -323,7 +381,7 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
                 if ends and total > _RUN_SAMPLES:
                     break
                 ends.append(e)
-            misfit = _first_misfit(Rs, ps, Rl, pl, cum, a, ends, tol)
+            misfit = _first_misfit(Rl, pl, P, q, cum, a, ends, tol)
             if misfit is not None:
                 b = misfit - 1
                 break
@@ -343,8 +401,12 @@ def extract_guiding_poses(segments, instance, roi_radius=DEFAULT_ROI_RADIUS):
     translation lies within roi_radius of the initial object; the goal set
     is the corresponding suffix around the goal pose. When the two regions
     overlap, the overlap splits at the first pose strictly nearer the goal,
-    clamped so both sets stay nonempty.
+    clamped so both sets stay nonempty. roi_radius is a finite number
+    of meters >= 0.
     """
+    roi_radius = real(roi_radius, "roi_radius", DemonstrationError)
+    if roi_radius < 0.0:
+        raise DemonstrationError("roi_radius must be a finite number >= 0")
     guiding = [segments[0].start_pose] + [s.end_pose for s in segments]
     n = len(guiding)
     d_init = [float(np.linalg.norm(g.translation
@@ -386,16 +448,16 @@ def transfer_constraints(model, new_instance):
     anchored ones by the corresponding goal map; an unanchored middle run
     splits at its midpoint (first half follows the initial map).
     """
-    to_initial = compose(new_instance.initial, inverse(model.source.initial))
-    to_goal = compose(new_instance.goal, inverse(model.source.goal))
+    to_initial = _compose(*_rows(new_instance.initial),
+                          *_inverse(*_rows(model.source.initial)))
+    to_goal = _compose(*_rows(new_instance.goal),
+                       *_inverse(*_rows(model.source.goal)))
     last_initial = model.anchor_initial[-1]
     first_goal = model.anchor_goal[0]
     run = first_goal - last_initial - 1
     cut = last_initial + 1 + (run + 1) // 2
-    out = []
-    for i, g in enumerate(model.guiding_poses):
-        out.append(compose(to_initial if i < cut else to_goal, g))
-    return out
+    return [Pose(*_compose(*(to_initial if i < cut else to_goal), *_rows(g)))
+            for i, g in enumerate(model.guiding_poses)]
 
 
 # ---------------------------------------------------------------- synthesis
@@ -406,39 +468,45 @@ def synthesize_demonstration(key_poses, samples_per_leg=50,
                              noise=(0.0, 0.0), rng=None):
     """Sample a piecewise-constant-screw path through key poses.
 
-    samples_per_leg is an int (same for every leg) or a sequence per leg;
-    each leg contributes that many new samples, so key poses land exactly on
-    samples. noise = (max rotation radians, max translation meters) applies
-    an independent bounded perturbation to every sample.
+    samples_per_leg is a whole number >= 1 (same for every leg) or a list
+    of them, one per leg; each leg contributes that many new samples, so
+    key poses land exactly on samples; dt > 0 is the sample spacing in
+    seconds. noise = (max rotation radians, max translation meters)
+    applies an independent bounded perturbation to every sample: a
+    rotation about a random world axis and a shift in a random
+    direction, drawn sample by sample and applied to all at once.
     """
     keys = list(key_poses)
     if len(keys) < 2:
         raise ValueError("need at least two key poses")
-    if isinstance(samples_per_leg, int):
-        counts = [samples_per_leg] * (len(keys) - 1)
+    if isinstance(samples_per_leg, (list, tuple, np.ndarray)):
+        counts = wholes(samples_per_leg, "samples_per_leg", ValueError,
+                        len(keys) - 1, low=1)
     else:
-        counts = list(samples_per_leg)
-    if len(counts) != len(keys) - 1 or any(c < 1 for c in counts):
-        raise ValueError("need a positive sample count per leg")
+        counts = [whole(samples_per_leg, "samples_per_leg", ValueError,
+                        low=1)] * (len(keys) - 1)
+    dt = real(dt, "dt", ValueError)
+    if dt <= 0.0:
+        raise ValueError("dt must be a finite number > 0")
     rot_amp, trans_amp = reals(noise, "noise", ValueError, 2)
     if rot_amp < 0.0 or trans_amp < 0.0:
         raise ValueError("noise amplitudes must be finite numbers >= 0")
-    poses = [keys[0]]
-    for a, b, m in zip(keys, keys[1:], counts):
-        R, p = sclerp_path(a, b, np.linspace(0.0, 1.0, m + 1)[1:])
-        poses.extend(Pose(R[k], p[k]) for k in range(m))
+    legs = [sclerp_path(a, b, np.linspace(0.0, 1.0, m + 1)[1:])
+            for a, b, m in zip(keys, keys[1:], counts)]
+    R = np.concatenate([keys[0].rotation[None], *(R for R, _ in legs)])
+    p = np.concatenate([keys[0].translation[None], *(p for _, p in legs)])
     if rot_amp > 0.0 or trans_amp > 0.0:
         rng = np.random.default_rng() if rng is None else rng
-        wobbled = []
-        for g in poses:
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            half = 0.5 * rng.uniform(0.0, rot_amp)
-            q = np.concatenate([[math.cos(half)], math.sin(half) * axis])
-            d = rng.normal(size=3)
-            d *= rng.uniform(0.0, trans_amp) / np.linalg.norm(d)
-            wobbled.append(Pose(quat_to_rot(q) @ g.rotation,
-                                g.translation + d))
-        poses = wobbled
-    times = dt * np.arange(len(poses))
-    return Demonstration(times, tuple(poses), object_id)
+        # per sample in turn an axis, an angle, a direction and a length:
+        # standard_normal and random draw what normal and uniform(0, amp)
+        # do, amp times random() being uniform's own arithmetic
+        axes, angles, shifts, lengths = map(np.array, zip(*[
+            (rng.standard_normal(3), rng.random(), rng.standard_normal(3),
+             rng.random()) for _ in range(len(R))]))
+        W = hat(axes / np.linalg.norm(axes, axis=1)[:, None])
+        wobble, _ = exp_twists(rot_amp * angles, W, W @ W, np.zeros((3, 1)))
+        R = wobble @ R
+        p = p + shifts * (trans_amp * lengths
+                          / np.linalg.norm(shifts, axis=1))[:, None]
+    times = dt * np.arange(len(R))
+    return Demonstration(times, tuple(map(Pose, R, p)), object_id)

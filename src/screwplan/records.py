@@ -90,9 +90,13 @@ def reals(x, name, error, n=None):
                                   "finite numbers")))
 
 
-def wholes(x, name, error, n=None):
-    """x as a tuple of ints: a flat list of whole numbers (n of them)."""
-    return tuple(map(int, _flat(x, name, error, n, _whole, "whole numbers")))
+def wholes(x, name, error, n=None, low=None):
+    """x as a tuple of ints: a flat list of whole numbers (n of them),
+    none below low when low is given."""
+    bound = "" if low is None else f" >= {low}"
+    return tuple(map(int, _flat(
+        x, name, error, n, lambda v: _whole(v) and (low is None or v >= low),
+        "whole numbers" + bound)))
 
 
 # --------------------------------------------------------------- documents

@@ -117,6 +117,12 @@ class Pose:
         return np.asarray(point, float) @ self.rotation.T + self.translation
 
 
+def _rows(pose):
+    """A pose as float rows and a float 3-vector, the form the unchecked
+    single-pose functions take."""
+    return pose.rotation.tolist(), pose.translation.tolist()
+
+
 def _compose(Ra, pa, Rb, pb):
     """(R, p) of the pose a(b(x)), on float rows and 3-vectors, unchecked;
     R takes one Newton step, R (3 I - R^T R) / 2, which keeps long chains
@@ -134,8 +140,7 @@ def _compose(Ra, pa, Rb, pb):
 
 def compose(a, b):
     """a then b is NOT this: compose(a, b) maps x to a(b(x))."""
-    return Pose(*_compose(a.rotation.tolist(), a.translation.tolist(),
-                          b.rotation.tolist(), b.translation.tolist()))
+    return Pose(*_compose(*_rows(a), *_rows(b)))
 
 
 def _inverse(R, p):
@@ -148,7 +153,7 @@ def _inverse(R, p):
 
 
 def inverse(a):
-    return Pose(*_inverse(a.rotation.tolist(), a.translation.tolist()))
+    return Pose(*_inverse(*_rows(a)))
 
 
 def pose_error(a, b):
@@ -158,8 +163,7 @@ def pose_error(a, b):
     coincide. The angle uses atan2 of the skew norm against the trace, which
     stays accurate near 0 and near pi.
     """
-    return _pose_error(a.rotation.tolist(), a.translation.tolist(),
-                       b.rotation.tolist(), b.translation.tolist())
+    return _pose_error(*_rows(a), *_rows(b))
 
 
 def _pose_error(Ra, pa, Rb, pb):
@@ -380,7 +384,7 @@ def screw_from_pose(pose):
     """Chasles decomposition of a displacement, from its log [v; w]:
     axis w, pitch w . v and moment v - pitch w; a pure translation has
     axis v, infinite pitch and zero moment (see _log)."""
-    xi, theta = _log(pose.rotation.tolist(), pose.translation.tolist())
+    xi, theta = _log(*_rows(pose))
     v, omega = xi[:3], xi[3:]
     if not omega.any():
         return ScrewDisplacement(v, np.zeros(3), INFINITE_PITCH, theta)
@@ -393,7 +397,7 @@ def screw_from_pose(pose):
 
 def log_pose(pose):
     """(unit twist, magnitude) such that exp_screw reproduces the pose."""
-    return _log(pose.rotation.tolist(), pose.translation.tolist())
+    return _log(*_rows(pose))
 
 
 def _relative_log(Rg, pg, Rs, ps):
@@ -412,10 +416,7 @@ def _relative_log(Rg, pg, Rs, ps):
 def error_twist(goal, pose):
     """Log coordinates xi * theta of compose(goal, inverse(pose)), the
     spatial twist that carries pose onto goal in unit time."""
-    xi, theta = _relative_log(goal.rotation.tolist(),
-                              goal.translation.tolist(),
-                              pose.rotation.tolist(),
-                              pose.translation.tolist())
+    xi, theta = _relative_log(*_rows(goal), *_rows(pose))
     return xi * theta
 
 
@@ -430,10 +431,7 @@ def sclerp(start, goal, tau):
 def sclerp_path(start, goal, taus):
     """Vectorized sclerp: returns rotations (n, 3, 3) and translations
     (n, 3) for an array of interpolation parameters."""
-    xi, theta = _relative_log(goal.rotation.tolist(),
-                              goal.translation.tolist(),
-                              start.rotation.tolist(),
-                              start.translation.tolist())
+    xi, theta = _relative_log(*_rows(goal), *_rows(start))
     W = hat(xi[3:])
     R, p = exp_twists(theta * np.asarray(taus, float), W, W @ W,
                       xi[:3, None])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from screwplan import demonstration
 from screwplan.demonstration import (
     BadQuaternionError,
     ConstraintModel,
@@ -35,6 +36,7 @@ from screwplan.screws import (
     INFINITE_PITCH,
     Pose,
     ScrewDisplacement,
+    _quat_pivot,
     compose,
     exp_screw,
     inverse,
@@ -280,16 +282,21 @@ def test_segmentation_frame_equivariance():
     assert a == b
 
 
+def _chord_errors(poses, Rs, ps, start, end, cum):
+    """Reference: (rotation, translation) deviations of the interior
+    samples of one window of positive arc from its constant-screw
+    interpolant, one sclerp_path and pose_errors call."""
+    taus = (cum[start + 1:end] - cum[start]) / (cum[end] - cum[start])
+    return pose_errors(*sclerp_path(poses[start], poses[end], taus),
+                       Rs[start + 1:end], ps[start + 1:end])
+
+
 def _deviation_from_chord(poses, Rs, ps, start, end, cum):
     """Reference: worst (rotation, translation) deviation of the interior
-    samples of one window from its constant-screw interpolant, one
-    sclerp_path and pose_errors call per window."""
-    span = cum[end] - cum[start]
-    if span <= 0.0:
+    samples of one window from its constant-screw interpolant."""
+    if cum[end] - cum[start] <= 0.0:
         return 0.0, 0.0
-    taus = (cum[start + 1:end] - cum[start]) / span
-    rot, trans = pose_errors(*sclerp_path(poses[start], poses[end], taus),
-                             Rs[start + 1:end], ps[start + 1:end])
+    rot, trans = _chord_errors(poses, Rs, ps, start, end, cum)
     return float(rot.max(initial=0.0)), float(trans.max(initial=0.0))
 
 
@@ -381,6 +388,33 @@ def test_split_matches_window_by_window_reference():
             reference_segment(demo, tol)
 
 
+def test_closed_form_errors_match_the_interpolant_per_sample():
+    # every sample of every window from three starts of each reference
+    # demo: pure translations, legs near pi, dwells and noise
+    worst = 0.0
+    for demo, _ in _reference_cases(np.random.default_rng(24)):
+        poses = demo.poses
+        n = len(poses)
+        Rs = np.stack([p.rotation for p in poses])
+        ps = np.stack([p.translation for p in poses])
+        cum = _arc_length(poses)
+        Rl, pl = Rs.tolist(), ps.tolist()
+        q = np.array([_quat_pivot(R) for R in Rl]).T
+        q /= np.linalg.norm(q, axis=0)
+        for a in sorted({0, n // 2, max(n - 3, 0)}):
+            ends = [e for e in range(a + 2, n) if cum[e] > cum[a]]
+            if not ends:
+                continue
+            rot, trans, end = demonstration._window_errors(
+                Rl, pl, ps.T.copy(), q, cum, a, ends)
+            want = [_chord_errors(poses, Rs, ps, a, e, cum) for e in ends]
+            assert_allclose(end, np.repeat(ends, [e - a - 1 for e in ends]))
+            want_rot, want_trans = map(np.concatenate, zip(*want))
+            worst = max(worst, np.abs(rot - want_rot).max(),
+                        np.abs(trans - want_trans).max())
+    assert worst <= 1e-12
+
+
 def test_split_stops_at_the_first_misfit():
     # x positions along a line that backtracks once: the window 0..3
     # misfits (sample 2 sits 0.19 m off its arc-length place), the longer
@@ -401,6 +435,52 @@ def test_split_stops_at_the_first_misfit():
     want = [(0, 2), (2, 3), (3, 5), (5, 7)]
     assert reference_segment(demo, tol) == want
     assert _spans(segment_demonstration(demo, tol)) == want
+
+
+def reference_synthesize(keys, samples_per_leg, noise, rng):
+    """Reference: the noisy samples wobbled one Pose at a time, a
+    quat_to_rot rotation and a shift per sample."""
+    counts = (samples_per_leg if isinstance(samples_per_leg, list)
+              else [samples_per_leg] * (len(keys) - 1))
+    poses = [keys[0]]
+    for a, b, m in zip(keys, keys[1:], counts):
+        R, p = sclerp_path(a, b, np.linspace(0.0, 1.0, m + 1)[1:])
+        poses.extend(Pose(R[k], p[k]) for k in range(m))
+    rot_amp, trans_amp = noise
+    wobbled = []
+    for g in poses:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        half = 0.5 * rng.uniform(0.0, rot_amp)
+        q = np.concatenate([[math.cos(half)], math.sin(half) * axis])
+        d = rng.normal(size=3)
+        d *= rng.uniform(0.0, trans_amp) / np.linalg.norm(d)
+        wobbled.append(Pose(quat_to_rot(q) @ g.rotation, g.translation + d))
+    return wobbled
+
+
+def test_stacked_wobble_matches_per_sample_loop():
+    # the same draws in the same order: samples agree to rounding and
+    # the generator ends in the same state
+    keys_rng = np.random.default_rng(26)
+    worst = 0.0
+    for seed in range(12):
+        keys = (pick_place_keys(rand_pose(keys_rng)) if seed % 2
+                else rotation_dominant_keys(keys_rng, seed % 3 + 1))
+        count = [7, 30, 12][:len(keys) - 1] if seed % 3 == 0 else 25
+        noise = ((math.radians(0.2), 0.001), (0.3, 0.0), (0.0, 0.05))[
+            seed % 3]
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        demo = synthesize_demonstration(keys, samples_per_leg=count,
+                                        noise=noise, rng=rng)
+        want = reference_synthesize(keys, count, noise, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(demo.poses) == len(want)
+        for got, ref in zip(demo.poses, want):
+            worst = max(worst,
+                        np.abs(got.rotation - ref.rotation).max(),
+                        np.abs(got.translation - ref.translation).max())
+    assert worst <= 1e-15
 
 
 # ------------------------------------------------- guiding poses, transfer
@@ -437,6 +517,20 @@ def test_extract_no_anchor_raises():
         extract_guiding_poses(segs, TaskInstance(far, keys[-1]), 0.15)
     with pytest.raises(NoAnchorError):
         extract_guiding_poses(segs, TaskInstance(keys[0], far), 0.15)
+
+
+def test_extract_checks_roi_radius():
+    keys = pick_place_keys()
+    segs = segment_demonstration(
+        synthesize_demonstration(keys, samples_per_leg=40))
+    instance = TaskInstance(keys[0], keys[-1])
+    for radius in (math.nan, math.inf, -0.01, "x", True, None, [0.15]):
+        with pytest.raises(DemonstrationError, match="roi_radius"):
+            extract_guiding_poses(segs, instance, radius)
+    for radius in (np.float64(0.15), 1):
+        model = extract_guiding_poses(segs, instance, radius)
+        assert model.anchor_initial[0] == 0
+        assert model.anchor_goal[-1] == len(model.guiding_poses) - 1
 
 
 def test_transfer_endpoints_meet_new_instance():
@@ -524,6 +618,23 @@ def test_transfer_invariance(model, initial, goal, T):
         _assert_poses_close(a, compose(T, b), 1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_constraint_models(), _poses, _poses)
+def test_transfer_matches_composed_poses_bitwise(model, initial, goal):
+    # the float-row maps give exactly the Pose route's numbers
+    new = TaskInstance(initial, goal)
+    last_initial, first_goal = model.anchor_initial[-1], model.anchor_goal[0]
+    cut = last_initial + 1 + (first_goal - last_initial) // 2
+    to_initial = compose(initial, inverse(model.source.initial))
+    to_goal = compose(goal, inverse(model.source.goal))
+    out = transfer_constraints(model, new)
+    assert len(out) == len(model.guiding_poses)
+    for i, (got, g) in enumerate(zip(out, model.guiding_poses)):
+        want = compose(to_initial if i < cut else to_goal, g)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+
+
 def test_transfer_preserves_anchored_relative_screws():
     # within an anchored run the relative displacement conjugates, so its
     # rotation angle and translation norm are unchanged
@@ -591,6 +702,21 @@ def test_numeric_arguments_are_checked():
         with pytest.raises(ValueError, match="noise"):
             synthesize_demonstration(pick_place_keys(), samples_per_leg=5,
                                      noise=noise)
+    # three legs: one whole count >= 1 for all, or a list of three
+    for count in (0, -1, 2.5, True, "5", None, math.nan, [5, 5],
+                  (5, 0, 5), [5, 5, 5, 5], [5.5, 5, 5], [5, True, 5]):
+        with pytest.raises(ValueError, match="samples_per_leg"):
+            synthesize_demonstration(pick_place_keys(), samples_per_leg=count)
+    for dt in ("x", math.nan, math.inf, 0.0, -0.02, True, None):
+        with pytest.raises(ValueError, match="dt"):
+            synthesize_demonstration(pick_place_keys(), samples_per_leg=5,
+                                     dt=dt)
+    for count in (np.int64(5), 5.0, [5, np.int64(5), 5.0],
+                  np.array([5, 5, 5])):
+        demo = synthesize_demonstration(pick_place_keys(),
+                                        samples_per_leg=count, dt=np.int64(1))
+        assert len(demo.poses) == 16
+        assert_allclose(demo.times, np.arange(16.0))
 
 
 def test_segments_round_trip(tmp_path):
