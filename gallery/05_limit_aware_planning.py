@@ -25,9 +25,8 @@ if __name__ == "__main__":
     q_goal = PANDA_READY + np.array([0.3, -0.2, 0.25, -0.3, 0.2, 0.25, -0.3])
     goal = forward_kinematics(model, q_goal)
     traj = plan_to_pose(PANDA_READY, goal, model, PlannerConfig())
-    modes = [s.mode for s in traj.steps]
-    print(f"comfortable goal: {traj.outcome.value} in {len(traj.steps)} "
-          f"steps, all mode 1: {all(m is Mode.MODE1 for m in modes)}")
+    print(f"comfortable goal: {traj.outcome.value} in {len(traj)} "
+          f"steps, all mode 1: {all(traj.mode == Mode.MODE1)}")
     save_trajectory(traj, OUT / "comfortable_goal.jsonl", robot=model.name)
 
     name, spec = near_limit_scenarios()[0]

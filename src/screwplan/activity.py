@@ -235,8 +235,9 @@ def attached_object_poses(traj, grasp_offset=None):
     guiding pose (the pick) through the final step (the place)."""
     start = traj.segment_starts[1] if len(traj.segment_starts) > 1 else 0
     inv = None if grasp_offset is None else inverse(grasp_offset)
-    return [s.end_effector if inv is None else compose(s.end_effector, inv)
-            for s in traj.steps[start:]]
+    flanges = (Pose(R, p) for R, p in zip(traj.rotation[start:],
+                                          traj.translation[start:]))
+    return [f if inv is None else compose(f, inv) for f in flanges]
 
 
 # ----------------------------------------------------------------- running
@@ -297,7 +298,7 @@ def run_activity(spec, keep_trajectories=False):
             index=(goal.i, goal.j, goal.k), goal=instance.goal,
             achieved=achieved, position_error=dist, yaw_error=yaw,
             rotation_error=rot, success=_success(traj.outcome, dist, yaw),
-            trajectory_outcome=traj.outcome, steps=len(traj.steps)))
+            trajectory_outcome=traj.outcome, steps=len(traj)))
         if keep_trajectories:
             trajectories.append(traj)
         if traj.outcome is not Outcome.REACHED:

@@ -53,7 +53,7 @@ def _cmd_plan(args):
     traj = plan_through_guiding_poses(np.array(args.q0), guiding, model,
                                       config)
     save_trajectory(traj, args.out, robot=model.name)
-    print(f"{traj.outcome.value}: {len(traj.steps)} steps -> {args.out}")
+    print(f"{traj.outcome.value}: {len(traj)} steps -> {args.out}")
     return 0 if traj.outcome is Outcome.REACHED else 1
 
 

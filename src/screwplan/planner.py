@@ -18,6 +18,7 @@ limit event.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -123,23 +124,112 @@ class TrajectoryStep:
         return Pose(self.rotation, self.translation)
 
 
-@dataclass(frozen=True)
+# the per-row fields of a trajectory, in row order, and their dtypes
+_ROWS = {"q": float, "rotation": float, "translation": float,
+         "mode": object, "damped": bool}
+
+
+class _Steps(Sequence):
+    """A trajectory's rows as TrajectoryStep objects, each built when it
+    is indexed or iterated; the view holds the trajectory and nothing
+    else."""
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj):
+        self._traj = traj
+
+    def __len__(self):
+        return len(self._traj)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        t = self._traj
+        return TrajectoryStep(t.q[i], t.mode[i], t.rotation[i],
+                              t.translation[i], bool(t.damped[i]))
+
+    def __iter__(self):
+        t = self._traj
+        for row in zip(t.q, t.mode, t.rotation, t.translation,
+                       t.damped.tolist()):
+            yield TrajectoryStep(*row)
+
+
+@dataclass(frozen=True, eq=False)
 class JointTrajectory:
-    steps: list
+    """One read-only array per field, a row per control step: q (n, dof)
+    joint values, the flange rotation (n, 3, 3) and translation (n, 3)
+    each step reached, its mode (n,) and whether its pseudoinverse was
+    damped (n,).  The arrays are kept, not copied, and made read-only.
+    segment_starts are the rows where each guiding-pose leg began."""
+
+    q: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+    mode: np.ndarray
+    damped: np.ndarray
     outcome: Outcome
     segment_starts: list = field(default_factory=lambda: [0])
 
+    def __post_init__(self):
+        E = InvalidTrajectoryError
+        counts = {}  # each field's row count
+        for name, dtype in _ROWS.items():
+            try:
+                a = np.asarray(getattr(self, name), dtype=dtype)
+            except (TypeError, ValueError) as e:
+                raise E(f"{name}: {e}") from e
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+            counts[name] = len(a) if a.ndim else 0
+        if self.q.ndim != 2:
+            raise E(f"q must be 2-D (steps, joints), got shape "
+                    f"{self.q.shape}")
+        n = counts["q"]
+        if set(counts.values()) != {n}:
+            raise E("rows of unequal count: " + ", ".join(
+                f"{name} {k}" for name, k in counts.items()))
+        for name, shape in (("rotation", (n, 3, 3)), ("translation", (n, 3)),
+                            ("mode", (n,)), ("damped", (n,))):
+            if getattr(self, name).shape != shape:
+                raise E(f"{name} must have shape {shape}, got "
+                        f"{getattr(self, name).shape}")
+        if not set(map(type, self.mode.tolist())) <= {Mode}:
+            raise E("every mode entry must be a Mode")
+
+    def __len__(self):
+        return len(self.q)
+
+    @property
+    def steps(self):
+        """The rows as TrajectoryStep objects, built on demand."""
+        return _Steps(self)
+
     @property
     def final_q(self):
-        return self.steps[-1].q
+        return self.q[-1]
 
     @property
     def final_pose(self):
-        return self.steps[-1].end_effector
+        return Pose(self.rotation[-1], self.translation[-1])
+
+
+def _stacked(dof, rows, **fields):
+    """A trajectory from per-step (q, rotation, translation, mode,
+    damped) rows, stacked once; dof gives q its width when there are no
+    rows."""
+    n = len(rows)
+    qs, Rs, ps, modes, damped = zip(*rows) if rows else [()] * 5
+    return JointTrajectory(
+        q=np.array(qs, dtype=float).reshape(n, dof),
+        rotation=np.array(Rs, dtype=float).reshape(n, 3, 3),
+        translation=np.array(ps, dtype=float).reshape(n, 3),
+        mode=modes, damped=damped, **fields)
 
 
 def _clamp(dq):
-    worst = float(np.abs(dq).max())
+    worst = max(map(abs, dq.tolist()))
     if worst > STEP_CLAMP:
         return dq * (STEP_CLAMP / worst)
     return dq
@@ -210,7 +300,8 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     check_eps(model, config.eps_in, config.eps_out)
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
-    steps = []
+    gain = config.lam * config.delta_t
+    rows = []  # each step's row, stacked on return
     # each step works on the chain's floats and builds no Pose; the entry
     # pass gives the flange held throughout and the angle's zero
     R, p, jac, psi_prev, jpsi = arm_state(model, q_c)
@@ -220,7 +311,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         if abs(psi_d - psi_cont) < PSI_TOL:
             outcome = Outcome.REACHED
             break
-        if len(steps) >= budget:
+        if len(rows) >= budget:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
         pinv, d, flag = self_motion(jac, jpsi)
@@ -232,8 +323,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         # the log checks the flange rotation, the held one on entry
         xi, theta = _relative_log(*hold, R, p)
         x = pinv @ (config.kappa * (xi * theta))
-        dq = _clamp(config.lam * config.delta_t
-                    * (x + d * (psi_d - psi_cont - jpsi @ x)))
+        dq = _clamp(gain * (x + d * (psi_d - psi_cont - jpsi @ x)))
         candidate = q_c + dq
         if not within(candidate, outer).all():
             outcome = Outcome.MOTION_PLAN_FAILED
@@ -242,8 +332,8 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
         psi_cont += _wrap(psi_raw - psi_prev)
         psi_prev = psi_raw
-        steps.append(TrajectoryStep(q_c, Mode.MODE2, R, p))
-    return JointTrajectory(steps=steps, outcome=outcome)
+        rows.append((q_c, R, p, Mode.MODE2, False))
+    return _stacked(len(q_c), rows, outcome=outcome)
 
 
 def plan_to_pose(q0, gd, model, config):
@@ -256,7 +346,8 @@ def plan_to_pose(q0, gd, model, config):
     # chain's, and builds no Pose
     Rg, pg = gd.rotation.tolist(), gd.translation.tolist()
     q_c = np.asarray(q0, dtype=float).copy()
-    steps = []
+    gain = config.kappa * config.delta_t
+    rows = []  # each step's row, stacked on return
     pending = (q_c, False)
     iterations = 0
     outcome = None
@@ -264,8 +355,7 @@ def plan_to_pose(q0, gd, model, config):
         chain = _Chain(model, q_c)
         R, p = chain.flange()
         if pending is not None:
-            steps.append(TrajectoryStep(pending[0], Mode.MODE1, R, p,
-                                        pending[1]))
+            rows.append((pending[0], R, p, Mode.MODE1, pending[1]))
             pending = None
         rot, trans = _pose_error(R, p, Rg, pg)
         if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
@@ -278,8 +368,7 @@ def plan_to_pose(q0, gd, model, config):
         # the flange rotation
         xi, theta = _relative_log(Rg, pg, R, p)
         pinv, damped, _ = pseudoinverse(chain.jacobian)
-        candidate = q_c + _clamp(config.kappa * config.delta_t
-                                 * (pinv @ (xi * theta)))
+        candidate = q_c + _clamp(gain * (pinv @ (xi * theta)))
         iterations += 1
         if within(candidate, inner).all():
             q_c = candidate
@@ -297,18 +386,17 @@ def plan_to_pose(q0, gd, model, config):
             break
         fragment = mode2_recovery(q_c, dpsi, model, config,
                                   max_steps=config.max_steps - iterations)
-        steps.extend(fragment.steps)
-        iterations += len(fragment.steps)
+        rows.extend(zip(*(getattr(fragment, name) for name in _ROWS)))
+        iterations += len(fragment)
         if fragment.outcome is not Outcome.REACHED:
             outcome = fragment.outcome
             break
         # no step: the target was inside tolerance of the current angle
-        if not fragment.steps or not within(fragment.final_q, inner).all():
+        if len(fragment) == 0 or not within(fragment.final_q, inner).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
         q_c = fragment.final_q.copy()
-    return JointTrajectory(steps=steps, outcome=outcome,
-                           segment_starts=[0])
+    return _stacked(len(q_c), rows, outcome=outcome)
 
 
 def plan_through_guiding_poses(q0, guiding, model, config):
@@ -317,19 +405,25 @@ def plan_through_guiding_poses(q0, guiding, model, config):
     segment that does not reach its goal."""
     if len(guiding) == 0:
         raise ValueError("need at least one guiding pose")
-    steps = []
+    legs = []
     segment_starts = []
+    n = 0
     q_c = np.asarray(q0, dtype=float)
     for goal in guiding:
-        # each later leg starts on the step the one before it ended on
-        segment_starts.append(max(len(steps) - 1, 0))
+        # each later leg starts on the row the one before it ended on,
+        # and drops that first row when the legs are joined
+        segment_starts.append(max(n - 1, 0))
         traj = plan_to_pose(q_c, goal, model, config)
-        steps.extend(traj.steps[1:] if steps else traj.steps)
+        n += len(traj) - bool(legs)
+        legs.append(traj)
         if traj.outcome is not Outcome.REACHED:
             break
         q_c = traj.final_q
-    return JointTrajectory(steps=steps, outcome=traj.outcome,
-                           segment_starts=segment_starts)
+    return JointTrajectory(
+        **{name: np.concatenate([getattr(leg, name)[min(k, 1):]
+                                 for k, leg in enumerate(legs)])
+           for name in _ROWS},
+        outcome=traj.outcome, segment_starts=segment_starts)
 
 
 def geodesic_deviation(start, goal, poses, translation_scale=1.0):
@@ -396,14 +490,16 @@ def save_trajectory(traj, path, robot=""):
         "segment_starts": list(traj.segment_starts),
     }, ({
         "step": i,
-        "mode": s.mode.value,
-        "q": [float(v) for v in s.q],
-        "pose": pose_to_record(s.end_effector),
-        "damped": bool(s.damped),
-    } for i, s in enumerate(traj.steps)), path)
+        "mode": mode.value,
+        "q": q.tolist(),
+        "pose": pose_to_record(Pose(R, p)),
+        "damped": damped,
+    } for i, (q, mode, R, p, damped) in enumerate(zip(
+        traj.q, traj.mode, traj.rotation, traj.translation,
+        traj.damped.tolist()))), path)
 
 
-def _step_from_record(rec, first):
+def _row_from_record(rec, first):
     # by name ("mode1" in any case) or by value (1), never a JSON boolean
     raw = rec["mode"]
     mode = Mode.__members__.get(str(raw).upper())
@@ -418,28 +514,29 @@ def _step_from_record(rec, first):
             f"expected {first['joints']} joint values, got {len(q)}")
     damped = flag(rec.get("damped", False), "damped", InvalidTrajectoryError)
     pose = pose_from_record(rec["pose"])
-    return TrajectoryStep(q, mode, pose.rotation, pose.translation, damped)
+    return q, pose.rotation, pose.translation, mode, damped
 
 
 def load_trajectory(path):
     first = {}  # the first step's joint count, which every step shares
-    (outcome, starts), steps = read_lines(
+    (outcome, starts), rows = read_lines(
         path, InvalidTrajectoryError,
         lambda doc: decode(doc, InvalidTrajectoryError, lambda doc: (
             Outcome(doc["outcome"]), list(wholes(
                 doc["segment_starts"], "segment_starts",
                 InvalidTrajectoryError))),
             "trajectory", UNITS),
-        lambda rec: _step_from_record(rec, first))
-    return _check_segment_starts(JointTrajectory(
-        steps=steps, outcome=outcome, segment_starts=starts), path)
+        lambda rec: _row_from_record(rec, first))
+    return _check_segment_starts(_stacked(
+        first.get("joints", 0), rows, outcome=outcome,
+        segment_starts=starts), path)
 
 
 def _check_segment_starts(traj, path):
     """traj, when its segment_starts begin at 0, never decrease and stay
     below its step count; a leg already at its goal adds no step, so
     two starts may be equal."""
-    starts, n = traj.segment_starts, len(traj.steps)
+    starts, n = traj.segment_starts, len(traj)
     if not (starts and starts[0] == 0 and starts[-1] < n
             and all(a <= b for a, b in zip(starts, starts[1:]))):
         raise InvalidTrajectoryError(

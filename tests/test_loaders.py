@@ -39,7 +39,7 @@ from screwplan.layouts import (InvalidLayoutError, layout_goals,
                                load_goal_sequence, load_layout_spec,
                                save_goal_sequence, save_layout_spec)
 from screwplan.planner import (InvalidTrajectoryError, JointTrajectory,
-                               Mode, Outcome, TrajectoryStep,
+                               Mode, Outcome,
                                load_trajectory, save_trajectory)
 from screwplan.records import (PoseRecordError, load_pose_sequence,
                                save_pose_sequence)
@@ -55,11 +55,10 @@ def _trajectory():
     qs = PANDA_READY + np.linspace(0.0, 0.03, 3)[:, None]
     poses = [forward_kinematics(model, q) for q in qs]
     return JointTrajectory(
-        steps=[TrajectoryStep(q, mode, pose.rotation, pose.translation,
-                              damped)
-               for q, pose, mode, damped in zip(
-                   qs, poses, (Mode.MODE1, Mode.MODE2, Mode.MODE1),
-                   (False, True, False))],
+        q=qs, rotation=[pose.rotation for pose in poses],
+        translation=[pose.translation for pose in poses],
+        mode=[Mode.MODE1, Mode.MODE2, Mode.MODE1],
+        damped=[False, True, False],
         outcome=Outcome.STEP_BUDGET_EXHAUSTED, segment_starts=[0, 1])
 
 

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from numpy.testing import assert_allclose
 from screwplan import planner
 from screwplan.activity import run_activity
 from screwplan.kinematics import (
+    PANDA_READY,
     LimitZone,
     _Chain,
     arm_state,
@@ -358,7 +361,7 @@ def test_mode2_recovery_fragment():
     # already at target: empty fragment
     frag = mode2_recovery(READY, 0.0005, MODEL, config)
     assert frag.outcome is Outcome.REACHED
-    assert frag.steps == []
+    assert len(frag) == 0
     # a real swing holds the pose and lands on the target angle
     frag = mode2_recovery(READY, -0.3, MODEL, config)
     assert frag.outcome is Outcome.REACHED
@@ -555,24 +558,28 @@ def reference_mode2_recovery(q, psi_d, model, config, max_steps=None):
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
     hold = forward_kinematics(model, q_c)
-    steps = []
+    qs, Rs, ps = [], [], []
     psi_prev = None
     psi_cont = 0.0
 
     def done(outcome):
-        return JointTrajectory(steps=steps, outcome=outcome)
+        n = len(qs)
+        return JointTrajectory(
+            np.reshape(qs, (n, len(q_c))), np.reshape(Rs, (n, 3, 3)),
+            np.reshape(ps, (n, 3)), [Mode.MODE2] * n, [False] * n, outcome)
 
     while True:
         R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
         pose = Pose(R, p)
         if psi_prev is not None:
             psi_cont += _wrap(psi_raw - psi_prev)
-            steps.append(TrajectoryStep(q_c, Mode.MODE2, pose.rotation,
-                                        pose.translation))
+            qs.append(q_c)
+            Rs.append(pose.rotation)
+            ps.append(pose.translation)
         psi_prev = psi_raw
         if abs(psi_d - psi_cont) < PSI_TOL:
             return done(Outcome.REACHED)
-        if len(steps) >= budget:
+        if len(qs) >= budget:
             return done(Outcome.STEP_BUDGET_EXHAUSTED)
         pinv, d, flag = self_motion(jac, jpsi)
         if flag:
@@ -592,21 +599,27 @@ def reference_plan_to_pose(q0, gd, model, config):
     The array step must reproduce it bit for bit."""
     inner = limit_band(model, config.eps_in)
     q_c = np.asarray(q0, dtype=float).copy()
-    steps = []
+    rows = {name: [] for name in ("q", "rotation", "translation", "mode",
+                                  "damped")}
     pending = (q_c, False)
     iterations = 0
 
     def done(outcome):
-        return JointTrajectory(steps=steps, outcome=outcome,
-                               segment_starts=[0])
+        n = len(rows["q"])
+        return JointTrajectory(
+            np.reshape(rows["q"], (n, len(q_c))),
+            np.reshape(rows["rotation"], (n, 3, 3)),
+            np.reshape(rows["translation"], (n, 3)), rows["mode"],
+            rows["damped"], outcome, segment_starts=[0])
 
     while True:
         chain = _Chain(model, q_c)
         pose, jac = Pose(*chain.flange()), chain.jacobian
         if pending is not None:
-            steps.append(TrajectoryStep(pending[0], Mode.MODE1,
-                                        pose.rotation, pose.translation,
-                                        pending[1]))
+            for name, value in zip(rows, (pending[0], pose.rotation,
+                                          pose.translation, Mode.MODE1,
+                                          pending[1])):
+                rows[name].append(value)
             pending = None
         rot, trans = pose_error(pose, gd)
         if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
@@ -629,13 +642,14 @@ def reference_plan_to_pose(q0, gd, model, config):
         fragment = reference_mode2_recovery(
             q_c, dpsi, model, config,
             max_steps=config.max_steps - iterations)
-        steps.extend(fragment.steps)
-        iterations += len(fragment.steps)
+        for name in rows:
+            rows[name].extend(getattr(fragment, name))
+        iterations += len(fragment)
         if fragment.outcome is Outcome.STEP_BUDGET_EXHAUSTED:
             return done(fragment.outcome)
-        if fragment.outcome is not Outcome.REACHED or not fragment.steps:
+        if fragment.outcome is not Outcome.REACHED or len(fragment) == 0:
             return done(Outcome.MOTION_PLAN_FAILED)
-        q_c = fragment.steps[-1].q
+        q_c = fragment.q[-1]
         if not within(q_c, inner).all():
             return done(Outcome.MOTION_PLAN_FAILED)
 
@@ -643,13 +657,9 @@ def reference_plan_to_pose(q0, gd, model, config):
 def assert_same_trajectory(got, want):
     assert got.outcome is want.outcome
     assert got.segment_starts == want.segment_starts
-    assert len(got.steps) == len(want.steps)
-    for name in ("q", "rotation", "translation"):
-        assert np.array_equal(
-            np.array([getattr(s, name) for s in got.steps]),
-            np.array([getattr(s, name) for s in want.steps])), name
-    assert [s.mode for s in got.steps] == [s.mode for s in want.steps]
-    assert [s.damped for s in got.steps] == [s.damped for s in want.steps]
+    assert len(got) == len(want)
+    for name in ("q", "rotation", "translation", "mode", "damped"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_array_step_matches_pose_route_bitwise(monkeypatch):
@@ -723,6 +733,113 @@ def test_plan_builds_no_pose_per_step(monkeypatch):
         (short_count, short_steps), (long_count, long_steps) = counts
         assert long_steps - short_steps > 100
         assert short_count == long_count
+
+
+# PANDA_READY to FK(PANDA_READY + s * OFFSET): 771 mode-1 steps at s = 1,
+# 699 at s = 0.5
+OFFSET = np.array([0.3, -0.2, 0.1, 0.2, -0.1, 0.2, 0.1])
+
+
+def offset_plan(s):
+    goal = forward_kinematics(MODEL, PANDA_READY + s * OFFSET)
+    return plan_to_pose(PANDA_READY, goal, MODEL, PlannerConfig())
+
+
+def test_trajectory_retains_its_rows_and_little_else():
+    # what the trajectory holds is what dropping it frees; the free lists
+    # of the interpreter, which earlier tests fill, stay out of the count
+    tracemalloc.start()
+    try:
+        traj = offset_plan(1.0)
+        steps = len(traj)
+        held = tracemalloc.get_traced_memory()[0]
+        del traj
+        retained = (held - tracemalloc.get_traced_memory()[0]) / steps
+    finally:
+        tracemalloc.stop()
+    assert steps == 771
+    # the rows take 161 bytes a step (q 56, rotation 72, translation 24,
+    # mode 8, damped 1); a frozen step object per row took 624
+    assert 161 <= retained <= 200
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+    reason="call counts are pinned to Python 3.11 and numpy 2.4")
+def test_mode1_step_call_count():
+    post_init = TrajectoryStep.__post_init__.__code__
+    counts = {}
+    for s in (0.5, 1.0):
+        calls = [0, 0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+                calls[1] += frame.f_code is post_init
+
+        sys.setprofile(profile)
+        try:
+            traj = offset_plan(s)
+        finally:
+            sys.setprofile(None)
+        assert traj.outcome is Outcome.REACHED
+        assert np.all(traj.mode == Mode.MODE1)
+        assert calls[1] == 0  # no TrajectoryStep is built
+        counts[s] = len(traj), calls[0]
+    (short, short_calls), (long, long_calls) = counts[0.5], counts[1.0]
+    assert (short, long) == (699, 771)
+    # Python-level calls per mode-1 step: 33.0 with a TrajectoryStep per
+    # step and np.abs(dq).max() in _clamp, 30.0 without
+    assert (long_calls - short_calls) / (long - short) <= 30.0
+
+
+def test_steps_view_builds_each_step_from_its_row():
+    traj = plan_to_pose(READY, LIMIT_GOAL, LIMIT_MODEL, PlannerConfig())
+    view = traj.steps
+    assert not hasattr(view, "__dict__") and len(view) == len(traj)
+    assert [s.mode for s in view] == list(traj.mode)
+    assert [s.damped for s in view] == traj.damped.tolist()
+    for i in (0, 7, -1):
+        step = view[i]
+        assert isinstance(step, TrajectoryStep)
+        assert isinstance(step.damped, bool)
+        for name in ("q", "rotation", "translation"):
+            assert np.array_equal(getattr(step, name),
+                                  getattr(traj, name)[i])
+    assert [s.q.tolist() for s in view[3:9:2]] == traj.q[3:9:2].tolist()
+    assert not any(getattr(traj, name).flags.writeable
+                   for name in ("q", "rotation", "translation", "mode",
+                                "damped"))
+
+
+def _rows(n=3, dof=7):
+    return dict(q=np.zeros((n, dof)), rotation=np.tile(np.eye(3), (n, 1, 1)),
+                translation=np.zeros((n, 3)), mode=[Mode.MODE1] * n,
+                damped=[False] * n, outcome=Outcome.REACHED)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("q", np.zeros((2, 7)), "rows of unequal count: q 2, rotation 3"),
+    ("damped", [False] * 4, "rows of unequal count: .*damped 4"),
+    ("mode", [Mode.MODE1] * 2, "rows of unequal count: .*mode 2"),
+    ("q", np.zeros(3), r"q must be 2-D \(steps, joints\), got shape \(3,\)"),
+    ("q", np.zeros((3, 7, 1)), "q must be 2-D"),
+    ("q", [["a"] * 7] * 3, "q: could not convert"),
+    ("rotation", np.zeros((3, 9)),
+     r"rotation must have shape \(3, 3, 3\), got \(3, 9\)"),
+    ("rotation", np.zeros((3, 3, 4)), "rotation must have shape"),
+    ("translation", np.zeros((3, 2)),
+     r"translation must have shape \(3, 3\), got \(3, 2\)"),
+    ("translation", np.zeros(3),
+     r"translation must have shape \(3, 3\), got \(3,\)"),
+    ("rotation", 0.0, "rows of unequal count: .*rotation 0"),
+    ("mode", [Mode.MODE1, 1, Mode.MODE2], "every mode entry must be a Mode"),
+    ("mode", ["mode1"] * 3, "every mode entry must be a Mode"),
+])
+def test_trajectory_refuses_malformed_rows(field, value, message):
+    JointTrajectory(**_rows())  # the unchanged rows are accepted
+    with pytest.raises(InvalidTrajectoryError, match=message):
+        JointTrajectory(**{**_rows(), field: value})
 
 
 def test_trajectory_file_round_trip(tmp_path):
@@ -824,7 +941,7 @@ def test_trajectory_writer_keeps_the_loader_rule(tmp_path):
                           np.array([s.q for s in frag.steps]))
     # what the loader refuses is never written
     empty = mode2_recovery(READY, 0.0005, MODEL, PlannerConfig())
-    assert empty.steps == []
+    assert len(empty) == 0
     for bad in (empty, dataclasses.replace(frag, segment_starts=[]),
                 dataclasses.replace(frag, segment_starts=[0, 2, 1])):
         g = tmp_path / "bad.jsonl"
