@@ -5,7 +5,9 @@ linear part first), a home pose, joint limits, and the three joints
 whose axes carry the shoulder, elbow and wrist points.  The arm's
 redundancy is exposed as the shoulder-elbow-wrist angle: the signed
 rotation of the elbow about the shoulder-wrist line, measured from the
-plane spanned by that line and the base vertical.
+plane spanned by that line and the base vertical.  One chain pass gives
+the Jacobian, and the flange and this angle when asked for; arm_state
+composes them for its callers and perfbench's tracer.
 """
 
 import math
@@ -162,8 +164,8 @@ def _cross(a, b):
 
 
 class _Chain:
-    """One pass down the arm on Python floats: the world Jacobian as a
-    (6, n) array and as float columns, the flange, and in sew the world
+    """One pass down the arm on Python floats at q: the world Jacobian
+    as a (6, n) array and as float columns, and in sew the world
     shoulder, elbow and wrist points as float triples (the marker
     joints' axis points, carried by the frames ahead of them).
 
@@ -184,7 +186,7 @@ class _Chain:
         qs = q.tolist()
         if not all(map(math.isfinite, qs)):
             raise ValueError("joint values must be finite")
-        self.model = model
+        self.model, self.q = model, q
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = model._base[0]
         t0, t1, t2 = model._base[1]
         cols = []
@@ -246,6 +248,62 @@ class _Chain:
         (R, t), (H, h) = self._end, self.model._home
         return _mul(R, H), _apply(R, h, t)
 
+    def elbow(self):
+        """(psi, dpsi/dq): the elbow angle and its gradient on the
+        chain's floats.  The one definition of psi.
+
+        u is the shoulder-wrist direction, ew the shoulder-to-elbow offset
+        and ref the base vertical, or base x when u lies along it.  With
+        m = ref x u, the in-plane reference is r = u x m and
+        psi = atan2(-m.ew, r.ew); no subtraction that cancels near the
+        reference cone forms r.  With g = u x ew, dpsi = ce.d(e - s) +
+        ca.d(w - s) for ce = g/|g|^2 and ca = -((ref.u) m/|m|^2 +
+        (ew.u) ce)/|w - s|.  A point p carried ahead of joint i moves at
+        v_i + w_i x p, so each marker point with coefficient c adds
+        c.v_i + (p x c).w_i to every column before its marker joint; the
+        markers ahead of a column sum to one (c, p x c) pair, and the
+        shoulder's, elbow's and wrist's c sum to zero."""
+        model = self.model
+        s, e, w = self.sew
+        a = _sub(w, s)
+        na = math.hypot(*a)
+        if na == 0.0:
+            # shoulder on the wrist: no plane, so psi has no gradient
+            return 0.0, np.zeros(len(self.q))
+        u = a[0] / na, a[1] / na, a[2] / na
+        base = model._base[0]
+        ref = base[0][2], base[1][2], base[2][2]
+        m = _cross(ref, u)
+        if math.hypot(*m) < REFERENCE_AXIS_TOL:
+            ref = base[0][0], base[1][0], base[2][0]
+            m = _cross(ref, u)
+        ew = _sub(e, s)
+        psi = math.atan2(-_dot(m, ew), _dot(_cross(u, m), ew))
+        g = _cross(u, ew)
+        gg = _dot(g, g)
+        jpsi = [0.0] * len(self.q)
+        # an elbow on the shoulder-wrist line leaves psi without a gradient
+        if gg != 0.0:
+            ce = g[0] / gg, g[1] / gg, g[2] / gg
+            k = _dot(ref, u) / _dot(m, m)
+            h = _dot(ew, u)
+            ca = tuple(-(k * mi + h * ci) / na for mi, ci in zip(m, ce))
+            # (c, p x c) summed over the markers ahead of each range of
+            # columns; ahead of the shoulder the c cancel, and the moments
+            # are taken about the shoulder
+            wca = _cross(w, ca)
+            ranges = (
+                ((0.0, 0.0, 0.0), _add(_cross(ew, ce), _cross(a, ca))),
+                (_add(ce, ca), _add(_cross(e, ce), wca)),
+                (ca, wca))
+            cols = self.columns
+            for lo, hi, ((cx, cy, cz), (kx, ky, kz)) in zip(
+                    (0,) + model.sew_indices, model.sew_indices, ranges):
+                for j, (vx, vy, vz, ox, oy, oz) in enumerate(cols[lo:hi], lo):
+                    jpsi[j] = (cx * vx + cy * vy + cz * vz
+                               + kx * ox + ky * oy + kz * oz)
+        return psi, np.array(jpsi)
+
 
 def forward_kinematics(model, q):
     return Pose(*_Chain(model, q).flange())
@@ -266,67 +324,14 @@ def pseudoinverse(jac):
 
 
 def arm_state(model, q):
-    """(R, p, jac, psi, dpsi/dq) from one chain pass: the flange as
-    float rows, the world Jacobian, and the elbow angle with its
-    gradient, on the chain's floats.  The one definition of psi.
-
-    u is the shoulder-wrist direction, ew the shoulder-to-elbow offset
-    and ref the base vertical, or base x when u lies along it.  With
-    m = ref x u, the in-plane reference is r = u x m and
-    psi = atan2(-m.ew, r.ew); no subtraction that cancels near the
-    reference cone forms r.  With g = u x ew, dpsi = ce.d(e - s) +
-    ca.d(w - s) for ce = g/|g|^2 and ca = -((ref.u) m/|m|^2 +
-    (ew.u) ce)/|w - s|.  A point p carried ahead of joint i moves at
-    v_i + w_i x p, so each marker point with coefficient c adds
-    c.v_i + (p x c).w_i to every column before its marker joint; the
-    markers ahead of a column sum to one (c, p x c) pair, and the
-    shoulder's, elbow's and wrist's c sum to zero."""
+    """(R, p, jac, psi, dpsi/dq) of one chain pass: its flange as float
+    rows, world Jacobian, and elbow angle with its gradient."""
     chain = _Chain(model, q)
-    R, p = chain.flange()
-    jac = chain.jacobian
-    s, e, w = chain.sew
-    a = _sub(w, s)
-    na = math.hypot(*a)
-    if na == 0.0:
-        # shoulder on the wrist: no plane, so psi has no gradient
-        return R, p, jac, 0.0, np.zeros(len(q))
-    u = a[0] / na, a[1] / na, a[2] / na
-    base = model._base[0]
-    ref = base[0][2], base[1][2], base[2][2]
-    m = _cross(ref, u)
-    if math.hypot(*m) < REFERENCE_AXIS_TOL:
-        ref = base[0][0], base[1][0], base[2][0]
-        m = _cross(ref, u)
-    ew = _sub(e, s)
-    psi = math.atan2(-_dot(m, ew), _dot(_cross(u, m), ew))
-    g = _cross(u, ew)
-    gg = _dot(g, g)
-    jpsi = [0.0] * len(q)
-    # an elbow on the shoulder-wrist line leaves psi without a gradient
-    if gg != 0.0:
-        ce = g[0] / gg, g[1] / gg, g[2] / gg
-        k = _dot(ref, u) / _dot(m, m)
-        h = _dot(ew, u)
-        ca = tuple(-(k * mi + h * ci) / na for mi, ci in zip(m, ce))
-        # (c, p x c) summed over the markers ahead of each range of
-        # columns; ahead of the shoulder the c cancel, and the moments
-        # are taken about the shoulder
-        wca = _cross(w, ca)
-        ranges = (
-            ((0.0, 0.0, 0.0), _add(_cross(ew, ce), _cross(a, ca))),
-            (_add(ce, ca), _add(_cross(e, ce), wca)),
-            (ca, wca))
-        cols = chain.columns
-        for lo, hi, ((cx, cy, cz), (kx, ky, kz)) in zip(
-                (0,) + model.sew_indices, model.sew_indices, ranges):
-            for j, (vx, vy, vz, ox, oy, oz) in enumerate(cols[lo:hi], lo):
-                jpsi[j] = (cx * vx + cy * vy + cz * vz
-                           + kx * ox + ky * oy + kz * oz)
-    return R, p, jac, psi, np.array(jpsi)
+    return (*chain.flange(), chain.jacobian, *chain.elbow())
 
 
 def sew_angle(model, q):
-    return arm_state(model, q)[3]
+    return _Chain(model, q).elbow()[0]
 
 
 def check_eps(model, eps_inner, eps_outer):
@@ -391,9 +396,8 @@ def self_motion(jac, jpsi):
 def self_motion_direction(model, q):
     """(d, flag) of self_motion at q: dq/dpsi along the
     flange-preserving self-motion, zeros when flagged."""
-    _, _, jac, _, jpsi = arm_state(model, q)
-    _, d, flag = self_motion(jac, jpsi)
-    return d, flag
+    chain = _Chain(model, q)
+    return self_motion(chain.jacobian, chain.elbow()[1])[1:]
 
 
 def self_motion_rollout(model, q0, delta_psi, step=0.01):

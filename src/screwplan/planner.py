@@ -14,7 +14,9 @@ pseudoinverse, and the elbow-angle gap through J's null vector, scaled
 so the angle turns at unit rate.  Mode 2 fails where J is singular or
 where the elbow angle does not move along the null vector.  A planner
 with mode2_enabled=False is the baseline that simply fails at the first
-limit event.
+limit event.  Every loop steps from one kinematics chain pass to the
+next, which gives the flange, the Jacobian and, for mode 2, the elbow
+angle; kinematics.arm_state, their composition, is kept for the tracer.
 """
 
 import math
@@ -24,8 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-# limit_status, log_pose and pose_error go uncalled: perfbench's tracer
-# rebinds them
+# arm_state, limit_status, log_pose and pose_error go uncalled:
+# perfbench's tracer rebinds them
 from .kinematics import (_Chain, arm_state, check_eps, limit_band,
                          limit_margin, limit_status, pseudoinverse,
                          self_motion, self_motion_direction, within)
@@ -244,13 +246,13 @@ def calculate_sew_change(q, model, config):
 
     Walks the self-motion in both directions from the offending
     configuration, never extending a direction past an outer-bound
-    crossing or a flagged self-motion (arm singular or elbow still).  Among
-    candidates that put every joint back inside the inner bound, the
-    one with the best worst-joint margin wins (deepest recovery, not
-    the first escape, so tracking does not immediately re-trigger);
-    failing that, the candidate that most improves the worst-joint
-    margin (partial retreat); zero when neither direction helps or
-    nothing is wrong.
+    crossing or a flagged self-motion (arm singular or elbow still).  The
+    candidate with the best worst-joint margin wins, when it beats the
+    offending configuration's: a margin of eps_in or more means every
+    joint is back inside the inner band (deepest recovery, not the first
+    escape, so tracking does not immediately re-trigger), a smaller one
+    a partial retreat; zero when neither direction helps or nothing is
+    wrong.
     """
     q = np.asarray(q, dtype=float)
     check_eps(model, config.eps_in, config.eps_out)
@@ -259,10 +261,7 @@ def calculate_sew_change(q, model, config):
     if within(q, inner).all():
         return 0.0
     step, span = config.sew_search
-    # the leading candidate (inside the inner band, worst-joint margin,
-    # dpsi); one inside beats every one outside, and among equals a
-    # margin must win by more than 1e-12
-    lead = (False, limit_margin(model, q), 0.0)
+    best, dpsi = limit_margin(model, q), 0.0  # a margin wins by > 1e-12
     walks = {1: q.copy(), -1: q.copy()}  # the live walks, by sign
     for k in range(1, int(math.ceil(span / step)) + 1):
         for sign, q_w in list(walks.items()):
@@ -273,13 +272,12 @@ def calculate_sew_change(q, model, config):
                 del walks[sign]
                 continue
             walks[sign] = candidate
-            inside = bool(within(candidate, inner).all())
             margin = limit_margin(model, candidate)
-            if (inside, margin) > (lead[0], lead[1] + 1e-12):
-                lead = (inside, margin, sign * k * step)
+            if margin > best + 1e-12:
+                best, dpsi = margin, sign * k * step
         if not walks:
             break
-    return lead[2]
+    return dpsi
 
 
 def mode2_recovery(q, psi_d, model, config, max_steps=None):
@@ -296,16 +294,15 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     the entry angle.  Returns a trajectory fragment of MODE2 steps,
     without the entry configuration.
     """
-    q_c = np.asarray(q, dtype=float).copy()
     check_eps(model, config.eps_in, config.eps_out)
     outer = limit_band(model, config.eps_out)
     budget = config.max_steps if max_steps is None else max_steps
     gain = config.lam * config.delta_t
     rows = []  # each step's row, stacked on return
-    # each step works on the chain's floats and builds no Pose; the entry
-    # pass gives the flange held throughout and the angle's zero
-    R, p, jac, psi_prev, jpsi = arm_state(model, q_c)
-    hold = R, p
+    # the entry chain gives the flange held throughout and the angle's zero
+    chain = _Chain(model, q)
+    hold = R, p = chain.flange()
+    psi_prev, jpsi = chain.elbow()
     psi_cont = 0.0  # unwrapped angle relative to entry
     while True:
         if abs(psi_d - psi_cont) < PSI_TOL:
@@ -314,7 +311,7 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         if len(rows) >= budget:
             outcome = Outcome.STEP_BUDGET_EXHAUSTED
             break
-        pinv, d, flag = self_motion(jac, jpsi)
+        pinv, d, flag = self_motion(chain.jacobian, jpsi)
         if flag:
             # the arm is singular, or the elbow angle does not move along
             # the self-motion (nor at all where psi has no gradient)
@@ -324,16 +321,17 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
         xi, theta = _relative_log(*hold, R, p)
         x = pinv @ (config.kappa * (xi * theta))
         dq = _clamp(gain * (x + d * (psi_d - psi_cont - jpsi @ x)))
-        candidate = q_c + dq
+        candidate = chain.q + dq
         if not within(candidate, outer).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        q_c = candidate
-        R, p, jac, psi_raw, jpsi = arm_state(model, q_c)
+        chain = _Chain(model, candidate)
+        R, p = chain.flange()
+        psi_raw, jpsi = chain.elbow()
         psi_cont += _wrap(psi_raw - psi_prev)
         psi_prev = psi_raw
-        rows.append((q_c, R, p, Mode.MODE2, False))
-    return _stacked(len(q_c), rows, outcome=outcome)
+        rows.append((candidate, R, p, Mode.MODE2, False))
+    return _stacked(len(chain.q), rows, outcome=outcome)
 
 
 def plan_to_pose(q0, gd, model, config):
@@ -345,18 +343,12 @@ def plan_to_pose(q0, gd, model, config):
     # gd is a checked Pose; each step works on its float rows and the
     # chain's, and builds no Pose
     Rg, pg = gd.rotation.tolist(), gd.translation.tolist()
-    q_c = np.asarray(q0, dtype=float).copy()
     gain = config.kappa * config.delta_t
-    rows = []  # each step's row, stacked on return
-    pending = (q_c, False)
+    chain = _Chain(model, np.array(q0, dtype=float))
+    R, p = chain.flange()
+    rows = [(chain.q, R, p, Mode.MODE1, False)]  # stacked on return
     iterations = 0
-    outcome = None
     while True:
-        chain = _Chain(model, q_c)
-        R, p = chain.flange()
-        if pending is not None:
-            rows.append((pending[0], R, p, Mode.MODE1, pending[1]))
-            pending = None
         rot, trans = _pose_error(R, p, Rg, pg)
         if rot < config.goal_tol[0] and trans < config.goal_tol[1]:
             outcome = Outcome.REACHED
@@ -368,11 +360,12 @@ def plan_to_pose(q0, gd, model, config):
         # the flange rotation
         xi, theta = _relative_log(Rg, pg, R, p)
         pinv, damped, _ = pseudoinverse(chain.jacobian)
-        candidate = q_c + _clamp(gain * (pinv @ (xi * theta)))
+        candidate = chain.q + _clamp(gain * (pinv @ (xi * theta)))
         iterations += 1
         if within(candidate, inner).all():
-            q_c = candidate
-            pending = (q_c, damped)
+            chain = _Chain(model, candidate)
+            R, p = chain.flange()
+            rows.append((candidate, R, p, Mode.MODE1, damped))
             continue
         # tentative step discarded: a joint left the inner bound; the
         # search starts from the offending configuration, recovery from
@@ -384,7 +377,7 @@ def plan_to_pose(q0, gd, model, config):
         if dpsi == 0.0:
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        fragment = mode2_recovery(q_c, dpsi, model, config,
+        fragment = mode2_recovery(chain.q, dpsi, model, config,
                                   max_steps=config.max_steps - iterations)
         rows.extend(zip(*(getattr(fragment, name) for name in _ROWS)))
         iterations += len(fragment)
@@ -395,8 +388,9 @@ def plan_to_pose(q0, gd, model, config):
         if len(fragment) == 0 or not within(fragment.final_q, inner).all():
             outcome = Outcome.MOTION_PLAN_FAILED
             break
-        q_c = fragment.final_q.copy()
-    return _stacked(len(q_c), rows, outcome=outcome)
+        chain = _Chain(model, fragment.final_q)
+        R, p = chain.flange()
+    return _stacked(len(chain.q), rows, outcome=outcome)
 
 
 def plan_through_guiding_poses(q0, guiding, model, config):

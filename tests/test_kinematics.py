@@ -619,6 +619,41 @@ def test_limit_masks_on_band_edges_and_nan():
         assert outer.all() == (zone is not LimitZone.OUTSIDE_OUTER)
 
 
+@st.composite
+def _margin_probe(draw, model=panda_model()):
+    """An eps in check_eps' range and a q inside its band, with one
+    joint left there, moved anywhere around its limits, or moved off one
+    of its band edges by 1e-13 to 1e-9 either way."""
+    span = float(np.min(model.upper - model.lower))
+    eps = draw(st.floats(0.0, 0.5 * span, exclude_min=True,
+                         exclude_max=True))
+    q = [draw(st.floats(lo + eps, hi - eps))
+         for lo, hi in zip(model.lower, model.upper)]
+    j = draw(st.integers(0, len(q) - 1))
+    lo, hi = model.lower[j], model.upper[j]
+    move = draw(st.sampled_from(["none", "around", "edge"]))
+    if move == "around":
+        q[j] = draw(st.floats(lo - 0.5, hi + 0.5))
+    elif move == "edge":
+        q[j] = (draw(st.sampled_from([lo + eps, hi - eps]))
+                + draw(st.sampled_from([-1.0, 1.0]))
+                * 10.0 ** draw(st.floats(-13.0, -9.0)))
+    return eps, np.array(q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_margin_probe())
+def test_inner_band_is_a_margin_of_eps_or_more(probe):
+    # the premise of calculate_sew_change ranking candidates by margin
+    # alone: q is inside the band shrunk by eps exactly when its
+    # worst-joint margin is eps or more, up to rounding at the edge
+    eps, q = probe
+    model = panda_model()
+    margin = limit_margin(model, q)
+    if abs(margin - eps) > 1e-12:
+        assert within(q, limit_band(model, eps)).all() == (margin >= eps)
+
+
 def test_fused_pass_matches_oracle_under_moved_base():
     rng = np.random.default_rng(44)
     base = rand_pose(rng)

@@ -763,9 +763,31 @@ def test_trajectory_retains_its_rows_and_little_else():
     assert 161 <= retained <= 200
 
 
-@pytest.mark.skipif(
+# call counts depend on the interpreter and numpy; the bounds below were
+# read on Python 3.11.7 with numpy 2.4.6
+pinned_counts = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
     reason="call counts are pinned to Python 3.11 and numpy 2.4")
+
+
+def python_calls(run, skip=None):
+    """(run(), the Python-level call events it made), leaving out the
+    calls of the code object skip."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is not skip:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls[0]
+
+
+@pinned_counts
 def test_mode1_step_call_count():
     post_init = TrajectoryStep.__post_init__.__code__
     counts = {}
@@ -791,6 +813,46 @@ def test_mode1_step_call_count():
     # Python-level calls per mode-1 step: 33.0 with a TrajectoryStep per
     # step and np.abs(dq).max() in _clamp, 30.0 without
     assert (long_calls - short_calls) / (long - short) <= 30.0
+
+
+@pinned_counts
+def test_mode2_step_call_count():
+    counts = {}
+    for budget in (20, 60):
+        traj, counts[budget] = python_calls(lambda: mode2_recovery(
+            PANDA_READY, -0.4, MODEL, PlannerConfig(), max_steps=budget))
+        assert traj.outcome is Outcome.STEP_BUDGET_EXHAUSTED
+        assert len(traj) == budget and np.all(traj.mode == Mode.MODE2)
+    # Python-level calls per mode-2 step: 55.0, through arm_state's
+    # 5-tuple and on the chain alike (elbow() takes arm_state's call)
+    assert (counts[60] - counts[20]) / (60 - 20) <= 55.0
+
+
+@pinned_counts
+def test_elbow_search_candidate_call_count(monkeypatch):
+    q = PANDA_READY.copy()
+    q[0] = MODEL.upper[0] - 0.05
+    candidates = []
+
+    def counted(*args):
+        candidates.append(1)
+        return self_motion_direction(*args)
+
+    monkeypatch.setattr(planner, "self_motion_direction", counted)
+    counts = {}
+    for span in (0.2, 0.4):
+        candidates.clear()
+        dpsi, calls = python_calls(lambda: calculate_sew_change(
+            q, MODEL, PlannerConfig(sew_search=(0.01, span))),
+            skip=counted.__code__)
+        assert dpsi == -span
+        counts[span] = len(candidates), calls
+    (short, short_calls), (long, long_calls) = counts[0.2], counts[0.4]
+    assert (short, long) == (24, 44)
+    # Python-level calls per candidate: 54.0 with an inner-band test per
+    # candidate and arm_state under self_motion_direction, 49.0 ranking
+    # by margin alone on one chain
+    assert (long_calls - short_calls) / (long - short) <= 49.0
 
 
 def test_steps_view_builds_each_step_from_its_row():

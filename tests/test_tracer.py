@@ -1,9 +1,11 @@
 """perfbench's span tracer against the library: every name it rebinds
-must exist, an installed tracer must put the originals back, and the
-mode-2 linear algebra must show as spans of its own."""
+must exist, an installed tracer must put the originals back, the
+mode-2 linear algebra must show as spans of its own, and one traced
+cycle of each workload must nest, add up and repeat."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +15,17 @@ from screwplan import planner
 from screwplan.kinematics import PANDA_READY, panda_model
 
 
-def _load_spans():
-    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+def _load_perfbench(name):
+    # registered under its own name, as harness imports spans and workloads
+    path = Path(__file__).parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load_perfbench("spans")
 
 
 def _bound():
@@ -63,3 +67,22 @@ def test_mode2_steps_record_their_pseudoinverse():
     svds = [s for s in tracer.spans if s[0] == "kinematics.pseudoinverse"]
     assert len(svds) == len(fragment.steps) == 5
     assert all(s[3] == recovery for s in svds)
+
+
+@pytest.fixture(scope="module")
+def harness():
+    _load_perfbench("workloads")
+    return _load_perfbench("harness")
+
+
+@pytest.mark.parametrize("name", ["moving_wall", "near_limit",
+                                  "demo_transfer"])
+def test_traced_cycle_nests_and_repeats(harness, name):
+    run = harness.run_traced(name, 0, 0.0, tiny=True)
+    tally, checks = run["tally"], run["checks"]
+    assert tally.failed == 0 and tally.deterministic()
+    assert checks["spans_nest"] and checks["self_sum_matches"]
+    assert checks["counts_repeat_per_cycle"]
+    if name == "near_limit":
+        # each recovery still shows as a span of its own
+        assert run["metrics"]["planner.mode2_recovery.calls"][0] >= 1
