@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from screwplan import (Pose, compose, inverse, pose_error, save_pose_sequence,
-                       sclerp, screw_from_pose)
+from screwplan import (Pose, compose, inverse, pose_error, records, sclerp,
+                       screw_from_pose)
 
 OUT = Path(__file__).parent / "out"
 
@@ -48,5 +48,5 @@ if __name__ == "__main__":
     rot, trans = pose_error(path[-1], goal)
     print(f"\nendpoint error: {rot:.2e} rad, {trans:.2e} m")
 
-    save_pose_sequence(path, OUT / "screw_geodesic.json")
+    records.save("pose_sequence", path, OUT / "screw_geodesic.json")
     print(f"wrote {OUT / 'screw_geodesic.json'}")

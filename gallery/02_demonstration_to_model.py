@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from screwplan import (TaskInstance, save_constraint_model, save_segments,
-                       segment_demonstration, extract_guiding_poses,
-                       transfer_constraints)
+from screwplan import (TaskInstance, records, segment_demonstration,
+                       extract_guiding_poses, transfer_constraints)
 from screwplan.scenarios import flat_pose, pick_place_demo
 
 OUT = Path(__file__).parent / "out"
@@ -58,7 +57,8 @@ if __name__ == "__main__":
     for g in moved:
         print(f"  {np.round(g.translation, 3)}")
 
-    save_segments(segments, OUT / "demo_segments.json", object_id="brick")
-    save_constraint_model(model, OUT / "demo_model.json")
+    records.save("segments", segments, OUT / "demo_segments.json",
+                 object_id="brick")
+    records.save("constraint_model", model, OUT / "demo_model.json")
     print(f"\nwrote {OUT / 'demo_segments.json'} and "
           f"{OUT / 'demo_model.json'}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from screwplan import (LayoutKind, LayoutSpec, ObjectDims, layout_goals,
-                       save_goal_sequence, save_layout_spec)
+                       records)
 from screwplan.scenarios import BRICK, TILE, flat_pose
 
 OUT = Path(__file__).parent / "out"
@@ -53,6 +53,6 @@ if __name__ == "__main__":
                       spacing=(0.008, 0.008, 0.0))
     show("ceiling grid, 2 rows of 3 with 8 mm lips", layout_goals(grid))
 
-    save_layout_spec(wall, OUT / "wall_layout.json")
-    save_goal_sequence(layout_goals(wall), OUT / "wall_goals.json")
+    records.save("layout_spec", wall, OUT / "wall_layout.json")
+    records.save("goal_sequence", layout_goals(wall), OUT / "wall_goals.json")
     print(f"\nwrote {OUT / 'wall_layout.json'} and {OUT / 'wall_goals.json'}")

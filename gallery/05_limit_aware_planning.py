@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from screwplan import (Mode, PlannerConfig, PANDA_READY,
-                       forward_kinematics, panda_model, plan_to_pose,
-                       save_trajectory)
+                       forward_kinematics, panda_model, plan_to_pose, records)
 from screwplan.activity import compare_baseline
 from screwplan.scenarios import near_limit_scenarios
 
@@ -27,7 +26,8 @@ if __name__ == "__main__":
     traj = plan_to_pose(PANDA_READY, goal, model, PlannerConfig())
     print(f"comfortable goal: {traj.outcome.value} in {len(traj)} "
           f"steps, all mode 1: {all(traj.mode == Mode.MODE1)}")
-    save_trajectory(traj, OUT / "comfortable_goal.jsonl", robot=model.name)
+    records.save("trajectory", traj, OUT / "comfortable_goal.jsonl",
+                 robot=model.name)
 
     name, spec = near_limit_scenarios()[0]
     print(f"\nscenario {name}: one roll joint pinched to a narrow range,")

@@ -10,7 +10,7 @@ at 36 bricks from a platform that steps along the wall.
 import math
 from pathlib import Path
 
-from screwplan import emit_report, run_activity, summary_table
+from screwplan import records, run_activity, summary_table
 from screwplan.scenarios import brick_wall_activity
 
 OUT = Path(__file__).parent / "out"
@@ -30,5 +30,5 @@ if __name__ == "__main__":
           f"{math.degrees(report.max_yaw_error):.4f} deg, "
           f"{report.runtime_seconds:.1f} s")
 
-    emit_report(report, OUT / "wall_report.json")
+    records.save("activity_report", report, OUT / "wall_report.json")
     print(f"wrote {OUT / 'wall_report.json'} and its summary table")

@@ -10,59 +10,43 @@ poses in meters and radians throughout.
 from .screws import (INFINITE_PITCH, Pose, ScrewDisplacement, compose,
                      exp_screw, inverse, log_pose, pose_error, sclerp,
                      sclerp_path, screw_from_pose, unit_twist)
-from .records import load_pose_sequence, save_pose_sequence
 from .demonstration import (ConstraintModel, Demonstration, ScrewSegment,
                             TaskInstance, extract_guiding_poses,
-                            load_constraint_model, load_demonstration,
-                            load_segments, save_constraint_model,
-                            save_demonstration, save_segments,
                             segment_demonstration, synthesize_demonstration,
                             transfer_constraints)
 from .layouts import (LayoutGoal, LayoutKind, LayoutSpec, ObjectDims,
-                      layout_goals, load_goal_sequence, load_layout_spec,
-                      pick_stack, save_goal_sequence, save_layout_spec)
+                      layout_goals, pick_stack)
 from .kinematics import (PANDA_READY, RobotModel, arm_state,
-                         forward_kinematics, limit_margin, load_robot_model,
-                         panda_model, save_robot_model, self_motion_rollout,
-                         sew_angle)
+                         forward_kinematics, limit_margin, panda_model,
+                         self_motion_rollout, sew_angle)
 from .planner import (InvalidTrajectoryError, JointTrajectory, Mode,
                       Outcome, PlannerConfig, TrajectoryStep,
-                      geodesic_deviation, load_trajectory,
-                      plan_through_guiding_poses, plan_to_pose,
-                      save_trajectory)
+                      geodesic_deviation, plan_through_guiding_poses,
+                      plan_to_pose)
 from .activity import (POSITION_TOL, YAW_TOL, ActivityReport, ActivitySpec,
                        FixedBase, FrameGeometry, MovingBase, PairedReport,
                        PickStation, attached_object_poses, compare_baseline,
-                       emit_paired_report, emit_report, evaluate_ceiling,
-                       evaluate_placement, load_activity_spec, run_activity,
-                       save_activity_spec, summary_table)
+                       evaluate_ceiling, evaluate_placement, run_activity,
+                       summary_table)
 
 __all__ = [
     "INFINITE_PITCH", "Pose", "ScrewDisplacement", "compose",
-    "exp_screw", "inverse", "load_pose_sequence", "log_pose", "pose_error",
-    "save_pose_sequence", "sclerp", "sclerp_path", "screw_from_pose",
-    "unit_twist",
+    "exp_screw", "inverse", "log_pose", "pose_error", "sclerp",
+    "sclerp_path", "screw_from_pose", "unit_twist",
     "ConstraintModel", "Demonstration", "ScrewSegment", "TaskInstance",
-    "extract_guiding_poses", "load_constraint_model", "load_demonstration",
-    "load_segments", "save_constraint_model", "save_demonstration",
-    "save_segments", "segment_demonstration", "synthesize_demonstration",
-    "transfer_constraints",
+    "extract_guiding_poses", "segment_demonstration",
+    "synthesize_demonstration", "transfer_constraints",
     "LayoutGoal", "LayoutKind", "LayoutSpec", "ObjectDims", "layout_goals",
-    "load_goal_sequence", "load_layout_spec", "pick_stack",
-    "save_goal_sequence", "save_layout_spec",
+    "pick_stack",
     "PANDA_READY", "RobotModel", "arm_state", "forward_kinematics",
-    "limit_margin", "load_robot_model", "panda_model", "save_robot_model",
-    "self_motion_rollout", "sew_angle",
+    "limit_margin", "panda_model", "self_motion_rollout", "sew_angle",
     "InvalidTrajectoryError", "JointTrajectory", "Mode", "Outcome",
     "PlannerConfig", "TrajectoryStep",
-    "geodesic_deviation", "load_trajectory", "plan_through_guiding_poses",
-    "plan_to_pose", "save_trajectory",
+    "geodesic_deviation", "plan_through_guiding_poses", "plan_to_pose",
     "POSITION_TOL", "YAW_TOL", "ActivityReport", "ActivitySpec", "FixedBase",
     "FrameGeometry", "MovingBase", "PairedReport", "PickStation",
-    "attached_object_poses", "compare_baseline", "emit_paired_report",
-    "emit_report", "evaluate_ceiling", "evaluate_placement",
-    "load_activity_spec", "run_activity", "save_activity_spec",
-    "summary_table",
+    "attached_object_poses", "compare_baseline", "evaluate_ceiling",
+    "evaluate_placement", "run_activity", "summary_table",
 ]
 
 __version__ = "0.1.0"

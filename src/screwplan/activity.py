@@ -12,7 +12,6 @@ under a fixed seed.
 """
 
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -21,14 +20,15 @@ import numpy as np
 from .demonstration import (ConstraintModel, TaskInstance,
                             constraint_model_from_record,
                             constraint_model_to_record, transfer_constraints)
-from .kinematics import (PANDA_READY, RobotModel, load_robot_model,
-                         panda_model, robot_from_record, robot_to_record)
+from .kinematics import (PANDA_READY, RobotModel, panda_model,
+                         robot_from_record, robot_to_record)
 from .layouts import (LayoutSpec, layout_goals, layout_spec_from_record,
                       layout_spec_to_record, pick_stack, yaw_rotation)
 from .planner import Outcome, PlannerConfig, plan_through_guiding_poses
-from .records import (UNITS, InputError, decode, flag, instance,
-                      pose_from_record, pose_to_record, read_document, real,
-                      reals, text, whole, wholes, write_document)
+from . import records
+from .records import (FORMATS, UNITS, Format, InputError, decode, flag,
+                      instance, pose_from_record, pose_to_record, real, reals,
+                      text, whole, wholes)
 from .screws import Pose, compose, inverse, pose_error
 
 # placement is scored on translation distance and heading alone; the
@@ -528,57 +528,42 @@ def summary_table(report):
     return "\n".join(lines) + "\n"
 
 
-def _emit(fmt, results, timing, table, destination):
-    """The report envelope as one JSON document, and the plain-text
-    table beside it (.txt)."""
-    write_document({"format": fmt, "units": dict(UNITS),
-                    "results": results, "timing": timing},
-                   destination, indent=2)
-    base, _ = os.path.splitext(str(destination))
-    with open(base + ".txt", "w", encoding="utf-8") as f:
-        f.write(table)
+def _report_to_record(report):
+    return {"format": "activity_report", "units": dict(UNITS),
+            "results": report_to_record(report),
+            "timing": {"runtime_seconds": report.runtime_seconds}}
 
 
-def emit_report(report, destination):
-    """One JSON document plus a summary table beside it (.txt)."""
-    _emit("activity_report", report_to_record(report),
-          {"runtime_seconds": report.runtime_seconds},
-          summary_table(report), destination)
+def _report_from_record(doc):
+    return decode(doc, MalformedReportError, lambda doc: report_from_record(
+        doc["results"], doc.get("timing", {}).get("runtime_seconds", 0.0)),
+        "activity_report", UNITS)
 
 
-def load_report(source):
-    return decode(read_document(source, MalformedReportError),
-                  MalformedReportError, lambda doc: report_from_record(
-                      doc["results"],
-                      doc.get("timing", {}).get("runtime_seconds", 0.0)),
-                  "activity_report", UNITS)
+def _paired_to_record(paired):
+    return {"format": "paired_activity_report", "units": dict(UNITS),
+            "results": {"ours": report_to_record(paired.ours),
+                        "baseline": report_to_record(paired.baseline)},
+            "timing": {
+                "ours_runtime_seconds": paired.ours.runtime_seconds,
+                "baseline_runtime_seconds": paired.baseline.runtime_seconds}}
 
 
-def emit_paired_report(paired, destination):
-    """Both runs side by side, plus a two-row comparison table."""
+def _paired_from_record(doc):
+    return decode(doc, MalformedReportError, lambda doc: PairedReport(*(
+        report_from_record(doc["results"][run], doc.get("timing", {}).get(
+            f"{run}_runtime_seconds", 0.0)) for run in ("ours", "baseline"))),
+        "paired_activity_report", UNITS)
+
+
+def _paired_table(paired):
+    """Both runs side by side in a two-row comparison table."""
     rows = ["method    placed  successes"]
     for name, run in (("ours", paired.ours), ("baseline", paired.baseline)):
         rows.append(f"{name:<10}{run.bricks_placed_before_failure}"
                     f"/{run.goals_total}    "
                     f"{sum(1 for p in run.placements if p.success)}")
-    _emit("paired_activity_report",
-          {"ours": report_to_record(paired.ours),
-           "baseline": report_to_record(paired.baseline)},
-          {"ours_runtime_seconds": paired.ours.runtime_seconds,
-           "baseline_runtime_seconds": paired.baseline.runtime_seconds},
-          "\n".join(rows) + "\n", destination)
-
-
-def load_paired_report(source):
-    def build(doc):
-        timing = doc.get("timing", {})
-        return PairedReport(*(report_from_record(
-            doc["results"][run], timing.get(f"{run}_runtime_seconds", 0.0))
-            for run in ("ours", "baseline")))
-
-    return decode(read_document(source, MalformedReportError),
-                  MalformedReportError, build, "paired_activity_report",
-                  UNITS)
+    return "\n".join(rows) + "\n"
 
 
 # ------------------------------------------------------------ spec files
@@ -621,8 +606,8 @@ def _robot_from_record(rec):
     if "twists" in rec:
         return robot_from_record(rec)
     if "model_file" in rec:
-        return load_robot_model(text(rec["model_file"], "model_file",
-                                     InvalidActivitySpecError))
+        return records.load("robot", text(rec["model_file"], "model_file",
+                                          InvalidActivitySpecError))
     if rec.get("name") == "panda":
         return panda_model()
     raise InvalidActivitySpecError(
@@ -665,10 +650,12 @@ def activity_spec_from_record(doc):
                   "activity_spec", UNITS)
 
 
-def save_activity_spec(spec, path):
-    write_document(activity_spec_to_record(spec), path, indent=2)
-
-
-def load_activity_spec(path):
-    return activity_spec_from_record(
-        read_document(path, InvalidActivitySpecError))
+FORMATS.update(
+    activity_spec=Format(InvalidActivitySpecError, activity_spec_to_record,
+                         activity_spec_from_record, indent=2),
+    activity_report=Format(MalformedReportError, _report_to_record,
+                           _report_from_record, indent=2,
+                           table=summary_table),
+    paired_activity_report=Format(MalformedReportError, _paired_to_record,
+                                  _paired_from_record, indent=2,
+                                  table=_paired_table))

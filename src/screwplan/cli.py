@@ -14,53 +14,49 @@ import sys
 
 import numpy as np
 
-from .activity import (compare_baseline, emit_paired_report, emit_report,
-                       load_activity_spec, run_activity, summary_table)
-from .demonstration import (load_demonstration, save_segments,
-                            segment_demonstration, DEFAULT_FIT_TOL)
-from .kinematics import load_robot_model
-from .layouts import layout_goals, load_layout_spec, save_goal_sequence
-from .planner import (plan_through_guiding_poses, save_trajectory, Outcome,
-                      PlannerConfig)
-from .records import InputError, load_pose_sequence
+from . import records
+from .activity import compare_baseline, run_activity, summary_table
+from .demonstration import segment_demonstration, DEFAULT_FIT_TOL
+from .layouts import layout_goals
+from .planner import plan_through_guiding_poses, Outcome, PlannerConfig
 
 
 def _cmd_segment(args):
-    demo = load_demonstration(args.demo)
+    demo = records.load("demonstration", args.demo)
     fit_tol = (args.rot_tol, args.trans_tol)
     segments = segment_demonstration(demo, fit_tol=fit_tol)
-    save_segments(segments, args.out, object_id=demo.object_id,
-                  fit_tol=fit_tol)
+    records.save("segments", segments, args.out, object_id=demo.object_id,
+                 fit_tol=fit_tol)
     print(f"{len(segments)} segments -> {args.out}")
     return 0
 
 
 def _cmd_layout(args):
-    spec = load_layout_spec(args.spec)
+    spec = records.load("layout_spec", args.spec)
     goals = layout_goals(spec)
-    save_goal_sequence(goals, args.out)
+    records.save("goal_sequence", goals, args.out)
     print(f"{len(goals)} goals -> {args.out}")
     return 0
 
 
 def _cmd_plan(args):
-    model = load_robot_model(args.robot)
-    guiding = load_pose_sequence(args.guiding)
+    model = records.load("robot", args.robot)
+    guiding = records.load("pose_sequence", args.guiding)
     if len(args.q0) != model.n_joints:
-        raise InputError(f"--q0 has {len(args.q0)} values, robot "
+        raise records.InputError(f"--q0 has {len(args.q0)} values, robot "
                          f"{model.name!r} has {model.n_joints} joints")
     config = PlannerConfig(mode2_enabled=not args.no_mode2)
     traj = plan_through_guiding_poses(np.array(args.q0), guiding, model,
                                       config)
-    save_trajectory(traj, args.out, robot=model.name)
+    records.save("trajectory", traj, args.out, robot=model.name)
     print(f"{traj.outcome.value}: {len(traj)} steps -> {args.out}")
     return 0 if traj.outcome is Outcome.REACHED else 1
 
 
-def _run_and_score(args, runner, emitter):
-    spec = load_activity_spec(args.spec)
+def _run_and_score(args, runner, tag):
+    spec = records.load("activity_spec", args.spec)
     report = runner(spec)
-    emitter(report, args.out)
+    records.save(tag, report, args.out)
     scored = report if not hasattr(report, "ours") else report.ours
     print(summary_table(scored))
     complete = (len(scored.placements) == scored.goals_total
@@ -69,11 +65,11 @@ def _run_and_score(args, runner, emitter):
 
 
 def _cmd_run_activity(args):
-    return _run_and_score(args, run_activity, emit_report)
+    return _run_and_score(args, run_activity, "activity_report")
 
 
 def _cmd_compare_baseline(args):
-    return _run_and_score(args, compare_baseline, emit_paired_report)
+    return _run_and_score(args, compare_baseline, "paired_activity_report")
 
 
 def build_parser():
@@ -126,7 +122,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (InputError, OSError) as e:
+    except (records.InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,6 @@ demonstrated pick object anchor to it, those near the demonstrated place
 pose anchor to the goal, and transfer re-expresses each anchored group
 relative to a new task instance by a left action, which preserves every
 relative screw inside a group.
-
-File format (line-delimited JSON): a header record
-``{"object_id": ..., "units": "m"}`` followed by sample records
-``{"t": seconds, "pose": {"t": [x, y, z], "q": [w, x, y, z]}}``.
 """
 
 from __future__ import annotations
@@ -20,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, instance, pose_from_record,
-                      pose_to_record, read_document, read_lines, real, reals,
-                      text, whole, wholes, write_document, write_lines)
+from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
+                      pose_from_record, pose_to_record, real, reals, text,
+                      whole, wholes)
 from .screws import (Pose, ScrewDisplacement, _compose, _inverse,
                      _pose_error, _quat_pivot, _relative_log, _rows, compose,
                      exp_twists, hat, inverse, sclerp_path, screw_from_pose)
@@ -138,7 +134,7 @@ class ConstraintModel:
 # ------------------------------------------------------------------ file IO
 
 
-def _sample(rec):
+def _sample(rec, _):
     pose = pose_from_record(rec["pose"])
     drift = abs(math.hypot(*rec["pose"]["q"]) - 1.0)
     if drift > 1e-3:
@@ -147,23 +143,21 @@ def _sample(rec):
     return real(rec["t"], "t", MalformedDemonstrationError), pose
 
 
-def load_demonstration(source):
-    """Read a line-delimited JSON demonstration file."""
-    object_id, samples = read_lines(
-        source, MalformedDemonstrationError,
-        lambda doc: decode(doc, MalformedDemonstrationError,
-                           lambda doc: text(doc["object_id"], "object_id",
-                                            MalformedDemonstrationError),
-                           units="m"),
-        _sample)
+def _demo_header(doc):
+    return decode(doc, MalformedDemonstrationError,
+                  lambda doc: text(doc["object_id"], "object_id",
+                                   MalformedDemonstrationError), units="m")
+
+
+def _demo_from_lines(object_id, samples):
     return Demonstration(np.array([t for t, _ in samples]),
                          tuple(p for _, p in samples), object_id)
 
 
-def save_demonstration(demo, destination):
-    write_lines({"object_id": demo.object_id, "units": "m"},
-                ({"t": float(t), "pose": pose_to_record(pose)}
-                 for t, pose in zip(demo.times, demo.poses)), destination)
+def _demo_to_lines(demo):
+    return [{"object_id": demo.object_id, "units": "m"},
+            *({"t": float(t), "pose": pose_to_record(pose)}
+              for t, pose in zip(demo.times, demo.poses))]
 
 
 def constraint_model_to_record(model):
@@ -192,15 +186,6 @@ def constraint_model_from_record(doc):
         "constraint_model", "m")
 
 
-def save_constraint_model(model, destination):
-    write_document(constraint_model_to_record(model), destination, indent=2)
-
-
-def load_constraint_model(source):
-    return constraint_model_from_record(
-        read_document(source, MalformedModelError))
-
-
 def _screw_record(screw):
     return {"axis": [float(x) for x in screw.axis],
             "moment": [float(x) for x in screw.moment],
@@ -208,13 +193,10 @@ def _screw_record(screw):
             "magnitude": float(screw.magnitude)}
 
 
-def save_segments(segments, destination, object_id="", fit_tol=None):
-    """Segmentation result as one JSON document.
-
-    The boundary poses are the source of truth; each segment's screw
+def _segments_to_record(segments, object_id="", fit_tol=None):
+    """The boundary poses are the source of truth; each segment's screw
     parameters are included for reading convenience (pitch null means a
-    pure translation) and are reconstructed from the poses on load.
-    """
+    pure translation) and are reconstructed from the poses on load."""
     doc = {
         "format": "segments",
         "units": dict(UNITS),
@@ -229,7 +211,7 @@ def save_segments(segments, destination, object_id="", fit_tol=None):
     }
     if fit_tol is not None:
         doc["fit_tol"] = {"rotation": fit_tol[0], "translation": fit_tol[1]}
-    write_document(doc, destination)
+    return doc
 
 
 def _segment(rec):
@@ -240,11 +222,31 @@ def _segment(rec):
                         pose_from_record(rec["end_pose"]))
 
 
-def load_segments(source):
-    return decode(read_document(source, MalformedDemonstrationError),
-                  MalformedDemonstrationError,
+def _segments_from_record(doc):
+    return decode(doc, MalformedDemonstrationError,
                   lambda doc: [_segment(rec) for rec in doc["segments"]],
                   "segments", UNITS)
+
+
+def _chained(segments, path):
+    """Refuses no segments, or a segment that does not start where the
+    one before it ends."""
+    if not segments:
+        raise MalformedDemonstrationError(f"{path}: no segments")
+    for n, (a, b) in enumerate(zip(segments, segments[1:]), start=1):
+        if b.start_index != a.end_index:
+            raise MalformedDemonstrationError(
+                f"{path}: segment {n} starts at {b.start_index}, not at "
+                f"the previous end {a.end_index}")
+
+
+FORMATS.update(
+    demonstration=Format(MalformedDemonstrationError, _demo_to_lines,
+                         _demo_from_lines, lines=(_demo_header, _sample)),
+    constraint_model=Format(MalformedModelError, constraint_model_to_record,
+                            constraint_model_from_record, indent=2),
+    segments=Format(MalformedDemonstrationError, _segments_to_record,
+                    _segments_from_record, check=_chained))
 
 
 # ------------------------------------------------------------- segmentation
@@ -404,6 +406,8 @@ def extract_guiding_poses(segments, instance, roi_radius=DEFAULT_ROI_RADIUS):
     clamped so both sets stay nonempty. roi_radius is a finite number
     of meters >= 0.
     """
+    if not segments:
+        raise DemonstrationError("need at least one segment")
     roi_radius = real(roi_radius, "roi_radius", DemonstrationError)
     if roi_radius < 0.0:
         raise DemonstrationError("roi_radius must be a finite number >= 0")

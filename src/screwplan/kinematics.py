@@ -17,9 +17,9 @@ from importlib import resources
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, instance, pose_from_record,
-                      pose_to_record, read_document, reals, text, wholes,
-                      write_document)
+from . import records
+from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
+                      pose_from_record, pose_to_record, reals, text, wholes)
 from .screws import Pose, _apply, _mul, hat
 
 DAMPING = 1e-3
@@ -100,10 +100,6 @@ class RobotModel:
         return self.twists.shape[0]
 
 
-def load_robot_model(path):
-    return robot_from_record(read_document(path, InvalidRobotError))
-
-
 def robot_from_record(doc):
     """The robot a record describes, mounted at the identity; the
     fields go to RobotModel unread, which reads each once."""
@@ -129,15 +125,15 @@ def robot_to_record(model):
     }
 
 
-def save_robot_model(model, path):
-    write_document(robot_to_record(model), path)
+FORMATS["robot"] = Format(InvalidRobotError, robot_to_record,
+                          robot_from_record)
 
 
 def panda_model():
     """The packaged 7-DoF arm, mounted at the identity."""
     ref = resources.files("screwplan.data").joinpath("panda_arm.json")
     with resources.as_file(ref) as path:
-        return load_robot_model(path)
+        return records.load("robot", path)
 
 
 # elbow-bent ready posture of the packaged arm, comfortably inside every

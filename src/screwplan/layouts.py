@@ -17,9 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .records import (UNITS, InputError, decode, instance,
-                      pose_from_record, pose_to_record, read_document, real,
-                      reals, whole, wholes, write_document)
+from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
+                      pose_from_record, pose_to_record, real, reals, whole,
+                      wholes)
 from .screws import Pose, compose
 
 
@@ -270,28 +270,22 @@ def layout_spec_from_record(doc):
     ), units=UNITS)
 
 
-def save_layout_spec(spec, path):
-    write_document(layout_spec_to_record(spec), path, indent=2)
-
-
-def load_layout_spec(path):
-    return layout_spec_from_record(read_document(path, InvalidLayoutError))
-
-
-def save_goal_sequence(goals, path):
+def _goals_to_record(goals):
     """Ordered goals as one JSON document of (indices, pose) entries."""
-    doc = {"format": "goal_sequence",
-           "units": {"length": "m"},
-           "goals": [{"index": [g.i, g.j, g.k],
-                      "pose": pose_to_record(g.pose)} for g in goals]}
-    write_document(doc, path)
+    return {"format": "goal_sequence", "units": {"length": "m"},
+            "goals": [{"index": [g.i, g.j, g.k],
+                       "pose": pose_to_record(g.pose)} for g in goals]}
 
 
-def load_goal_sequence(path):
-    return decode(read_document(path, InvalidLayoutError),
-                  InvalidLayoutError, lambda doc: [
-                      LayoutGoal(*wholes(rec["index"], "index",
-                                         InvalidLayoutError, 3),
-                                 pose=pose_from_record(rec["pose"]))
-                      for rec in doc["goals"]],
-                  "goal_sequence", {"length": "m"})
+def _goals_from_record(doc):
+    return decode(doc, InvalidLayoutError, lambda doc: [
+        LayoutGoal(*wholes(rec["index"], "index", InvalidLayoutError, 3),
+                   pose=pose_from_record(rec["pose"]))
+        for rec in doc["goals"]], "goal_sequence", {"length": "m"})
+
+
+FORMATS.update(
+    layout_spec=Format(InvalidLayoutError, layout_spec_to_record,
+                       layout_spec_from_record, indent=2),
+    goal_sequence=Format(InvalidLayoutError, _goals_to_record,
+                         _goals_from_record))

@@ -31,9 +31,9 @@ import numpy as np
 from .kinematics import (_Chain, arm_state, check_eps, limit_band,
                          limit_margin, limit_status, pseudoinverse,
                          self_motion, self_motion_direction, within)
-from .records import (UNITS, InputError, decode, flag, pose_from_record,
-                      pose_to_record, read_lines, real, reals, whole, wholes,
-                      write_lines)
+from .records import (FORMATS, UNITS, Format, InputError, decode, flag,
+                      pose_from_record, pose_to_record, real, reals, whole,
+                      wholes)
 from .screws import (Pose, _pose_error, _relative_log, error_twist, log_pose,
                      pose_error, pose_errors, sclerp_path)
 
@@ -471,18 +471,16 @@ def geodesic_deviation(start, goal, poses, translation_scale=1.0):
     return float(best[1].max()), float(best[2].max())
 
 
-def save_trajectory(traj, path, robot=""):
-    """Line-delimited trajectory file: a header, then one record per
-    step with its index, mode, joint values and end-effector pose.
-    Refuses a trajectory that load_trajectory would refuse."""
-    _check_segment_starts(traj, path)
-    write_lines({
+def _trajectory_to_lines(traj, robot=""):
+    """A header, then one record per step with its index, mode, joint
+    values and end-effector pose."""
+    return [{
         "format": "trajectory",
         "units": {"angle": "rad", "length": "m"},
         "robot": robot,
         "outcome": traj.outcome.value,
         "segment_starts": list(traj.segment_starts),
-    }, ({
+    }, *({
         "step": i,
         "mode": mode.value,
         "q": q.tolist(),
@@ -490,10 +488,19 @@ def save_trajectory(traj, path, robot=""):
         "damped": damped,
     } for i, (q, mode, R, p, damped) in enumerate(zip(
         traj.q, traj.mode, traj.rotation, traj.translation,
-        traj.damped.tolist()))), path)
+        traj.damped.tolist())))]
 
 
-def _row_from_record(rec, first):
+def _trajectory_header(doc):
+    return decode(doc, InvalidTrajectoryError, lambda doc: {
+        "outcome": Outcome(doc["outcome"]),
+        "segment_starts": list(wholes(doc["segment_starts"],
+                                      "segment_starts",
+                                      InvalidTrajectoryError))},
+        "trajectory", UNITS)
+
+
+def _row_from_record(rec, header):
     # by name ("mode1" in any case) or by value (1), never a JSON boolean
     raw = rec["mode"]
     mode = Mode.__members__.get(str(raw).upper())
@@ -503,37 +510,29 @@ def _row_from_record(rec, first):
     if mode is None:
         raise InvalidTrajectoryError(f"{raw!r} is not a valid Mode")
     q = reals(rec["q"], "joint values", InvalidTrajectoryError)
-    if len(q) != first.setdefault("joints", len(q)):
+    # the first step's joint count, which every step shares
+    if len(q) != header.setdefault("joints", len(q)):
         raise InvalidTrajectoryError(
-            f"expected {first['joints']} joint values, got {len(q)}")
+            f"expected {header['joints']} joint values, got {len(q)}")
     damped = flag(rec.get("damped", False), "damped", InvalidTrajectoryError)
     pose = pose_from_record(rec["pose"])
     return q, pose.rotation, pose.translation, mode, damped
 
 
-def load_trajectory(path):
-    first = {}  # the first step's joint count, which every step shares
-    (outcome, starts), rows = read_lines(
-        path, InvalidTrajectoryError,
-        lambda doc: decode(doc, InvalidTrajectoryError, lambda doc: (
-            Outcome(doc["outcome"]), list(wholes(
-                doc["segment_starts"], "segment_starts",
-                InvalidTrajectoryError))),
-            "trajectory", UNITS),
-        lambda rec: _row_from_record(rec, first))
-    return _check_segment_starts(_stacked(
-        first.get("joints", 0), rows, outcome=outcome,
-        segment_starts=starts), path)
-
-
 def _check_segment_starts(traj, path):
-    """traj, when its segment_starts begin at 0, never decrease and stay
-    below its step count; a leg already at its goal adds no step, so
-    two starts may be equal."""
+    """Refuses a trajectory unless its segment_starts begin at 0, never
+    decrease and stay below its step count; a leg already at its goal
+    adds no step, so two starts may be equal."""
     starts, n = traj.segment_starts, len(traj)
     if not (starts and starts[0] == 0 and starts[-1] < n
             and all(a <= b for a, b in zip(starts, starts[1:]))):
         raise InvalidTrajectoryError(
             f"{path}: segment_starts must begin at 0, never decrease and "
             f"stay below the step count {n}")
-    return traj
+
+
+FORMATS["trajectory"] = Format(
+    InvalidTrajectoryError, _trajectory_to_lines,
+    lambda header, rows: _stacked(header.pop("joints", 0), rows, **header),
+    lines=(_trajectory_header, _row_from_record),
+    check=_check_segment_starts)

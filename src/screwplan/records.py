@@ -1,5 +1,6 @@
-"""The record layer: JSON documents and line files, pose records, and the
-typed readers every loader and spec class reads its fields through.
+"""The record layer: the typed readers every loader and spec class reads
+its fields through, pose records, and the table of file formats that
+save and load write and read every file through.
 
 A reader takes a value, the name to report it by and the caller's error
 class, and returns the value as its kind or raises that class: a number
@@ -12,6 +13,9 @@ an object is an instance of its field's class.
 import json
 import math
 import numbers
+import os
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +103,41 @@ def wholes(x, name, error, n=None, low=None):
         "whole numbers" + bound)))
 
 
-# --------------------------------------------------------------- documents
+# ------------------------------------------------------------------- poses
+
+
+def pose_to_record(pose):
+    """Pose to the system-wide serialization record
+    {"t": [x, y, z], "q": [w, x, y, z]}."""
+    q = rot_to_quat(pose.rotation)
+    return {"t": [float(x) for x in pose.translation],
+            "q": [float(x) for x in q]}
+
+
+def pose_from_record(record):
+    q = reals(record["q"], "q", PoseRecordError, 4)
+    if not any(q):
+        raise PoseRecordError("q must not be all zeros")
+    return Pose(quat_to_rot(q), reals(record["t"], "t", PoseRecordError, 3))
+
+
+def _poses_to_record(poses):
+    return {"format": "pose_sequence", "units": {"length": "m"},
+            "poses": [pose_to_record(p) for p in poses]}
+
+
+def _poses_from_record(doc):
+    return decode(doc, PoseRecordError,
+                  lambda doc: [pose_from_record(r) for r in doc["poses"]],
+                  "pose_sequence", {"length": "m"})
+
+
+def _some_poses(poses, path):
+    if not poses:
+        raise PoseRecordError(f"{path}: no poses")
+
+
+# ------------------------------------------------------------------- files
 
 
 # what a malformed field raises on its way through a builder
@@ -134,83 +172,84 @@ def decode(doc, error, build, fmt=None, units=None):
         raise error(f"bad field: {e}") from e
 
 
-def write_document(doc, path, indent=1):
-    """One JSON document and a closing newline; NaN and infinities are
-    refused, since JSON has no spelling for them."""
+@dataclass(frozen=True)
+class Format:
+    """One file format: the error class its reads raise and its
+    converters.  A document is to_record(obj, **fields) written at
+    indent, read back by from_record.  A line file holds one record per
+    line; its lines = (header, line) builders read them (_read_lines)
+    for from_record(header, rows).  check(obj, path) refuses, before a
+    write and after a read, what the format cannot hold; table(obj) is
+    the plain-text summary written beside a document (.txt)."""
+
+    error: type
+    to_record: Callable
+    from_record: Callable
+    indent: int = 1
+    lines: tuple = None
+    check: Callable = lambda obj, path: None
+    table: Callable = None
+
+
+# format tag -> Format; each module adds its own beside its converters
+FORMATS = {
+    "pose_sequence": Format(PoseRecordError, _poses_to_record,
+                            _poses_from_record, check=_some_poses),
+}
+
+
+def save(tag, obj, path, **fields):
+    """Write obj to path in the format tag names; fields are what the
+    file records beside the object (a segments file's object_id and
+    fit_tol, a trajectory's robot).  NaN and infinities are refused,
+    since JSON has no spelling for them."""
+    fmt = FORMATS[tag]
+    fmt.check(obj, path)
+    record = fmt.to_record(obj, **fields)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=indent, allow_nan=False)
-        f.write("\n")
+        for rec in record if fmt.lines else [record]:
+            f.write(json.dumps(rec, indent=None if fmt.lines else fmt.indent,
+                               allow_nan=False) + "\n")
+    if fmt.table:
+        with open(os.path.splitext(path)[0] + ".txt", "w",
+                  encoding="utf-8") as f:
+            f.write(fmt.table(obj))
 
 
-def read_document(path, error):
-    """One JSON document; the caller's `error` class, naming the path,
-    for a file that is not JSON."""
+def load(tag, path):
+    """The object a file of format tag holds.  Any failure raises the
+    format's error class, which names the path for a file that is not
+    JSON, and the file and the line for a line file."""
+    fmt = FORMATS[tag]
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except ValueError as e:
-            raise error(f"{path}: not valid JSON: {e}") from e
+        read = (_read_lines(f, path, fmt.error, *fmt.lines) if fmt.lines
+                else [_json(f.read(), fmt.error, path)])
+    obj = fmt.from_record(*read)
+    fmt.check(obj, path)
+    return obj
 
 
-def write_lines(header, records, path):
-    """Line-delimited JSON: the header, then one record per line; NaN
-    and infinities are refused."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in (header, *records):
-            f.write(json.dumps(rec, allow_nan=False) + "\n")
-
-
-def read_lines(path, error, header, record):
-    """(header(first record), [record(r) for each later one]) of a
-    line-delimited JSON file, blank lines skipped; each builder runs
-    through decode, and every failure names the file and the line."""
+def _read_lines(f, path, error, header, line):
+    """(header(first record), [line(record, header(first record)) for
+    each later one]) of the line-delimited JSON file f, blank lines
+    skipped; each builder runs through decode."""
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for n, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except ValueError as e:
-                raise error(f"{path} line {n}: not valid JSON: {e}") from e
-            try:
-                out.append(decode(doc, error, record if out else header))
-            except error as e:
-                raise type(e)(f"{path} line {n}: {e}") from e
+    for n, raw in enumerate(f, start=1):
+        if not raw.strip():
+            continue
+        doc = _json(raw, error, f"{path} line {n}")
+        try:
+            out.append(decode(doc, error, header if not out else
+                              lambda rec: line(rec, out[0])))
+        except error as e:
+            raise type(e)(f"{path} line {n}: {e}") from e
     if not out:
         raise error(f"{path}: empty file")
     return out[0], out[1:]
 
 
-# ------------------------------------------------------------------- poses
-
-
-def pose_to_record(pose):
-    """Pose to the system-wide serialization record
-    {"t": [x, y, z], "q": [w, x, y, z]}."""
-    q = rot_to_quat(pose.rotation)
-    return {"t": [float(x) for x in pose.translation],
-            "q": [float(x) for x in q]}
-
-
-def pose_from_record(record):
-    q = reals(record["q"], "q", PoseRecordError, 4)
-    if not any(q):
-        raise PoseRecordError("q must not be all zeros")
-    return Pose(quat_to_rot(q), reals(record["t"], "t", PoseRecordError, 3))
-
-
-def save_pose_sequence(poses, path):
-    """Ordered poses as one JSON document; the format the planner's
-    guiding-pose input rides in."""
-    write_document({"format": "pose_sequence", "units": {"length": "m"},
-                    "poses": [pose_to_record(p) for p in poses]}, path)
-
-
-def load_pose_sequence(path):
-    poses = decode(read_document(path, PoseRecordError), PoseRecordError,
-                   lambda doc: [pose_from_record(r) for r in doc["poses"]],
-                   "pose_sequence", {"length": "m"})
-    if not poses:
-        raise PoseRecordError(f"{path}: no poses")
-    return poses
+def _json(raw, error, where):
+    try:
+        return json.loads(raw)
+    except ValueError as e:
+        raise error(f"{where}: not valid JSON: {e}") from e

@@ -6,13 +6,12 @@ stays fast; the twelve-brick walls live with the acceptance checks.
 
 import json
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from screwplan import scenarios
+from screwplan import records, scenarios
 from screwplan.activity import (POSITION_TOL, YAW_TOL, ActivityReport,
                                 ActivitySpec, FixedBase,
                                 FrameGeometry, InvalidActivitySpecError,
@@ -21,18 +20,14 @@ from screwplan.activity import (POSITION_TOL, YAW_TOL, ActivityReport,
                                 activity_spec_from_record,
                                 activity_spec_to_record,
                                 attached_object_poses, compare_baseline,
-                                emit_paired_report, emit_report,
                                 evaluate_ceiling, evaluate_placement,
-                                _station_pose, load_activity_spec,
-                                load_paired_report, load_report,
-                                pick_sequence, report_to_record,
-                                run_activity, save_activity_spec,
+                                _station_pose, pick_sequence,
+                                report_to_record, run_activity,
                                 summary_table, _BOTTOM_CORNERS,
                                 _cuboid_corners)
 from screwplan.demonstration import ConstraintModel, TaskInstance
 from screwplan.kinematics import (InvalidRobotError, forward_kinematics,
-                                  panda_model, robot_to_record,
-                                  save_robot_model)
+                                  panda_model, robot_to_record)
 from screwplan.layouts import (InvalidLayoutError, LayoutKind, LayoutSpec,
                                ObjectDims)
 from screwplan.planner import (InvalidPlannerConfigError, Outcome,
@@ -40,7 +35,7 @@ from screwplan.planner import (InvalidPlannerConfigError, Outcome,
 from screwplan.screws import (Pose, compose, inverse, pose_error,
                               quat_to_rot)
 
-from util import rand_pose, rand_unit, records_close
+from util import python_calls, rand_pose, rand_unit, records_close
 
 BRICK = ObjectDims(0.1016, 0.0508, 0.0508)
 TILE = ObjectDims(0.302, 0.302, 0.014)
@@ -473,28 +468,13 @@ def test_stacked_ceiling_matches_on_the_planned_carry(ceiling_carry):
         assert evaluate_ceiling(swept, dims, frame) is fits
 
 
-def python_calls(fn, *args):
-    """Python-level call events (sys.setprofile) during fn(*args)."""
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_ceiling_call_count_does_not_grow_with_the_sweep():
     fat = ObjectDims(TILE.length * 1.2, TILE.breadth * 1.2, TILE.width)
     for dims in (TILE, fat):  # passes, and fails on a cut
         short, long = (tilt_insert(dims, rise_steps=n) for n in (40, 400))
         evaluate_ceiling(short, dims, CEILING)  # lazy imports, caches
-        counts = [python_calls(evaluate_ceiling, sweep, dims, CEILING)
+        counts = [python_calls(lambda: evaluate_ceiling(sweep, dims,
+                                                        CEILING))[1]
                   for sweep in (short, long, short)]
         assert counts[0] == counts[1] == counts[2], counts
 
@@ -504,8 +484,8 @@ def test_ceiling_call_count_does_not_grow_with_the_sweep():
 
 def test_report_round_trip(tmp_path, wall3_report):
     out = tmp_path / "wall.json"
-    emit_report(wall3_report, out)
-    loaded = load_report(out)
+    records.save("activity_report", wall3_report, out)
+    loaded = records.load("activity_report", out)
     # scalars survive exactly; poses go through a quaternion and come
     # back within float ulps
     for a, b in zip(loaded.placements, wall3_report.placements):
@@ -531,8 +511,8 @@ def test_report_round_trip(tmp_path, wall3_report):
 
 def test_emitted_results_are_reproducible(tmp_path, wall3_report):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(wall3_report, a)
-    emit_report(wall3_report, b)
+    records.save("activity_report", wall3_report, a)
+    records.save("activity_report", wall3_report, b)
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     assert json.dumps(da["results"]) == json.dumps(db["results"])
     assert list(da) == ["format", "units", "results", "timing"]
@@ -544,8 +524,8 @@ def test_empty_report_round_trip(tmp_path):
         goals_total=0, placements=(), bricks_placed_before_failure=0,
         mean_position_error=None, max_yaw_error=None, runtime_seconds=0.0)
     out = tmp_path / "empty.json"
-    emit_report(empty, out)
-    loaded = load_report(out)
+    records.save("activity_report", empty, out)
+    loaded = records.load("activity_report", out)
     assert loaded.placements == ()
     assert loaded.mean_position_error is None
     assert "n/a" in summary_table(loaded)
@@ -554,27 +534,27 @@ def test_empty_report_round_trip(tmp_path):
 def test_paired_report_round_trip(tmp_path, wall3_report):
     paired = PairedReport(ours=wall3_report, baseline=wall3_report)
     out = tmp_path / "paired.json"
-    emit_paired_report(paired, out)
-    loaded = load_paired_report(out)
+    records.save("paired_activity_report", paired, out)
+    loaded = records.load("paired_activity_report", out)
     assert records_close(report_to_record(loaded.ours),
                          report_to_record(wall3_report))
     assert "ours" in (tmp_path / "paired.txt").read_text()
     (tmp_path / "bad.json").write_text('{"format": "activity_report"}\n')
     with pytest.raises(MalformedReportError):
-        load_paired_report(tmp_path / "bad.json")
+        records.load("paired_activity_report", tmp_path / "bad.json")
 
 
 def test_load_report_rejects_noise(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json\n")
     with pytest.raises(MalformedReportError):
-        load_report(bad)
+        records.load("activity_report", bad)
     bad.write_text('{"format": "other", "results": {}}\n')
     with pytest.raises(MalformedReportError):
-        load_report(bad)
+        records.load("activity_report", bad)
     bad.write_text('{"format": "activity_report", "results": {}}\n')
     with pytest.raises(MalformedReportError):
-        load_report(bad)
+        records.load("activity_report", bad)
 
 
 @pytest.mark.parametrize("where, changes", [
@@ -600,15 +580,15 @@ def test_report_record_values_of_the_wrong_type(tmp_path, one_brick_report,
                                                 where, changes):
     # each of these used to load, coerced to something else
     out = tmp_path / "report.json"
-    emit_report(one_brick_report, out)
+    records.save("activity_report", one_brick_report, out)
     doc = json.loads(out.read_text())
-    load_report(out)
+    records.load("activity_report", out)
     target = doc["results"]
     (target["placements"][0] if where == "placement" else target).update(
         changes)
     out.write_text(json.dumps(doc))
     with pytest.raises(MalformedReportError):
-        load_report(out)
+        records.load("activity_report", out)
 
 
 @pytest.mark.parametrize("results, placement", [
@@ -627,14 +607,14 @@ def test_report_record_values_of_the_wrong_type(tmp_path, one_brick_report,
 def test_load_report_refuses_what_contradicts_the_placements(
         tmp_path, one_brick_report, results, placement):
     out = tmp_path / "report.json"
-    emit_report(one_brick_report, out)
+    records.save("activity_report", one_brick_report, out)
     doc = json.loads(out.read_text())
-    load_report(out)
+    records.load("activity_report", out)
     doc["results"].update(results)
     doc["results"]["placements"][0].update(placement)
     out.write_text(json.dumps(doc))
     with pytest.raises(MalformedReportError):
-        load_report(out)
+        records.load("activity_report", out)
 
 
 # ------------------------------------------------------------ spec files
@@ -649,8 +629,8 @@ def test_activity_spec_round_trip(tmp_path):
         grasp_offset=GRASP, planner_config=TIGHT,
         q_start=np.linspace(-0.5, 0.5, 7))
     path = tmp_path / "spec.json"
-    save_activity_spec(spec, path)
-    loaded = load_activity_spec(path)
+    records.save("activity_spec", spec, path)
+    loaded = records.load("activity_spec", path)
     assert records_close(activity_spec_to_record(loaded),
                          activity_spec_to_record(spec))
     assert isinstance(loaded.base_policy, MovingBase)
@@ -663,7 +643,7 @@ def test_activity_spec_reads_a_robot_model_file(tmp_path, monkeypatch):
     arm = replace(panda_model(), name="pinched",
                   upper=panda_model().upper - 0.1)
     (tmp_path / "arms").mkdir()
-    save_robot_model(arm, tmp_path / "arms" / "pinched.json")
+    records.save("robot", arm, tmp_path / "arms" / "pinched.json")
     doc = activity_spec_to_record(one_brick_spec())
     doc["robot"] = {"model_file": "arms/pinched.json"}
     monkeypatch.chdir(tmp_path)
@@ -704,7 +684,7 @@ def test_activity_spec_rejects_noise(tmp_path):
     bad = tmp_path / "spec.json"
     bad.write_text("{broken\n")
     with pytest.raises(InvalidActivitySpecError):
-        load_activity_spec(bad)
+        records.load("activity_spec", bad)
 
 
 def test_spec_validation():

@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from screwplan.activity import (load_paired_report, load_report,
-                                save_activity_spec)
+from screwplan import records
 from screwplan.cli import main
-from screwplan.demonstration import (load_segments, save_demonstration,
-                                     segment_demonstration)
+from screwplan.demonstration import segment_demonstration
 from screwplan.kinematics import (PANDA_READY, RobotModel, forward_kinematics,
-                                  panda_model, save_robot_model)
-from screwplan.layouts import (layout_goals, load_goal_sequence,
-                               save_layout_spec, yaw_rotation)
-from screwplan.planner import load_trajectory, Outcome, PlannerConfig
-from screwplan.records import pose_to_record, save_pose_sequence
+                                  panda_model)
+from screwplan.layouts import layout_goals, yaw_rotation
+from screwplan.planner import Outcome, PlannerConfig
+from screwplan.records import pose_to_record
 from screwplan.screws import compose, pose_error, Pose
 from screwplan import scenarios as sc
 
@@ -34,11 +31,11 @@ def test_segment_subcommand(tmp_path):
     demo = sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE)
     demo_file = tmp_path / "demo.jsonl"
     out = tmp_path / "segments.json"
-    save_demonstration(demo, demo_file)
+    records.save("demonstration", demo, demo_file)
     assert main(["segment", "--demo", str(demo_file),
                  "--rot-tol", "0.02", "--trans-tol", "0.005",
                  "--out", str(out)]) == 0
-    got = load_segments(out)
+    got = records.load("segments", out)
     want = segment_demonstration(demo)
     assert len(got) == len(want) == 3
     for a, b in zip(got, want):
@@ -52,22 +49,23 @@ def test_segment_tolerance_flags_change_the_result(tmp_path):
     demo = sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE,
                               noise=(0.004, 0.01), rng=rng)
     demo_file = tmp_path / "demo.jsonl"
-    save_demonstration(demo, demo_file)
+    records.save("demonstration", demo, demo_file)
     fine, coarse = tmp_path / "fine.json", tmp_path / "coarse.json"
     assert main(["segment", "--demo", str(demo_file), "--rot-tol", "0.02",
                  "--trans-tol", "0.012", "--out", str(coarse)]) == 0
     assert main(["segment", "--demo", str(demo_file), "--rot-tol", "0.002",
                  "--trans-tol", "0.0012", "--out", str(fine)]) == 0
-    assert len(load_segments(fine)) > len(load_segments(coarse))
+    assert (len(records.load("segments", fine))
+            > len(records.load("segments", coarse)))
 
 
 def test_layout_subcommand(tmp_path):
     spec = sc.brick_wall_activity().layout
     spec_file, out = tmp_path / "wall.json", tmp_path / "goals.json"
-    save_layout_spec(spec, spec_file)
+    records.save("layout_spec", spec, spec_file)
     assert main(["layout", "--spec", str(spec_file),
                  "--out", str(out)]) == 0
-    got = load_goal_sequence(out)
+    got = records.load("goal_sequence", out)
     want = layout_goals(spec)
     assert [(g.i, g.j, g.k) for g in got] == [(g.i, g.j, g.k) for g in want]
     for a, b in zip(got, want):
@@ -79,12 +77,12 @@ def test_plan_subcommand_reaches(tmp_path):
     start = forward_kinematics(panda_model(), PANDA_READY)
     goal = Pose(start.rotation, start.translation + [0.0, 0.12, -0.05])
     guiding_file, out = tmp_path / "guiding.json", tmp_path / "traj.jsonl"
-    save_pose_sequence([goal], guiding_file)
+    records.save("pose_sequence", [goal], guiding_file)
     q0 = [str(v) for v in PANDA_READY]
     assert main(["plan", "--robot", panda_file(),
                  "--guiding", str(guiding_file), "--q0", *q0,
                  "--out", str(out)]) == 0
-    traj = load_trajectory(out)
+    traj = records.load("trajectory", out)
     assert traj.outcome is Outcome.REACHED
     rot, trans = pose_error(traj.final_pose, goal)
     assert rot < math.radians(0.05) and trans < 1e-4
@@ -108,14 +106,15 @@ def test_plan_no_mode2_fails_on_pinched_joint(tmp_path):
     turn = yaw_rotation(0.5)
     goal = compose(turn, forward_kinematics(panda_model(), PANDA_READY))
     guiding_file = tmp_path / "guiding.json"
-    save_pose_sequence([goal], guiding_file)
+    records.save("pose_sequence", [goal], guiding_file)
     q0 = [str(v) for v in PANDA_READY]
     out_base = tmp_path / "base.jsonl"
     out_ours = tmp_path / "ours.jsonl"
     assert main(["plan", "--robot", str(robot_file),
                  "--guiding", str(guiding_file), "--q0", *q0,
                  "--no-mode2", "--out", str(out_base)]) == 1
-    assert load_trajectory(out_base).outcome is Outcome.MOTION_PLAN_FAILED
+    assert (records.load("trajectory", out_base).outcome
+            is Outcome.MOTION_PLAN_FAILED)
     assert main(["plan", "--robot", str(robot_file),
                  "--guiding", str(guiding_file), "--q0", *q0,
                  "--out", str(out_ours)]) == 0
@@ -130,10 +129,10 @@ def one_brick_spec():
 def test_run_activity_subcommand(tmp_path, capsys):
     spec_file = tmp_path / "activity.json"
     out = tmp_path / "report.json"
-    save_activity_spec(one_brick_spec(), spec_file)
+    records.save("activity_spec", one_brick_spec(), spec_file)
     assert main(["run-activity", "--spec", str(spec_file),
                  "--out", str(out)]) == 0
-    report = load_report(out)
+    report = records.load("activity_report", out)
     assert report.bricks_placed_before_failure == 1
     assert (tmp_path / "report.txt").exists()
     assert "placed" in capsys.readouterr().out
@@ -143,20 +142,20 @@ def test_run_activity_exit_one_on_failure(tmp_path):
     spec = replace(one_brick_spec(),
                    planner_config=PlannerConfig(max_steps=60))
     spec_file, out = tmp_path / "activity.json", tmp_path / "report.json"
-    save_activity_spec(spec, spec_file)
+    records.save("activity_spec", spec, spec_file)
     assert main(["run-activity", "--spec", str(spec_file),
                  "--out", str(out)]) == 1
-    report = load_report(out)
+    report = records.load("activity_report", out)
     assert report.bricks_placed_before_failure == 0
 
 
 def test_compare_baseline_subcommand(tmp_path):
     _, spec = sc.near_limit_scenarios()[0]
     spec_file, out = tmp_path / "activity.json", tmp_path / "paired.json"
-    save_activity_spec(spec, spec_file)
+    records.save("activity_spec", spec, spec_file)
     assert main(["compare-baseline", "--spec", str(spec_file),
                  "--out", str(out)]) == 0
-    paired = load_paired_report(out)
+    paired = records.load("paired_activity_report", out)
     assert paired.ours.bricks_placed_before_failure == 1
     assert paired.baseline.bricks_placed_before_failure == 0
 
@@ -173,8 +172,9 @@ def test_bad_inputs_exit_two(tmp_path):
 
 def test_q0_count_must_match_robot_joints(tmp_path, capsys):
     guiding_file, out = tmp_path / "guiding.json", tmp_path / "traj.jsonl"
-    save_pose_sequence([forward_kinematics(panda_model(), PANDA_READY)],
-                       guiding_file)
+    records.save("pose_sequence",
+                 [forward_kinematics(panda_model(), PANDA_READY)],
+                 guiding_file)
     assert main(["plan", "--robot", panda_file(),
                  "--guiding", str(guiding_file), "--q0", "0.0", "0.1",
                  "--out", str(out)]) == 2
@@ -196,12 +196,13 @@ def test_plan_takes_one_q0_value_per_joint(tmp_path):
     q0 = np.array([0.3, 0.2, -0.1])
     robot_file, guiding_file = tmp_path / "r.json", tmp_path / "g.json"
     out = tmp_path / "traj.jsonl"
-    save_robot_model(robot, robot_file)
-    save_pose_sequence([forward_kinematics(robot, q0)], guiding_file)
+    records.save("robot", robot, robot_file)
+    records.save("pose_sequence", [forward_kinematics(robot, q0)],
+                 guiding_file)
     assert main(["plan", "--robot", str(robot_file),
                  "--guiding", str(guiding_file),
                  "--q0", *[str(v) for v in q0], "--out", str(out)]) == 0
-    traj = load_trajectory(out)
+    traj = records.load("trajectory", out)
     assert traj.outcome is Outcome.REACHED
     assert_allclose(traj.final_q, q0, atol=0.0)
     assert main(["plan", "--robot", str(robot_file),
@@ -224,12 +225,12 @@ def test_plan_moves_a_robot_with_fewer_than_six_joints(tmp_path):
     goal = forward_kinematics(robot, q0 + 0.2)
     robot_file, guiding_file = tmp_path / "r.json", tmp_path / "g.json"
     out = tmp_path / "traj.jsonl"
-    save_robot_model(robot, robot_file)
-    save_pose_sequence([goal], guiding_file)
+    records.save("robot", robot, robot_file)
+    records.save("pose_sequence", [goal], guiding_file)
     assert main(["plan", "--robot", str(robot_file),
                  "--guiding", str(guiding_file),
                  "--q0", *[str(v) for v in q0], "--out", str(out)]) == 0
-    traj = load_trajectory(out)
+    traj = records.load("trajectory", out)
     assert traj.outcome is Outcome.REACHED
     assert len(traj.steps) == 793
     rot, trans = pose_error(traj.final_pose, goal)
@@ -257,13 +258,13 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         "plan", "--robot", panda_file(), "--guiding", str(array),
         "--q0", *[str(v) for v in PANDA_READY], "--out", out])
     layout = tmp_path / "layout.json"
-    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    records.save("layout_spec", sc.brick_wall_activity().layout, layout)
     doc = json.loads(layout.read_text())
     doc["layers"] = "LAYERS"
     layout.write_text(json.dumps(doc).replace('"LAYERS"', "1e999"))
     assert exits_two_with_error(capsys, [
         "layout", "--spec", str(layout), "--out", out])
-    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    records.save("layout_spec", sc.brick_wall_activity().layout, layout)
     wall = json.loads(layout.read_text())
     for changes in ({"layers": 2.5}, {"per_layer": "4"}, {"layers": True},
                     {"per_step_yaw": True},
@@ -275,14 +276,14 @@ def test_malformed_files_exit_two(tmp_path, capsys):
         assert exits_two_with_error(capsys, [
             "layout", "--spec", str(layout), "--out", out])
     spec = tmp_path / "spec.json"
-    save_activity_spec(sc.brick_wall_activity(), spec)
+    records.save("activity_spec", sc.brick_wall_activity(), spec)
     doc = json.loads(spec.read_text())
     doc["pick_station"]["restock"] = "RESTOCK"
     for restock in ("2.5", "1e999"):
         spec.write_text(json.dumps(doc).replace('"RESTOCK"', restock))
         assert exits_two_with_error(capsys, [
             "run-activity", "--spec", str(spec), "--out", out])
-    save_activity_spec(sc.moving_wall_activity(seed=5), spec)
+    records.save("activity_spec", sc.moving_wall_activity(seed=5), spec)
     moving = json.loads(spec.read_text())
     for section, changes in (("planner", {"mode2_enabled": "false"}),
                              ("planner", {"max_steps": 2.5}),
@@ -304,8 +305,9 @@ def test_wrong_kind_fields_exit_two(tmp_path, capsys):
     # one field of the wrong kind in each format the CLI reads
     out = str(tmp_path / "out")
     demo = tmp_path / "demo.jsonl"
-    save_demonstration(sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE,
-                                          samples_per_leg=4), demo)
+    records.save("demonstration",
+                 sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE,
+                                    samples_per_leg=4), demo)
     header, first, *rest = demo.read_text().splitlines()
     demo.write_text("\n".join(
         [header, json.dumps({**json.loads(first), "t": "0.0"}), *rest])
@@ -313,21 +315,21 @@ def test_wrong_kind_fields_exit_two(tmp_path, capsys):
     assert exits_two_with_error(capsys, [
         "segment", "--demo", str(demo), "--out", out])
     layout = tmp_path / "layout.json"
-    save_layout_spec(sc.brick_wall_activity().layout, layout)
+    records.save("layout_spec", sc.brick_wall_activity().layout, layout)
     doc = json.loads(layout.read_text())
     layout.write_text(json.dumps({**doc, "spacing": ["0.0", 0.0, 0.0]}))
     assert exits_two_with_error(capsys, [
         "layout", "--spec", str(layout), "--out", out])
     robot, guiding = tmp_path / "robot.json", tmp_path / "guiding.json"
-    save_robot_model(panda_model(), robot)
-    save_pose_sequence([forward_kinematics(panda_model(), PANDA_READY)],
-                       guiding)
+    records.save("robot", panda_model(), robot)
+    records.save("pose_sequence",
+                 [forward_kinematics(panda_model(), PANDA_READY)], guiding)
     plan = ["plan", "--robot", str(robot), "--guiding", str(guiding),
             "--q0", *[str(v) for v in PANDA_READY], "--out", out]
     doc = json.loads(robot.read_text())
     robot.write_text(json.dumps({**doc, "sew_indices": [0.7, 3, 5.9]}))
     assert exits_two_with_error(capsys, plan)
-    save_robot_model(panda_model(), robot)
+    records.save("robot", panda_model(), robot)
     doc = json.loads(guiding.read_text())
     doc["poses"][0]["q"] = [str(v) for v in doc["poses"][0]["q"]]
     guiding.write_text(json.dumps(doc))
@@ -335,7 +337,7 @@ def test_wrong_kind_fields_exit_two(tmp_path, capsys):
     guiding.write_text(json.dumps({**doc, "poses": []}))
     assert exits_two_with_error(capsys, plan)
     spec = tmp_path / "spec.json"
-    save_activity_spec(sc.brick_wall_activity(), spec)
+    records.save("activity_spec", sc.brick_wall_activity(), spec)
     doc = json.loads(spec.read_text())
     spec.write_text(json.dumps(
         {**doc, "q_start": [str(v) for v in doc["q_start"]]}))
@@ -347,7 +349,8 @@ def test_wrong_kind_fields_exit_two(tmp_path, capsys):
 def test_segment_rejects_bad_tolerances(tmp_path, capsys):
     demo = tmp_path / "demo.jsonl"
     out = tmp_path / "segments.json"
-    save_demonstration(sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE), demo)
+    records.save("demonstration",
+                 sc.pick_place_demo(sc.DEMO_PICK, sc.DEMO_PLACE), demo)
     for flag, value in (("--rot-tol", "nan"), ("--rot-tol", "-0.1"),
                         ("--trans-tol", "inf")):
         assert exits_two_with_error(capsys, [
@@ -358,7 +361,7 @@ def test_segment_rejects_bad_tolerances(tmp_path, capsys):
 def test_program_faults_are_not_bad_input(tmp_path, monkeypatch):
     # only the package's input errors and OSError mean exit 2
     spec = tmp_path / "layout.json"
-    save_layout_spec(sc.brick_wall_activity().layout, spec)
+    records.save("layout_spec", sc.brick_wall_activity().layout, spec)
 
     def fault(spec):
         raise ValueError("shape mismatch")

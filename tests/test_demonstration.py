@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from screwplan import demonstration
+from screwplan import demonstration, records
 from screwplan.demonstration import (
     BadQuaternionError,
     ConstraintModel,
@@ -22,12 +22,6 @@ from screwplan.demonstration import (
     NonMonotoneTimeError,
     TaskInstance,
     extract_guiding_poses,
-    load_constraint_model,
-    load_demonstration,
-    load_segments,
-    save_constraint_model,
-    save_demonstration,
-    save_segments,
     segment_demonstration,
     synthesize_demonstration,
     transfer_constraints,
@@ -46,7 +40,7 @@ from screwplan.screws import (
     sclerp_path,
     unit_twist,
 )
-from util import rand_pose, rand_unit
+from util import pinned_counts, python_calls, rand_pose, rand_unit
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -79,7 +73,7 @@ def test_load_well_formed_file(tmp_path):
         '{"t": 0.0, "pose": {"t": [0.0, 0.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]}}\n'
         '{"t": 0.033, "pose": {"t": [0.01, 0.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]}}\n'
     )
-    demo = load_demonstration(f)
+    demo = records.load("demonstration", f)
     assert demo.object_id == "brick_7"
     assert len(demo.poses) == 2
     assert_allclose(demo.times, [0.0, 0.033])
@@ -90,11 +84,11 @@ def test_load_rejects_malformed(tmp_path):
     f = tmp_path / "demo.jsonl"
     f.write_text("not json at all\n")
     with pytest.raises(MalformedDemonstrationError):
-        load_demonstration(f)
+        records.load("demonstration", f)
 
     f.write_text('{"units": "m"}\n{"t": 0.0, "pose": {"t": [0,0,0], "q": [1,0,0,0]}}\n')
     with pytest.raises(MalformedDemonstrationError):
-        load_demonstration(f)  # header missing object_id
+        records.load("demonstration", f)  # header missing object_id
 
     f.write_text(
         '{"object_id": "b", "units": "mm"}\n'
@@ -102,14 +96,14 @@ def test_load_rejects_malformed(tmp_path):
         '{"t": 0.1, "pose": {"t": [0,0,1], "q": [1,0,0,0]}}\n'
     )
     with pytest.raises(MalformedDemonstrationError):
-        load_demonstration(f)  # wrong units
+        records.load("demonstration", f)  # wrong units
 
     f.write_text(
         '{"object_id": "b", "units": "m"}\n'
         '{"t": 0.0, "pose": {"t": [0,0,0], "q": [1,0,0,0]}}\n'
     )
     with pytest.raises(MalformedDemonstrationError):
-        load_demonstration(f)  # fewer than 2 samples
+        records.load("demonstration", f)  # fewer than 2 samples
 
 
 def test_load_rejects_non_monotone_time(tmp_path):
@@ -120,7 +114,7 @@ def test_load_rejects_non_monotone_time(tmp_path):
         '{"t": 0.1, "pose": {"t": [0,0,1], "q": [1,0,0,0]}}\n'
     )
     with pytest.raises(NonMonotoneTimeError):
-        load_demonstration(f)
+        records.load("demonstration", f)
 
 
 def test_load_quaternion_drift_policy(tmp_path):
@@ -132,7 +126,7 @@ def test_load_quaternion_drift_policy(tmp_path):
         f'{{"t": 0.0, "pose": {{"t": [0,0,0], "q": {q}}}}}\n'
         '{"t": 0.1, "pose": {"t": [0,0,1], "q": [1,0,0,0]}}\n'
     )
-    demo = load_demonstration(f)
+    demo = records.load("demonstration", f)
     assert_allclose(demo.poses[0].rotation, np.eye(3), atol=1e-12)
 
     # norm drift beyond 1e-3: rejected
@@ -142,7 +136,7 @@ def test_load_quaternion_drift_policy(tmp_path):
         '{"t": 0.1, "pose": {"t": [0,0,1], "q": [1,0,0,0]}}\n'
     )
     with pytest.raises(BadQuaternionError):
-        load_demonstration(f)
+        records.load("demonstration", f)
 
 
 def test_load_rejects_non_finite_pose(tmp_path):
@@ -157,15 +151,15 @@ def test_load_rejects_non_finite_pose(tmp_path):
             f'{{"t": 0.1, "pose": {bad}}}\n'
         )
         with pytest.raises(MalformedDemonstrationError, match="line 3"):
-            load_demonstration(f)
+            records.load("demonstration", f)
 
 
 def test_save_load_round_trip(tmp_path):
     demo = synthesize_demonstration(pick_place_keys(), samples_per_leg=5,
                                     object_id="brick")
     f = tmp_path / "demo.jsonl"
-    save_demonstration(demo, f)
-    back = load_demonstration(f)
+    records.save("demonstration", demo, f)
+    back = records.load("demonstration", f)
     assert back.object_id == "brick"
     assert_allclose(back.times, demo.times)
     for a, b in zip(back.poses, demo.poses):
@@ -483,6 +477,32 @@ def test_stacked_wobble_matches_per_sample_loop():
     assert worst <= 1e-15
 
 
+@pinned_counts
+def test_segmentation_window_call_count(monkeypatch):
+    window_errors = demonstration._window_errors
+    windows = [0]
+
+    def counted(*args):
+        windows[0] += len(args[6])  # the window ends scored
+        return window_errors(*args)
+
+    monkeypatch.setattr(demonstration, "_window_errors", counted)
+    counts = {}
+    for per_leg in (50, 100):
+        demo = synthesize_demonstration(pick_place_keys(),
+                                        samples_per_leg=per_leg)
+        windows[0] = 0
+        segs, calls = python_calls(lambda: segment_demonstration(demo),
+                                   skip=counted.__code__)
+        assert len(segs) == 3
+        counts[per_leg] = windows[0], calls
+    (short, short_calls), (long, long_calls) = counts[50], counts[100]
+    assert (short, long) == (153, 299)
+    # Python-level calls per scored window, the per-sample set-up
+    # (arc length, quaternions) included: 2205 calls over 146 windows
+    assert (long_calls - short_calls) / (long - short) <= 15.11
+
+
 # ------------------------------------------------- guiding poses, transfer
 
 
@@ -726,8 +746,9 @@ def test_segments_round_trip(tmp_path):
                                     object_id="probe")
     segments = segment_demonstration(demo)
     path = tmp_path / "segments.json"
-    save_segments(segments, path, object_id="probe", fit_tol=(0.02, 0.005))
-    back = load_segments(path)
+    records.save("segments", segments, path, object_id="probe",
+                 fit_tol=(0.02, 0.005))
+    back = records.load("segments", path)
     assert len(back) == len(segments)
     for a, b in zip(back, segments):
         assert (a.start_index, a.end_index) == (b.start_index, b.end_index)
@@ -741,7 +762,7 @@ def test_segments_round_trip(tmp_path):
                                                   abs=1e-9)
     path.write_text(json.dumps({"format": "spans", "segments": []}))
     with pytest.raises(MalformedDemonstrationError):
-        load_segments(path)
+        records.load("segments", path)
 
 
 def test_constraint_model_round_trip(tmp_path):
@@ -751,8 +772,8 @@ def test_constraint_model_round_trip(tmp_path):
     model = extract_guiding_poses(segment_demonstration(demo),
                                   TaskInstance(keys[0], keys[-1]), 0.15)
     path = tmp_path / "model.json"
-    save_constraint_model(model, path)
-    back = load_constraint_model(path)
+    records.save("constraint_model", model, path)
+    back = records.load("constraint_model", path)
     assert back.anchor_initial == model.anchor_initial
     assert back.anchor_goal == model.anchor_goal
     assert len(back.guiding_poses) == len(model.guiding_poses)
@@ -766,4 +787,4 @@ def test_constraint_model_round_trip(tmp_path):
                 {**doc, "anchor_goal": [0]}):
         path.write_text(json.dumps(bad))
         with pytest.raises(MalformedModelError):
-            load_constraint_model(path)
+            records.load("constraint_model", path)

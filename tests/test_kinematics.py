@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import panda_oracle
+from screwplan import records
 from screwplan.kinematics import (
     BadEpsError,
     InvalidRobotError,
@@ -25,10 +26,8 @@ from screwplan.kinematics import (
     limit_band,
     limit_margin,
     limit_status,
-    load_robot_model,
     panda_model,
     pseudoinverse,
-    save_robot_model,
     self_motion,
     self_motion_direction,
     self_motion_rollout,
@@ -773,24 +772,24 @@ def test_model_validation_and_file_errors(tmp_path):
     f = tmp_path / "robot.json"
     f.write_text("{not json")
     with pytest.raises(InvalidRobotError):
-        load_robot_model(f)
+        records.load("robot", f)
     doc = panda_oracle.model_document()
     doc["units"]["angle"] = "deg"
     f.write_text(json.dumps(doc))
     with pytest.raises(InvalidRobotError):
-        load_robot_model(f)
+        records.load("robot", f)
     doc = panda_oracle.model_document()
     doc["joint_limits"]["lower"][2] = 5.0
     f.write_text(json.dumps(doc))
     with pytest.raises(InvalidRobotError):
-        load_robot_model(f)
+        records.load("robot", f)
 
 
 def test_robot_model_round_trip(tmp_path):
     model = panda_model()
     path = tmp_path / "arm.json"
-    save_robot_model(model, path)
-    back = load_robot_model(path)
+    records.save("robot", model, path)
+    back = records.load("robot", path)
     assert back.name == model.name
     assert_allclose(back.twists, model.twists, atol=1e-15)
     assert_allclose(back.lower, model.lower, atol=1e-15)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from screwplan import records
 from screwplan.layouts import (
     InvalidLayoutError,
     LayoutKind,
@@ -16,11 +17,7 @@ from screwplan.layouts import (
     corner_wall_goals,
     delta_offset,
     layout_goals,
-    load_goal_sequence,
-    load_layout_spec,
     pick_stack,
-    save_goal_sequence,
-    save_layout_spec,
     translation_x,
     translation_y,
     translation_z,
@@ -280,8 +277,8 @@ def test_layout_spec_file_round_trip(tmp_path):
     spec = straight_wall_spec(base=Pose(quat_to_rot([0.9, 0.1, 0.2, 0.1]),
                                         np.array([0.4, -0.1, 0.02])))
     f = tmp_path / "layout.json"
-    save_layout_spec(spec, f)
-    back = load_layout_spec(f)
+    records.save("layout_spec", spec, f)
+    back = records.load("layout_spec", f)
     assert back.kind == spec.kind
     assert back.layers == spec.layers and back.per_layer == spec.per_layer
     assert_allclose(back.layer_offset, spec.layer_offset)
@@ -295,12 +292,12 @@ def test_layout_spec_file_round_trip(tmp_path):
 
 def test_layout_spec_file_rejects_bad_units(tmp_path):
     f = tmp_path / "layout.json"
-    save_layout_spec(straight_wall_spec(), f)
+    records.save("layout_spec", straight_wall_spec(), f)
     doc = json.loads(f.read_text())
     doc["units"]["length"] = "mm"
     f.write_text(json.dumps(doc))
     with pytest.raises(InvalidLayoutError):
-        load_layout_spec(f)
+        records.load("layout_spec", f)
 
 
 def test_goal_sequence_round_trip(tmp_path):
@@ -309,8 +306,8 @@ def test_goal_sequence_round_trip(tmp_path):
                       per_layer=3, corner_index=2)
     goals = layout_goals(spec)
     path = tmp_path / "goals.json"
-    save_goal_sequence(goals, path)
-    back = load_goal_sequence(path)
+    records.save("goal_sequence", goals, path)
+    back = records.load("goal_sequence", path)
     assert [(g.i, g.j, g.k) for g in back] == \
         [(g.i, g.j, g.k) for g in goals]
     for a, b in zip(back, goals):
@@ -318,7 +315,7 @@ def test_goal_sequence_round_trip(tmp_path):
         assert rot < 1e-14 and trans < 1e-14
     path.write_text(json.dumps({"format": "goals", "goals": []}))
     with pytest.raises(InvalidLayoutError):
-        load_goal_sequence(path)
+        records.load("goal_sequence", path)
     path.write_text('{"format": "goal_sequence", ')
     with pytest.raises(InvalidLayoutError, match="not valid JSON"):
-        load_goal_sequence(path)
+        records.load("goal_sequence", path)

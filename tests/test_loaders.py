@@ -1,10 +1,12 @@
-"""Every loader against a file the package wrote: it reads back what it
-wrote, and a randomly broken copy either loads or raises the error the
-loader documents, never a bare KeyError, TypeError or JSONDecodeError.
-A field swapped for a value of the wrong kind always raises that error.
-A lint over the package's source keeps loaders from coercing fields, and
-each JSON example in FORMATS.md has the keys and nesting of the file the
-package writes."""
+"""Every format of records.FORMATS against a file the package wrote:
+records.load reads back what records.save wrote, and a randomly broken
+copy either loads or raises the error the format documents, never a
+bare KeyError, TypeError or JSONDecodeError.  A field swapped for a
+value of the wrong kind always raises that error.  Lints over the
+package's source keep loaders from coercing fields and every file read
+and write inside records, and FORMATS.md has one section per format tag
+whose JSON example has the keys and nesting of the file the package
+writes."""
 
 import ast
 import json
@@ -17,32 +19,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from screwplan import scenarios as sc
-from screwplan.activity import (ActivityReport, InvalidActivitySpecError,
-                                MalformedReportError, PairedReport,
-                                PlacementResult, emit_paired_report,
-                                emit_report, load_activity_spec,
-                                load_paired_report, load_report,
-                                save_activity_spec)
+from screwplan import records, scenarios as sc
+from screwplan.activity import ActivityReport, PairedReport, PlacementResult
 from screwplan.demonstration import (DEFAULT_FIT_TOL, DemonstrationError,
                                      MalformedDemonstrationError,
-                                     MalformedModelError,
-                                     load_constraint_model,
-                                     load_demonstration, load_segments,
-                                     save_constraint_model,
-                                     save_demonstration, save_segments,
+                                     TaskInstance, extract_guiding_poses,
                                      segment_demonstration)
-from screwplan.kinematics import (PANDA_READY, InvalidRobotError,
-                                  forward_kinematics, load_robot_model,
-                                  panda_model, save_robot_model)
-from screwplan.layouts import (InvalidLayoutError, layout_goals,
-                               load_goal_sequence, load_layout_spec,
-                               save_goal_sequence, save_layout_spec)
+from screwplan.kinematics import PANDA_READY, forward_kinematics, panda_model
+from screwplan.layouts import InvalidLayoutError, layout_goals
 from screwplan.planner import (InvalidTrajectoryError, JointTrajectory,
-                               Mode, Outcome,
-                               load_trajectory, save_trajectory)
-from screwplan.records import (PoseRecordError, load_pose_sequence,
-                               save_pose_sequence)
+                               Mode, Outcome)
+from screwplan.records import FORMATS
 
 
 def _demo():
@@ -83,52 +70,38 @@ def _report(mode2, steps):
         max_yaw_error=0.01, runtime_seconds=1.5)
 
 
-# name -> (write the file, load, save, the error the loader documents);
-# the writers pass what the loaded objects do not carry (segments'
-# object id and tolerances, a trajectory's robot name)
-LOADERS = {
-    "pose_sequence": (
-        lambda p: save_pose_sequence(_demo().poses[::4], p),
-        load_pose_sequence, save_pose_sequence, PoseRecordError),
-    "demonstration": (
-        lambda p: save_demonstration(_demo(), p),
-        load_demonstration, save_demonstration, DemonstrationError),
-    "segments": (
-        lambda p: save_segments(segment_demonstration(_demo()), p,
-                                "brick", DEFAULT_FIT_TOL),
-        load_segments,
-        lambda x, p: save_segments(x, p, "brick", DEFAULT_FIT_TOL),
-        MalformedDemonstrationError),
-    "constraint_model": (
-        lambda p: save_constraint_model(sc.model_from_demo(_demo()), p),
-        load_constraint_model, save_constraint_model, MalformedModelError),
-    "layout_spec": (
-        lambda p: save_layout_spec(sc.brick_wall_activity().layout, p),
-        load_layout_spec, save_layout_spec, InvalidLayoutError),
+# format tag -> (an object of the format, the fields its file records
+# beside the object: segments' object id and tolerances, a trajectory's
+# robot name)
+SAMPLES = {
+    "pose_sequence": (lambda: _demo().poses[::4], {}),
+    "demonstration": (_demo, {}),
+    "segments": (lambda: segment_demonstration(_demo()),
+                 {"object_id": "brick", "fit_tol": DEFAULT_FIT_TOL}),
+    "constraint_model": (lambda: sc.model_from_demo(_demo()), {}),
+    "layout_spec": (lambda: sc.brick_wall_activity().layout, {}),
     "goal_sequence": (
-        lambda p: save_goal_sequence(
-            layout_goals(sc.brick_wall_activity(2, 2).layout), p),
-        load_goal_sequence, save_goal_sequence, InvalidLayoutError),
-    "robot": (
-        lambda p: save_robot_model(panda_model(), p),
-        load_robot_model, save_robot_model, InvalidRobotError),
-    "trajectory": (
-        lambda p: save_trajectory(_trajectory(), p, robot="panda"),
-        load_trajectory,
-        lambda x, p: save_trajectory(x, p, robot="panda"),
-        InvalidTrajectoryError),
-    "activity_spec": (
-        lambda p: save_activity_spec(_spec(), p),
-        load_activity_spec, save_activity_spec, InvalidActivitySpecError),
-    "activity_report": (
-        lambda p: emit_report(_report(True, 40), p),
-        load_report, emit_report, MalformedReportError),
+        lambda: layout_goals(sc.brick_wall_activity(2, 2).layout), {}),
+    "robot": (panda_model, {}),
+    "trajectory": (_trajectory, {"robot": "panda"}),
+    "activity_spec": (_spec, {}),
+    "activity_report": (lambda: _report(True, 40), {}),
     "paired_activity_report": (
-        lambda p: emit_paired_report(
-            PairedReport(_report(True, 40), _report(False, 7)), p),
-        load_paired_report, emit_paired_report, MalformedReportError),
+        lambda: PairedReport(_report(True, 40), _report(False, 7)), {}),
 }
-LINE_DELIMITED = ("demonstration", "trajectory")
+
+
+def error_of(tag):
+    """The error a format's loader documents: its table entry's class;
+    a demonstration's time checks raise NonMonotoneTimeError beside it,
+    both DemonstrationError."""
+    return DemonstrationError if tag == "demonstration" else FORMATS[tag].error
+
+
+def line_file(tag):
+    return FORMATS[tag].lines is not None
+
+
 REPLACEMENTS = (None, "x", [], {}, math.inf, [[0.0, 1.0], [2.0]])
 # fields written for the reader's convenience that no loader reads
 UNREAD = {"segments": {"object_id", "fit_tol", "screw"},
@@ -139,26 +112,26 @@ ANY_LENGTH = {"anchor_initial", "anchor_goal", "segment_starts"}
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """name -> the path of a file the package wrote."""
+    """tag -> the path of a file the package wrote."""
     root = tmp_path_factory.mktemp("written")
     out = {}
-    for name, (write, *_) in LOADERS.items():
+    for name, (sample, fields) in SAMPLES.items():
         out[name] = root / name / f"{name}.json"
         out[name].parent.mkdir()
-        write(out[name])
+        records.save(name, sample(), out[name], **fields)
     return out
 
 
 def parse(path, name):
     """The file as one JSON value: a list of records for line files."""
     text = path.read_text()
-    if name in LINE_DELIMITED:
+    if line_file(name):
         return [json.loads(line) for line in text.splitlines()]
     return json.loads(text)
 
 
 def dump(doc, path, name):
-    if name in LINE_DELIMITED:
+    if line_file(name):
         path.write_text("".join(json.dumps(r) + "\n" for r in doc))
     else:
         path.write_text(json.dumps(doc))
@@ -210,12 +183,11 @@ def documented(exc, error):
 _QUATERNION = re.compile(r'"q": \[[^\]]*\]')
 
 
-@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("name", SAMPLES)
 def test_save_of_load_reproduces_the_file(name, written, tmp_path):
-    _, load, save, _ = LOADERS[name]
     src = written[name]
     again = tmp_path / src.name
-    save(load(src), again)
+    records.save(name, records.load(name, src), again, **SAMPLES[name][1])
     # quat_to_rot then rot_to_quat is not the identity in floating point:
     # quaternions come back within a few ulp, every other byte is equal
     want, got = src.read_text(), again.read_text()
@@ -229,29 +201,27 @@ def test_save_of_load_reproduces_the_file(name, written, tmp_path):
         assert again.with_suffix(".txt").read_bytes() == table.read_bytes()
 
 
-@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("name", SAMPLES)
 def test_wrong_units_raise_the_loaders_error(name, written, tmp_path):
-    _, load, _, error = LOADERS[name]
     doc = parse(written[name], name)
-    top = doc[0] if name in LINE_DELIMITED else doc
+    top = doc[0] if line_file(name) else doc
     top["units"] = ("mm" if isinstance(top["units"], str)
                     else {**top["units"], "length": "mm"})
     dump(doc, tmp_path / "bad.json", name)
-    with pytest.raises(error, match="expected units"):
-        load(tmp_path / "bad.json")
+    with pytest.raises(error_of(name), match="expected units"):
+        records.load(name, tmp_path / "bad.json")
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("name", SAMPLES)
 @given(data=st.data())
 def test_broken_files_raise_only_the_documented_error(name, written,
                                                       tmp_path, data):
-    _, load, _, error = LOADERS[name]
     doc = parse(written[name], name)
     kind = data.draw(st.sampled_from(("delete", "replace", "list")))
     if kind == "list":
-        if name in LINE_DELIMITED:
+        if line_file(name):
             n = data.draw(st.integers(0, len(doc) - 1))
             doc[n] = [doc[n]]
         else:
@@ -270,26 +240,25 @@ def test_broken_files_raise_only_the_documented_error(name, written,
     bad = tmp_path / "bad.json"
     dump(doc, bad, name)
     try:
-        load(bad)
+        records.load(name, bad)
     except Exception as exc:
-        assert documented(exc, error), repr(exc)
+        assert documented(exc, error_of(name)), repr(exc)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@pytest.mark.parametrize("name", LOADERS)
+@pytest.mark.parametrize("name", SAMPLES)
 @given(data=st.data())
 def test_type_swaps_raise_the_documented_error(name, written, tmp_path,
                                                data):
-    _, load, _, error = LOADERS[name]
     doc = parse(written[name], name)
     path, value = data.draw(st.sampled_from(swaps(doc, name)))
     _set(*path, value)(doc)
     bad = tmp_path / "bad.json"
     dump(doc, bad, name)
-    with pytest.raises(error) as info:
-        load(bad)
-    assert documented(info.value, error), repr(info.value)
+    with pytest.raises(error_of(name)) as info:
+        records.load(name, bad)
+    assert documented(info.value, error_of(name)), repr(info.value)
 
 
 def _set(*path_and_value):
@@ -334,14 +303,13 @@ WRONG_KIND = {
 def test_wrong_kind_fields_raise_the_documented_error(case, written,
                                                       tmp_path):
     name, edit = WRONG_KIND[case]
-    _, load, _, error = LOADERS[name]
     doc = parse(written[name], name)
     edit(doc)
     bad = tmp_path / "bad.json"
     dump(doc, bad, name)
-    with pytest.raises(error) as info:
-        load(bad)
-    assert documented(info.value, error), repr(info.value)
+    with pytest.raises(error_of(name)) as info:
+        records.load(name, bad)
+    assert documented(info.value, error_of(name)), repr(info.value)
 
 
 RECORD_NAMES = {"rec", "doc", "record", "pol", "planner", "station"}
@@ -399,22 +367,22 @@ def test_malformed_fields_name_the_problem(written, tmp_path):
     dump(doc, bad, "segments")
     with pytest.raises(MalformedDemonstrationError,
                        match="missing field 'start_pose'"):
-        load_segments(bad)
+        records.load("segments", bad)
     doc = parse(written["goal_sequence"], "goal_sequence")
     doc["goals"][0]["index"] = [1]
     dump(doc, bad, "goal_sequence")
     with pytest.raises(InvalidLayoutError):
-        load_goal_sequence(bad)
+        records.load("goal_sequence", bad)
     doc = parse(written["trajectory"], "trajectory")
     del doc[0]["outcome"]
     dump(doc, bad, "trajectory")
     with pytest.raises(InvalidTrajectoryError,
                        match="bad.json line 1: missing field 'outcome'"):
-        load_trajectory(bad)
+        records.load("trajectory", bad)
     bad.write_text("{not json\n" + written["trajectory"].read_text())
     with pytest.raises(InvalidTrajectoryError,
                        match="bad.json line 1: not valid JSON"):
-        load_trajectory(bad)
+        records.load("trajectory", bad)
 
 
 def test_trajectory_steps_share_a_joint_count(written, tmp_path):
@@ -426,37 +394,38 @@ def test_trajectory_steps_share_a_joint_count(written, tmp_path):
     with pytest.raises(InvalidTrajectoryError,
                        match="bad.json line 3: expected 7 joint values, "
                              "got 3"):
-        load_trajectory(bad)
+        records.load("trajectory", bad)
 
 
-# FORMATS.md section -> the LOADERS file its JSON example documents
-FORMAT_SECTIONS = {
-    "Demonstration (line-delimited)": "demonstration",
-    "Pose sequence": "pose_sequence",
-    "Segments": "segments",
-    "Constraint model": "constraint_model",
-    "Layout spec": "layout_spec",
-    "Goal sequence": "goal_sequence",
-    "Robot model": "robot",
-    "Trajectory (line-delimited)": "trajectory",
-    "Activity spec": "activity_spec",
-    "Activity report": "activity_report",
-    "Paired activity report": "paired_activity_report",
-}
+FORMATS_MD = Path(__file__).parent.parent / "FORMATS.md"
+# the one section that documents no format
+LOADING = "Loading and errors"
+
+
+def _section_tag(title):
+    """The format tag a FORMATS.md section title names in backticks."""
+    found = re.findall(r"`(\w+)`", title)
+    return found[0] if len(found) == 1 else None
+
+
 # a JSON string, a number, or a bare placeholder such as pose, x or ...
 _TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")|(-?\d[\d.eE+-]*)'
                     r'|(\.\.\.|[A-Za-z_][\w-]*)')
 
 
+def _sections():
+    """FORMATS.md's sections as (title, body), the document's own title
+    before the first section."""
+    return [part.partition("\n")[::2]
+            for part in FORMATS_MD.read_text().split("\n## ")]
+
+
 def _documented_examples():
-    """FORMATS.md's JSON examples by section title (the document's own
-    title before the first section): per fenced json block, the JSON
-    values it holds, with each placeholder read as the string "*" and
-    its name ("*pose", "*...")."""
-    text = (Path(__file__).parent.parent / "FORMATS.md").read_text()
+    """FORMATS.md's JSON examples by section title: per fenced json
+    block, the JSON values it holds, with each placeholder read as the
+    string "*" and its name ("*pose", "*...")."""
     out = {}
-    for part in text.split("\n## "):
-        title, _, body = part.partition("\n")
+    for title, body in _sections():
         for block in re.findall(r"```json\n(.*?)```", body, re.S):
             block = _TOKEN.sub(lambda m: (
                 m.group(0) if not m.group(3)
@@ -506,23 +475,30 @@ def _departures(doc, got, refs, at=()):
 def test_formats_md_matches_the_written_files(written, tmp_path):
     examples = _documented_examples()
     ((pose,),) = examples.pop("# File formats")
-    assert examples.keys() == FORMAT_SECTIONS.keys()
-    doc_of = {title: blocks[0][0] for title, blocks in examples.items()}
+    # every section but one documents one format, and every format has
+    # a section
+    titles = {_section_tag(title): title for title, _ in _sections()[1:]
+              if title != LOADING}
+    assert None not in titles
+    assert titles.keys() == FORMATS.keys()
+    assert examples.keys() == set(titles.values())
+    doc_of = {tag: examples[title][0][0] for tag, title in titles.items()}
     # the placeholders that name another example
     refs = {"*pose": pose,
-            "*layout-spec-record": doc_of["Layout spec"],
-            "*constraint-model-record": doc_of["Constraint model"],
-            "*report-results": doc_of["Activity report"]["results"]}
-    for title, name in FORMAT_SECTIONS.items():
+            "*layout-spec-record": doc_of["layout_spec"],
+            "*constraint-model-record": doc_of["constraint_model"],
+            "*report-results": doc_of["activity_report"]["results"]}
+    for name in FORMATS:
+        title = titles[name]
         got = parse(written[name], name)
-        if name in LINE_DELIMITED:
+        if line_file(name):
             # one header line, then one record per line
             header, record, *_ = examples[title][0]
             bad = _departures(header, got[0], refs) + [
                 p for rec in got[1:] for p in _departures(record, rec, refs)]
             assert len(got) > 1
         else:
-            bad = _departures(doc_of[title], got, refs)
+            bad = _departures(doc_of[name], got, refs)
         if name == "activity_spec":
             # the spec shown has the stock arm and a fixed base; the
             # written spec embeds a pinched arm as a robot model record
@@ -530,9 +506,70 @@ def test_formats_md_matches_the_written_files(written, tmp_path):
             ((moving,),) = examples[title][1:]
             bad = [p for p in bad
                    if p[:1] not in (("robot",), ("base_policy",))]
-            bad += _departures(doc_of["Robot model"], got["robot"], refs)
+            bad += _departures(doc_of["robot"], got["robot"], refs)
             bad += _departures(moving, got["base_policy"], refs)
             stock = tmp_path / "stock_spec.json"
-            save_activity_spec(sc.brick_wall_activity(1, 1), stock)
-            bad += _departures(doc_of[title], parse(stock, name), refs)
+            records.save(name, sc.brick_wall_activity(1, 1), stock)
+            bad += _departures(doc_of[name], parse(stock, name), refs)
         assert bad == [], f"{title}: {bad}"
+
+
+def test_formats_md_names_each_formats_error():
+    """The loading section's table: one row per format tag, whose first
+    class is the format's error."""
+    (body,) = [body for title, body in _sections() if title == LOADING]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)`", body, re.M)
+    assert dict(rows) == {tag: fmt.error.__name__
+                          for tag, fmt in FORMATS.items()}
+    assert len(rows) == len(FORMATS)
+
+
+# what reads or writes a file, called by name or as a method
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes",
+              "write_bytes"}
+
+
+def test_only_records_reads_and_writes_files():
+    """Every format goes through records.save and records.load, so no
+    other module opens a file or calls json."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = ((_dotted(node.func) or "") if isinstance(node, ast.Call)
+                    else "")
+            if (name.split(".")[-1] in FILE_CALLS
+                    or name.startswith("json.")
+                    or isinstance(node, ast.Import) and any(
+                        alias.name == "json" for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_segments_must_chain(written, tmp_path):
+    # an empty list used to load, and then extract_guiding_poses raised
+    # a bare IndexError; segments out of order loaded as well
+    doc = parse(written["segments"], "segments")
+    segments = records.load("segments", written["segments"])
+    assert len(segments) > 1
+    bad = tmp_path / "bad.json"
+    for edit, message in (
+            (lambda d: d.update(segments=[]), "bad.json: no segments"),
+            (lambda d: d["segments"].reverse(),
+             "bad.json: segment 1 starts at .*, not at the previous end")):
+        broken = json.loads(json.dumps(doc))
+        edit(broken)
+        dump(broken, bad, "segments")
+        with pytest.raises(MalformedDemonstrationError, match=message):
+            records.load("segments", bad)
+    # what the loader refuses is never written
+    unwritten = tmp_path / "unwritten.json"
+    for refused in ([], segments[::-1]):
+        with pytest.raises(MalformedDemonstrationError):
+            records.save("segments", refused, unwritten)
+        assert not unwritten.exists()
+    demo = _demo()
+    with pytest.raises(DemonstrationError, match="at least one segment"):
+        extract_guiding_poses([], TaskInstance(demo.poses[0],
+                                               demo.poses[-1]))

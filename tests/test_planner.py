@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from screwplan import planner
+from screwplan import planner, records
 from screwplan.activity import run_activity
 from screwplan.kinematics import (
     PANDA_READY,
@@ -47,11 +47,9 @@ from screwplan.planner import (
     _wrap,
     calculate_sew_change,
     geodesic_deviation,
-    load_trajectory,
     mode2_recovery,
     plan_through_guiding_poses,
     plan_to_pose,
-    save_trajectory,
 )
 from screwplan.scenarios import near_limit_scenarios
 from screwplan.screws import (
@@ -65,7 +63,8 @@ from screwplan.screws import (
     pose_error,
     unit_twist,
 )
-from util import prismatic_toy, toy_with_wrist
+from util import (pinned_counts, prismatic_toy, python_calls,
+                  toy_with_wrist)
 
 READY = np.array([0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2,
                   np.pi / 4])
@@ -763,30 +762,6 @@ def test_trajectory_retains_its_rows_and_little_else():
     assert 161 <= retained <= 200
 
 
-# call counts depend on the interpreter and numpy; the bounds below were
-# read on Python 3.11.7 with numpy 2.4.6
-pinned_counts = pytest.mark.skipif(
-    sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
-    reason="call counts are pinned to Python 3.11 and numpy 2.4")
-
-
-def python_calls(run, skip=None):
-    """(run(), the Python-level call events it made), leaving out the
-    calls of the code object skip."""
-    calls = [0]
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is not skip:
-            calls[0] += 1
-
-    sys.setprofile(profile)
-    try:
-        out = run()
-    finally:
-        sys.setprofile(None)
-    return out, calls[0]
-
-
 @pinned_counts
 def test_mode1_step_call_count():
     post_init = TrajectoryStep.__post_init__.__code__
@@ -908,8 +883,8 @@ def test_trajectory_file_round_trip(tmp_path):
     config = PlannerConfig()
     traj = plan_to_pose(READY, LIMIT_GOAL, LIMIT_MODEL, config)
     f = tmp_path / "traj.jsonl"
-    save_trajectory(traj, f, robot="panda")
-    back = load_trajectory(f)
+    records.save("trajectory", traj, f, robot="panda")
+    back = records.load("trajectory", f)
     assert back.outcome is traj.outcome
     assert back.segment_starts == traj.segment_starts
     assert len(back.steps) == len(traj.steps)
@@ -923,14 +898,14 @@ def test_trajectory_file_round_trip(tmp_path):
 def test_trajectory_mode_reads_both_spellings(tmp_path):
     traj = plan_to_pose(READY, LIMIT_GOAL, LIMIT_MODEL, PlannerConfig())
     f = tmp_path / "traj.jsonl"
-    save_trajectory(traj, f, robot="panda")
-    header, *records = f.read_text().splitlines()
-    assert {json.loads(r)["mode"] for r in records} == {1, 2}
+    records.save("trajectory", traj, f, robot="panda")
+    header, *lines = f.read_text().splitlines()
+    assert {json.loads(r)["mode"] for r in lines} == {1, 2}
     spelled = [json.dumps({**json.loads(r),
                            "mode": f"mode{json.loads(r)['mode']}"})
-               for r in records]
+               for r in lines]
     f.write_text("\n".join([header, *spelled]) + "\n")
-    back = load_trajectory(f)
+    back = records.load("trajectory", f)
     assert [s.mode for s in back.steps] == [s.mode for s in traj.steps]
 
 
@@ -938,7 +913,7 @@ def test_trajectory_loader_rejects_malformed_records(tmp_path):
     traj = plan_to_pose(READY, compose(world_turn(0.02), START), MODEL,
                         PlannerConfig())
     f = tmp_path / "traj.jsonl"
-    save_trajectory(traj, f, robot="panda")
+    records.save("trajectory", traj, f, robot="panda")
     header, first, second, *rest = f.read_text().splitlines()
     rec = json.loads(second)
     for bad, message in (
@@ -963,41 +938,41 @@ def test_trajectory_loader_rejects_malformed_records(tmp_path):
         f.write_text("\n".join([header, first, json.dumps(bad), *rest])
                      + "\n")
         with pytest.raises(InvalidTrajectoryError, match=message):
-            load_trajectory(f)
+            records.load("trajectory", f)
 
 
 def test_trajectory_loader_checks_segment_starts(tmp_path):
     traj = plan_to_pose(READY, compose(world_turn(0.02), START), MODEL,
                         PlannerConfig())
     f = tmp_path / "traj.jsonl"
-    save_trajectory(traj, f, robot="panda")
-    header, *records = f.read_text().splitlines()
-    n = len(records)
+    records.save("trajectory", traj, f, robot="panda")
+    header, *lines = f.read_text().splitlines()
+    n = len(lines)
 
     def with_starts(starts):
         f.write_text("\n".join([json.dumps({**json.loads(header),
                                             "segment_starts": starts}),
-                                *records]) + "\n")
+                                *lines]) + "\n")
 
     # a leg already at its goal adds no step: equal starts load
     for good in ([0], [0, 0], [0, 1, 1, n - 1]):
         with_starts(good)
-        assert load_trajectory(f).segment_starts == good
+        assert records.load("trajectory", f).segment_starts == good
     # a start past the last step used to load, and the carried-object
     # poses then came out empty; so did starts that run backwards
     for bad in ([0, 99999], [5, 2], [0, 3, 2], [1], [], [0, n]):
         with_starts(bad)
         with pytest.raises(InvalidTrajectoryError,
                            match=re.escape(f"{f}: segment_starts must")):
-            load_trajectory(f)
+            records.load("trajectory", f)
 
 
 def test_trajectory_writer_keeps_the_loader_rule(tmp_path):
     # a mode-2 fragment is one leg and round-trips
     frag = mode2_recovery(READY, -0.3, MODEL, PlannerConfig())
     f = tmp_path / "frag.jsonl"
-    save_trajectory(frag, f, robot="panda")
-    back = load_trajectory(f)
+    records.save("trajectory", frag, f, robot="panda")
+    back = records.load("trajectory", f)
     assert back.segment_starts == frag.segment_starts == [0]
     assert np.array_equal(np.array([s.q for s in back.steps]),
                           np.array([s.q for s in frag.steps]))
@@ -1009,7 +984,7 @@ def test_trajectory_writer_keeps_the_loader_rule(tmp_path):
         g = tmp_path / "bad.jsonl"
         with pytest.raises(InvalidTrajectoryError,
                            match=re.escape(f"{g}: segment_starts must")):
-            save_trajectory(bad, g)
+            records.save("trajectory", bad, g)
         assert not g.exists()
 
 
@@ -1017,7 +992,7 @@ def test_committed_trajectory_file_loads_and_replans():
     # gallery/05_limit_aware_planning.py wrote it; modes are stored as 1/2
     path = (Path(__file__).parent.parent / "gallery" / "out"
             / "comfortable_goal.jsonl")
-    back = load_trajectory(path)
+    back = records.load("trajectory", path)
     q_goal = READY + np.array([0.3, -0.2, 0.25, -0.3, 0.2, 0.25, -0.3])
     traj = plan_to_pose(READY, forward_kinematics(MODEL, q_goal), MODEL,
                         PlannerConfig())

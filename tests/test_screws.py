@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from screwplan.records import (load_pose_sequence, pose_from_record,
-                               pose_to_record, save_pose_sequence)
+from screwplan import records
+from screwplan.records import pose_from_record, pose_to_record
 from screwplan.screws import (
     INFINITE_PITCH,
     Pose,
@@ -743,12 +743,12 @@ def test_pose_sequence_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     poses = [rand_pose(rng) for _ in range(6)]
     path = tmp_path / "poses.json"
-    save_pose_sequence(poses, path)
-    back = load_pose_sequence(path)
+    records.save("pose_sequence", poses, path)
+    back = records.load("pose_sequence", path)
     assert len(back) == 6
     for a, b in zip(back, poses):
         rot, trans = pose_error(a, b)
         assert rot < 1e-14 and trans < 1e-14
     path.write_text(json.dumps({"format": "poses", "poses": []}))
     with pytest.raises(ValueError):
-        load_pose_sequence(path)
+        records.load("pose_sequence", path)

@@ -6,8 +6,10 @@ code with the package internals.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
+import pytest
 
 from screwplan.kinematics import RobotModel
 from screwplan.screws import (
@@ -96,3 +98,27 @@ def toy_with_wrist(toy):
         toy, name="toy7", twists=np.vstack([toy.twists, wrist]),
         lower=np.concatenate([toy.lower, np.full(4, -3.0)]),
         upper=np.concatenate([toy.upper, np.full(4, 3.0)]))
+
+
+# call counts depend on the interpreter and numpy; the bounds the tests
+# set were read on Python 3.11.7 with numpy 2.4.6
+pinned_counts = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11) or not np.__version__.startswith("2.4."),
+    reason="call counts are pinned to Python 3.11 and numpy 2.4")
+
+
+def python_calls(run, skip=None):
+    """(run(), the Python-level call events it made), leaving out the
+    calls of the code object skip."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is not skip:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls[0]
