@@ -21,8 +21,7 @@ from .kinematics import (PANDA_READY, RobotModel, arm_state,
                          self_motion_rollout, sew_angle)
 from .planner import (InvalidTrajectoryError, JointTrajectory, Mode,
                       Outcome, PlannerConfig, TrajectoryStep,
-                      geodesic_deviation, plan_through_guiding_poses,
-                      plan_to_pose)
+                      plan_through_guiding_poses, plan_to_pose)
 from .activity import (POSITION_TOL, YAW_TOL, ActivityReport, ActivitySpec,
                        FixedBase, FrameGeometry, MovingBase, PairedReport,
                        PickStation, attached_object_poses, compare_baseline,
@@ -41,8 +40,8 @@ __all__ = [
     "PANDA_READY", "RobotModel", "arm_state", "forward_kinematics",
     "limit_margin", "panda_model", "self_motion_rollout", "sew_angle",
     "InvalidTrajectoryError", "JointTrajectory", "Mode", "Outcome",
-    "PlannerConfig", "TrajectoryStep",
-    "geodesic_deviation", "plan_through_guiding_poses", "plan_to_pose",
+    "PlannerConfig", "TrajectoryStep", "plan_through_guiding_poses",
+    "plan_to_pose",
     "POSITION_TOL", "YAW_TOL", "ActivityReport", "ActivitySpec", "FixedBase",
     "FrameGeometry", "MovingBase", "PairedReport", "PickStation",
     "attached_object_poses", "compare_baseline", "evaluate_ceiling",

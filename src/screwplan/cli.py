@@ -45,9 +45,9 @@ def _cmd_plan(args):
     if len(args.q0) != model.n_joints:
         raise records.InputError(f"--q0 has {len(args.q0)} values, robot "
                          f"{model.name!r} has {model.n_joints} joints")
+    q0 = records.reals(args.q0, "--q0", records.InputError)
     config = PlannerConfig(mode2_enabled=not args.no_mode2)
-    traj = plan_through_guiding_poses(np.array(args.q0), guiding, model,
-                                      config)
+    traj = plan_through_guiding_poses(np.array(q0), guiding, model, config)
     records.save("trajectory", traj, args.out, robot=model.name)
     print(f"{traj.outcome.value}: {len(traj)} steps -> {args.out}")
     return 0 if traj.outcome is Outcome.REACHED else 1

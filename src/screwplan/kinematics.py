@@ -400,7 +400,11 @@ def self_motion_rollout(model, q0, delta_psi, step=0.01):
     """Integrate the self-motion field over an elbow-angle interval
     with classical Runge-Kutta.  Returns (psi offsets, configurations),
     both including the start.  A flagged self-motion raises ValueError
-    naming the test that fired."""
+    naming the test that fired, as do a delta_psi that is not a finite
+    number and a step that is not a finite number > 0."""
+    delta_psi = records.real(delta_psi, "delta_psi", ValueError)
+    if records.real(step, "step", ValueError) <= 0.0:
+        raise ValueError("step must be > 0")
 
     def rate(q):
         d, flag = self_motion_direction(model, q)

@@ -34,12 +34,10 @@ from .kinematics import (_Chain, arm_state, check_eps, limit_band,
 from .records import (FORMATS, UNITS, Format, InputError, decode, flag,
                       pose_from_record, pose_to_record, real, reals, whole,
                       wholes)
-from .screws import (Pose, _pose_error, _relative_log, error_twist, log_pose,
-                     pose_error, pose_errors, sclerp_path)
+from .screws import Pose, _pose_error, _relative_log, log_pose, pose_error
 
 STEP_CLAMP = 0.05  # per-joint displacement cap per iteration, radians
 PSI_TOL = 1e-3  # elbow angle convergence tolerance, radians
-SCREW_TRACK_TOL = (math.radians(0.5), 1e-3)  # geodesic conformance
 
 
 class Mode(Enum):
@@ -292,11 +290,15 @@ def mode2_recovery(q, psi_d, model, config, max_steps=None):
     when self_motion flags the arm singular or the elbow still.  psi_d
     is an absolute target on the unwrapped angle scale whose zero is
     the entry angle.  Returns a trajectory fragment of MODE2 steps,
-    without the entry configuration.
+    without the entry configuration.  A psi_d that is not a finite
+    number, or a max_steps that is not a whole number >= 0, raises
+    ValueError.
     """
+    psi_d = real(psi_d, "psi_d", ValueError)
     check_eps(model, config.eps_in, config.eps_out)
     outer = limit_band(model, config.eps_out)
-    budget = config.max_steps if max_steps is None else max_steps
+    budget = (config.max_steps if max_steps is None
+              else whole(max_steps, "max_steps", ValueError))
     gain = config.lam * config.delta_t
     rows = []  # each step's row, stacked on return
     # the entry chain gives the flange held throughout and the angle's zero
@@ -418,57 +420,6 @@ def plan_through_guiding_poses(q0, guiding, model, config):
                                  for k, leg in enumerate(legs)])
            for name in _ROWS},
         outcome=traj.outcome, segment_starts=segment_starts)
-
-
-def geodesic_deviation(start, goal, poses, translation_scale=1.0):
-    """Worst distance from a pose sequence to the screw geodesic
-    between start and goal: (max rotation, max translation), zero for
-    no poses.
-
-    Each pose is matched to its closest geodesic point: a weighted
-    twist projection seeds the parameter (second-order accurate near
-    the geodesic), then two rounds of three-point parabolic refinement
-    tighten it.  The reported deviation is an upper bound that is tight
-    for near-geodesic sequences.
-    """
-    poses = list(poses)
-    if not poses:
-        return 0.0, 0.0
-    Rs = np.stack([p.rotation for p in poses])
-    ps = np.stack([p.translation for p in poses])
-    chord = error_twist(goal, start)
-    weighted = np.concatenate([np.full(3, 1.0 / translation_scale ** 2),
-                               np.ones(3)]) * chord
-    denom = float(chord @ weighted)
-
-    def at(taus):
-        # rows: score, rotation, translation; one column per pose
-        rot, trans = pose_errors(*sclerp_path(start, goal, taus), Rs, ps)
-        return np.stack([rot + trans / translation_scale, rot, trans])
-
-    if denom < 1e-18:
-        tau = np.zeros(len(poses))
-    else:
-        tau = np.clip(np.array([float(error_twist(p, start) @ weighted)
-                                for p in poses]) / denom, 0.0, 1.0)
-    best = at(tau)
-    width = 0.004
-    for _ in range(2):
-        lo = at(tau - width)
-        hi = at(tau + width)
-        # parabola through the three samples; its vertex is a candidate
-        # only where the parabola opens upward
-        curve = lo[0] - 2.0 * best[0] + hi[0]
-        bent = curve > 1e-18
-        shift = np.clip(0.5 * width * (lo[0] - hi[0])
-                        / np.where(bent, curve, 1.0), -width, width)
-        trial = at(tau + shift)
-        trial[0, ~bent] = np.inf
-        pick = np.argmin([best[0], lo[0], hi[0], trial[0]], axis=0)
-        best = np.choose(pick, [best, lo, hi, trial])
-        tau = tau + np.choose(pick, [0.0, -width, width, shift])
-        width *= 0.2
-    return float(best[1].max()), float(best[2].max())
 
 
 def _trajectory_to_lines(traj, robot=""):

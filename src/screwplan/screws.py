@@ -183,18 +183,6 @@ def _pose_error(Ra, pa, Rb, pb):
     return rot, math.dist(pa, pb)
 
 
-def pose_errors(Ra, pa, Rb, pb):
-    """pose_error over stacks of poses a and b, rotations (n, 3, 3) and
-    translations (n, 3): arrays of n angles and n distances."""
-    rel = np.einsum("nji,njk->nik", Ra, Rb)
-    tr = np.einsum("nii->n", rel)
-    skew = rel - np.transpose(rel, (0, 2, 1))
-    s = np.sqrt((skew * skew).sum(axis=(1, 2))) / math.sqrt(8.0)
-    c = (tr - 1.0) / 2.0
-    rot = np.arctan2(np.minimum(s, 1.0), np.clip(c, -1.0, 1.0))
-    return rot, np.linalg.norm(pa - pb, axis=1)
-
-
 @dataclass(frozen=True)
 class ScrewDisplacement:
     """Finite rigid displacement in Chasles form.
@@ -333,8 +321,8 @@ def quat_to_rot(q):
 def _log(R, p):
     """(unit twist xi = [v; w] (6,), magnitude theta) of the displacement
     given as float rows R and a float 3-vector p: the one log behind
-    log_pose, screw_from_pose, error_twist and sclerp.  The rotation is
-    the caller's to check.
+    log_pose, screw_from_pose and sclerp.  The rotation is the caller's
+    to check.
 
     The closed-form SE(3) logarithm (Lynch & Park, Modern Robotics, 2017,
     section 3.3.3.2; Murray, Li & Sastry, 1994): theta and w from the
@@ -411,13 +399,6 @@ def _relative_log(Rg, pg, Rs, ps):
     R = _mul(Rg, Rt)
     _check_rotation(R)
     return _log(R, _apply(Rg, pt, pg))
-
-
-def error_twist(goal, pose):
-    """Log coordinates xi * theta of compose(goal, inverse(pose)), the
-    spatial twist that carries pose onto goal in unit time."""
-    xi, theta = _relative_log(*_rows(goal), *_rows(pose))
-    return xi * theta
 
 
 def sclerp(start, goal, tau):

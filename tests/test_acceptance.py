@@ -24,13 +24,12 @@ from screwplan.kinematics import (arm_state, forward_kinematics,
                                   self_motion_rollout, PANDA_READY)
 from screwplan.layouts import (layout_goals, LayoutKind, LayoutSpec,
                                ObjectDims)
-from screwplan.planner import (geodesic_deviation, plan_to_pose, Mode,
-                               Outcome, PlannerConfig)
+from screwplan.planner import plan_to_pose, Mode, Outcome, PlannerConfig
 from screwplan.screws import (compose, exp_screw, inverse, log_pose,
                               pose_error, sclerp, screw_from_pose,
                               unit_twist, Pose, INFINITE_PITCH)
 from screwplan import scenarios as sc
-from util import rand_pose, rand_screw, rand_unit
+from util import geodesic_deviation, rand_pose, rand_screw, rand_unit
 
 
 def test_01_screw_algebra_suite():

@@ -183,6 +183,20 @@ def test_q0_count_must_match_robot_joints(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_q0_must_be_finite(tmp_path, capsys, bad):
+    guiding_file, out = tmp_path / "guiding.json", tmp_path / "traj.jsonl"
+    records.save("pose_sequence",
+                 [forward_kinematics(panda_model(), PANDA_READY)],
+                 guiding_file)
+    q0 = [str(v) for v in PANDA_READY[:-1]] + [bad]
+    assert main(["plan", "--robot", panda_file(),
+                 "--guiding", str(guiding_file), "--q0", *q0,
+                 "--out", str(out)]) == 2
+    assert "error: --q0 must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plan_takes_one_q0_value_per_joint(tmp_path):
     # a yaw joint and two slides; the guiding pose is the start pose,
     # so the plan holds q0

@@ -35,12 +35,12 @@ from screwplan.screws import (
     exp_screw,
     inverse,
     pose_error,
-    pose_errors,
     quat_to_rot,
     sclerp_path,
     unit_twist,
 )
-from util import pinned_counts, python_calls, rand_pose, rand_unit
+from util import (pinned_counts, pose_errors, python_calls, rand_pose,
+                  rand_unit)
 
 Z = np.array([0.0, 0.0, 1.0])
 

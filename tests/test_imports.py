@@ -1,9 +1,16 @@
-"""Every name a module of src/screwplan imports is used in that module.
+"""Every name a module of src/screwplan imports is used in that module,
+and every name it defines is read by the program.
 
 Two kinds of import are exempt: ``from __future__`` imports, and the
 names perfbench's tracer rebinds in a module (``BINDINGS`` in
 perfbench/spans.py), which a module may import only so that they can be
 rebound.  The package's ``__init__`` uses what its ``__all__`` names.
+
+A module-level function, class or constant counts as read when a name
+or attribute by its name is read in gallery/ or perfbench/ code, or in
+src/screwplan outside its own definition by code that is itself read;
+a name the tracer rebinds counts too.  An import or an ``__all__`` entry
+alone does not: code that only the tests reach belongs in tests/.
 """
 
 import ast
@@ -57,3 +64,64 @@ def test_every_import_is_used():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+# "module.py::name" of definitions that may go unread; keep it empty
+UNREAD_ALLOWED = frozenset()
+
+
+def _reads(tree):
+    """The names read in tree, as a Name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _defines(stmt):
+    """The names a top-level statement defines, dunders left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                          ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return {n for n in names if not n.startswith("__")}
+
+
+def unread_definitions():
+    """Sorted "module.py::name" of the definitions in src/screwplan that
+    no program code reaches.  The walk starts from the top-level
+    statements that define no name (imports, format registrations, the
+    command line's main guard) and the definitions gallery/, perfbench/
+    or the tracer read; a definition is reached when a reached statement
+    reads its name.  Names are matched by spelling alone."""
+    outside = set().union(*(
+        _reads(ast.parse(path.read_text()))
+        for folder in ("gallery", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))))
+    outside |= set().union(*rebound_names().values())
+    stmts = [(path.name, _defines(stmt), _reads(stmt))
+             for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    todo = [i for i, (_, names, _) in enumerate(stmts)
+            if not names or names & outside]
+    reached = set(todo)
+    while todo:
+        read = stmts[todo.pop()][2]
+        for i, (_, names, _) in enumerate(stmts):
+            if i not in reached and names & read:
+                reached.add(i)
+                todo.append(i)
+    return sorted(f"{module}::{name}"
+                  for i, (module, names, _) in enumerate(stmts)
+                  if i not in reached for name in names)
+
+
+def test_every_definition_is_read():
+    unread = [n for n in unread_definitions() if n not in UNREAD_ALLOWED]
+    assert unread == [], f"no program code reads {', '.join(unread)}"

@@ -507,6 +507,15 @@ def test_rollout_refuses_a_flagged_self_motion():
         self_motion_rollout(panda_model(), np.zeros(7), 0.1)
 
 
+@pytest.mark.parametrize("delta_psi, step, field", [
+    (math.nan, 0.01, "delta_psi"), (math.inf, 0.01, "delta_psi"),
+    (-math.inf, 0.01, "delta_psi"), (0.1, 0.0, "step"),
+    (0.1, -0.01, "step"), (0.1, math.nan, "step"), (0.1, math.inf, "step")])
+def test_rollout_refuses_bad_arguments(delta_psi, step, field):
+    with pytest.raises(ValueError, match=field):
+        self_motion_rollout(panda_model(), READY, delta_psi, step)
+
+
 def test_self_motion_holds_pose_and_tracks_psi():
     model = panda_model()
     start = forward_kinematics(model, READY)

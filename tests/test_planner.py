@@ -41,12 +41,10 @@ from screwplan.planner import (
     PlannerConfig,
     PSI_TOL,
     STEP_CLAMP,
-    SCREW_TRACK_TOL,
     TrajectoryStep,
     _clamp,
     _wrap,
     calculate_sew_change,
-    geodesic_deviation,
     mode2_recovery,
     plan_through_guiding_poses,
     plan_to_pose,
@@ -56,14 +54,14 @@ from screwplan.screws import (
     Pose,
     ScrewDisplacement,
     compose,
-    error_twist,
     exp_screw,
     inverse,
     log_pose,
     pose_error,
     unit_twist,
 )
-from util import (pinned_counts, prismatic_toy, python_calls,
+from util import (SCREW_TRACK_TOL, error_twist, geodesic_deviation,
+                  pinned_counts, prismatic_toy, python_calls,
                   toy_with_wrist)
 
 READY = np.array([0.0, -np.pi / 4, 0.0, -3 * np.pi / 4, 0.0, np.pi / 2,
@@ -361,6 +359,10 @@ def test_mode2_recovery_fragment():
     frag = mode2_recovery(READY, 0.0005, MODEL, config)
     assert frag.outcome is Outcome.REACHED
     assert len(frag) == 0
+    # a budget of 0 is spent, not refused
+    frag = mode2_recovery(READY, -0.3, MODEL, config, max_steps=0)
+    assert frag.outcome is Outcome.STEP_BUDGET_EXHAUSTED
+    assert len(frag) == 0
     # a real swing holds the pose and lands on the target angle
     frag = mode2_recovery(READY, -0.3, MODEL, config)
     assert frag.outcome is Outcome.REACHED
@@ -369,6 +371,17 @@ def test_mode2_recovery_fragment():
     assert trans < 1e-4 and rot < math.radians(0.1)
     swing = sew_angle(MODEL, frag.final_q) - sew_angle(MODEL, READY)
     assert abs(swing - (-0.3)) < 2e-3
+
+
+@pytest.mark.parametrize("psi_d, max_steps, field", [
+    (math.nan, None, "psi_d"), (math.inf, None, "psi_d"),
+    (-math.inf, None, "psi_d"), ("0.3", None, "psi_d"),
+    (-0.3, -3, "max_steps"), (-0.3, 2.5, "max_steps"),
+    (-0.3, math.nan, "max_steps")])
+def test_mode2_recovery_refuses_bad_arguments(psi_d, max_steps, field):
+    with pytest.raises(ValueError, match=field):
+        mode2_recovery(READY, psi_d, MODEL, PlannerConfig(),
+                       max_steps=max_steps)
 
 
 def test_mode2_lam_scales_step_count():

@@ -25,14 +25,12 @@ from screwplan.screws import (
     _check_unit_twist,
     _log,
     compose,
-    error_twist,
     exp_screw,
     exp_twists,
     hat,
     inverse,
     log_pose,
     pose_error,
-    pose_errors,
     quat_to_rot,
     rot_to_quat,
     sclerp,
@@ -40,7 +38,8 @@ from screwplan.screws import (
     screw_from_pose,
     unit_twist,
 )
-from util import expm_dense, rand_pose, rand_screw, rand_unit
+from util import (error_twist, expm_dense, pose_errors, rand_pose,
+                  rand_screw, rand_unit)
 
 
 def adjoint(pose):
