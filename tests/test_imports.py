@@ -79,15 +79,12 @@ def _reads(tree):
 
 
 def _defines(stmt):
-    """The names a top-level statement defines, dunders left out."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
+    """The names a top-level def, class or assignment defines, dunders
+    left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, ast.Assign):
         names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
-                                                          ast.Name):
-        names = [stmt.target.id]
     else:
         names = []
     return {n for n in names if not n.startswith("__")}
