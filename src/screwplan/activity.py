@@ -35,6 +35,10 @@ from .screws import Pose, compose, inverse, pose_error
 # full rotation error is recorded but does not gate success
 POSITION_TOL = 0.0075
 YAW_TOL = math.radians(2.0)
+# a swept tile straddles the ceiling plane only with one corner more
+# than this far (meters) below it and another more than this far above,
+# so a corner the plane holds up to rounding decides nothing
+STRADDLE_TOL = 1e-9
 
 
 class ActivityError(InputError):
@@ -369,11 +373,13 @@ def evaluate_ceiling(tile_poses, dims, frame):
     """Geometric pass/fail for a tile carried through a ceiling opening.
 
     Succeeds iff at every pose whose cuboid straddles the frame plane
-    the cross-section (polygon cut by the plane) lies inside the
-    opening, and the final pose lies flat on the lip: tilt below the
-    yaw tolerance, bottom corners within the position tolerance of the
-    plane, center over the opening.  Support is scored by pose, not
-    statics.  The poses (any iterable) are scored in one stacked pass.
+    (a corner more than STRADDLE_TOL below it and another more than
+    STRADDLE_TOL above) the cross-section (polygon cut by the plane)
+    lies inside the opening, and the final pose lies flat on the lip:
+    tilt below the yaw tolerance, bottom corners within the position
+    tolerance of the plane, center over the opening.  Support is scored
+    by pose, not statics.  The poses (any iterable) are scored in one
+    stacked pass.
     """
     poses = list(tile_poses)
     if not poses:
@@ -395,7 +401,8 @@ def evaluate_ceiling(tile_poses, dims, frame):
     # edges of straddling poses with ends either side of the plane,
     # picked before dividing, so that zi != zj
     k, e = np.nonzero((up[:, i] != up[:, j])
-                      & ((z.min(axis=1) < 0.0) & up.any(axis=1))[:, None])
+                      & ((z.min(axis=1) < -STRADDLE_TOL)
+                         & (z.max(axis=1) > STRADDLE_TOL))[:, None])
     zi, zj = z[k, i[e]], z[k, j[e]]
     start = pts[k, i[e], :2]
     cut = start + (zi / (zi - zj))[:, None] * (pts[k, j[e], :2] - start)

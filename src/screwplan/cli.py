@@ -10,6 +10,7 @@ placement fell short, 2 on bad inputs.
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -72,8 +73,21 @@ def _cmd_compare_baseline(args):
     return _run_and_score(args, compare_baseline, "paired_activity_report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a minus sign followed by any float
+    spelling (-1e-3, -.5, -inf, -nan) as a negative number, a value,
+    where argparse's own pattern takes only -<digits> and
+    -<digits>.<digits> and reads the rest as options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="screwplan",
         description="screw-geodesic motion plans from one demonstration")
     sub = parser.add_subparsers(dest="command", required=True)

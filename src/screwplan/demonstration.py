@@ -12,16 +12,18 @@ relative screw inside a group.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
-                      pose_from_record, pose_to_record, real, reals, text,
-                      whole, wholes)
-from .screws import (Pose, ScrewDisplacement, _compose, _inverse,
-                     _pose_error, _quat_pivot, _relative_log, _rows, compose,
-                     exp_twists, hat, inverse, sclerp_path, screw_from_pose)
+                      pose_from_record, pose_records, pose_to_record, real,
+                      reals, text, whole, wholes)
+from .screws import (Pose, ScrewDisplacement, _check_rotation, _compose,
+                     _inverse, _pose_errors, _quat_pivots, _refused_rotations,
+                     _relative_log, _rows, compose, exp_twists, hat, inverse,
+                     sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -57,22 +59,88 @@ class NoAnchorError(DemonstrationError):
 
 @dataclass(frozen=True)
 class Demonstration:
+    """A timestamped sequence of object poses, one read-only array per
+    field: times (n,) seconds, strictly increasing, and the object's
+    rotation (n, 3, 3) and translation (n, 3) at each sample.  The
+    arrays are copied and checked once, in bulk: every sample must be a
+    pose Pose accepts, and the error names the first that is not."""
+
     times: np.ndarray
-    poses: tuple
+    rotation: np.ndarray
+    translation: np.ndarray
     object_id: str
 
     def __post_init__(self):
         E = MalformedDemonstrationError
-        times = np.array(reals(self.times, "times", E))
+        times = self.times
+        # a float array is checked in bulk, anything else by the reader
+        # rule, value by value
+        if not (isinstance(times, np.ndarray) and times.dtype.kind == "f"):
+            times = reals(times, "times", E)
+        times = np.array(times, dtype=float)
+        if times.ndim != 1 or not np.isfinite(times).all():
+            raise E("times must be finite numbers in one flat list")
         text(self.object_id, "object_id", E)
-        poses = tuple(instance(p, Pose, "pose", E) for p in self.poses)
-        if len(times) != len(poses) or len(poses) < 2:
+        R = _stack(self.rotation, "rotation", (3, 3))
+        p = _stack(self.translation, "translation", (3,))
+        if not len(times) == len(R) == len(p) or len(times) < 2:
             raise E("need matching times and poses, at least 2 samples")
         if np.any(np.diff(times) <= 0.0):
             raise NonMonotoneTimeError("timestamps must strictly increase")
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "poses", poses)
+        refused = _refused_rotations(R)
+        bad = refused | ~np.isfinite(p).all(axis=1)
+        if bad.any():
+            k = int(bad.argmax())
+            if refused[k]:
+                try:
+                    _check_rotation(R[k].tolist())
+                except ValueError as e:
+                    raise E(f"sample {k}: {e}") from e
+            raise E(f"sample {k}: pose translation must be finite")
+        for name, a in (("times", times), ("rotation", R),
+                        ("translation", p)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def poses(self):
+        """The samples as Pose objects, each built when it is indexed or
+        iterated."""
+        return _Poses(self)
+
+
+def _stack(x, name, shape):
+    """x as a fresh float array of shape (n, *shape), when it holds
+    numbers: not strings, bools or None."""
+    try:
+        a = np.array(x)
+    except ValueError as e:
+        raise MalformedDemonstrationError(f"{name}: {e}") from e
+    if a.dtype.kind not in "fiu" or a.shape[1:] != shape \
+            or a.ndim != len(shape) + 1:
+        raise MalformedDemonstrationError(
+            f"{name} must be numbers of shape (n, "
+            f"{', '.join(map(str, shape))}), got {a.dtype} {a.shape}")
+    return a.astype(float, copy=False)
+
+
+class _Poses(Sequence):
+    """A demonstration's samples as Pose objects, each built when it is
+    indexed or iterated; the view holds the demonstration and nothing
+    else."""
+
+    __slots__ = ("_demo",)
+
+    def __init__(self, demo):
+        self._demo = demo
+
+    def __len__(self):
+        return len(self._demo.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return Pose(self._demo.rotation[i], self._demo.translation[i])
 
 
 @dataclass(frozen=True)
@@ -150,14 +218,17 @@ def _demo_header(doc):
 
 
 def _demo_from_lines(object_id, samples):
-    return Demonstration(np.array([t for t, _ in samples]),
-                         tuple(p for _, p in samples), object_id)
+    times, poses = zip(*samples) if samples else ((), ())
+    return Demonstration(
+        times, np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+        np.array([p.translation for p in poses]).reshape(-1, 3), object_id)
 
 
 def _demo_to_lines(demo):
     return [{"object_id": demo.object_id, "units": "m"},
-            *({"t": float(t), "pose": pose_to_record(pose)}
-              for t, pose in zip(demo.times, demo.poses))]
+            *({"t": t, "pose": pose} for t, pose in zip(
+                demo.times.tolist(),
+                pose_records(demo.rotation, demo.translation)))]
 
 
 def constraint_model_to_record(model):
@@ -359,21 +430,20 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     tol = reals(fit_tol, "fit_tol", DemonstrationError, 2)
     if min(tol) < 0.0:
         raise DemonstrationError("fit tolerances must be finite numbers >= 0")
-    poses = demo.poses
-    n = len(poses)
-    Rl = [p.rotation.tolist() for p in poses]
-    P = np.stack([p.translation for p in poses], axis=1)
-    pl = P.T.tolist()
-    q = np.array([_quat_pivot(R) for R in Rl], dtype=float).T
+    R, p = demo.rotation, demo.translation
+    n = len(R)
+    Rl, pl = R.tolist(), p.tolist()
+    P = np.ascontiguousarray(p.T)
+    q = _quat_pivots(R).T
     q /= np.sqrt((q * q).sum(axis=0))
     # arc length: one radian of rotation counts as one meter
-    inc = [r + t for r, t in map(_pose_error, Rl, pl, Rl[1:], pl[1:])]
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
+    rot, trans = _pose_errors(R[:-1], p[:-1], R[1:], p[1:])
+    cum = np.concatenate([[0.0], np.cumsum(rot + trans)])
     if cum[-1] < 1e-12:
         raise DegenerateDemonstrationError(
             "demonstration has fewer than 2 distinct poses")
     segments = []
-    a = 0
+    a, start = 0, Pose(R[0], p[0])
     while a < n - 1:
         b = a + 1
         while b < n - 1:
@@ -388,8 +458,9 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
                 b = misfit - 1
                 break
             b = ends[-1]
-        segments.append(ScrewSegment(a, b, poses[a], poses[b]))
-        a = b
+        end = Pose(R[b], p[b])
+        segments.append(ScrewSegment(a, b, start, end))
+        a, start = b, end
     return segments
 
 
@@ -512,5 +583,4 @@ def synthesize_demonstration(key_poses, samples_per_leg=50,
         R = wobble @ R
         p = p + shifts * (trans_amp * lengths
                           / np.linalg.norm(shifts, axis=1))[:, None]
-    times = dt * np.arange(len(R))
-    return Demonstration(times, tuple(map(Pose, R, p)), object_id)
+    return Demonstration(dt * np.arange(len(R)), R, p, object_id)

@@ -15,12 +15,10 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-import numpy as np
-
 from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
                       pose_from_record, pose_to_record, real, reals, whole,
                       wholes)
-from .screws import Pose, compose
+from .screws import Pose, _compose, _rows
 
 
 class InvalidLayoutError(InputError):
@@ -51,22 +49,23 @@ class ObjectDims:
             object.__setattr__(self, name, x)
 
 
-def translation_x(t):
-    return Pose(np.eye(3), np.array([float(t), 0.0, 0.0]))
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def translation_y(t):
-    return Pose(np.eye(3), np.array([0.0, float(t), 0.0]))
+def _shift(x=0.0, y=0.0, z=0.0):
+    """A pure translation as float rows and a 3-vector, the form the
+    recurrences chain with _compose."""
+    return _EYE, (float(x), float(y), float(z))
 
 
-def translation_z(t):
-    return Pose(np.eye(3), np.array([0.0, 0.0, float(t)]))
+def _yaw(theta):
+    """A rotation by theta about z, as float rows and a 3-vector."""
+    c, s = math.cos(theta), math.sin(theta)
+    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0)
 
 
 def yaw_rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return Pose(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
-                np.zeros(3))
+    return Pose(*_yaw(theta))
 
 
 def delta_offset(x, y):
@@ -151,17 +150,18 @@ def _layer_shift(spec, k, d):
 
 
 def _layer_starts(spec):
-    """First-object pose of each layer: lift by one object width plus
-    bed gap, shifted in the layer plane by the running-bond offset.  The
-    lift carries no yaw, so layers stay registered above each other."""
+    """First-object pose of each layer, as float rows: lift by one object
+    width plus bed gap, shifted in the layer plane by the running-bond
+    offset.  The lift carries no yaw, so layers stay registered above
+    each other."""
     lift = spec.dims.width + spec.spacing[2]
-    starts = [spec.base]
+    starts = [_rows(spec.base)]
     for k in range(2, spec.layers + 1):
         sx = _layer_shift(spec, k, spec.layer_offset[0])
         sy = _layer_shift(spec, k, spec.layer_offset[1])
-        step = compose(translation_z(lift), translation_x(sx))
-        step = compose(step, translation_y(sy))
-        starts.append(compose(starts[-1], step))
+        step = _compose(*_shift(z=lift), *_shift(x=sx))
+        step = _compose(*step, *_shift(y=sy))
+        starts.append(_compose(*starts[-1], *step))
     return starts
 
 
@@ -171,14 +171,13 @@ def wall_goals(spec):
     yaw (zero for a straight wall)."""
     _require_kind(spec, LayoutKind.STRAIGHT_WALL, LayoutKind.CURVED_WALL)
     pitch = spec.dims.length + spec.spacing[0]
-    step = compose(translation_x(pitch), yaw_rotation(spec.per_step_yaw))
+    step = _compose(*_shift(x=pitch), *_yaw(spec.per_step_yaw))
     goals = []
-    for k, start in enumerate(_layer_starts(spec), start=1):
-        pose = start
+    for k, pose in enumerate(_layer_starts(spec), start=1):
         for j in range(1, spec.per_layer + 1):
             if j > 1:
-                pose = compose(pose, step)
-            goals.append(LayoutGoal(1, j, k, pose))
+                pose = _compose(*pose, *step)
+            goals.append(LayoutGoal(1, j, k, Pose(*pose)))
     return goals
 
 
@@ -193,16 +192,15 @@ def corner_wall_goals(spec):
     _require_kind(spec, LayoutKind.CORNER_WALL)
     s = (spec.dims.length + spec.dims.breadth) / 2.0 + spec.spacing[0]
     goals = []
-    for k, start in enumerate(_layer_starts(spec), start=1):
-        pose = start
+    for k, pose in enumerate(_layer_starts(spec), start=1):
         for i in range(1, spec.per_layer + 1):
             if i > 1:
-                step = compose(translation_x(delta_offset(i + 1, s)),
-                               translation_y(delta_offset(i, s)))
+                step = _compose(*_shift(x=delta_offset(i + 1, s)),
+                                *_shift(y=delta_offset(i, s)))
                 if i == spec.corner_index:
-                    step = compose(step, yaw_rotation(math.pi / 2.0))
-                pose = compose(pose, step)
-            goals.append(LayoutGoal(i, 1, k, pose))
+                    step = _compose(*step, *_yaw(math.pi / 2.0))
+                pose = _compose(*pose, *step)
+            goals.append(LayoutGoal(i, 1, k, Pose(*pose)))
     return goals
 
 
@@ -213,16 +211,15 @@ def ceiling_goals(spec):
     _require_kind(spec, LayoutKind.CEILING_GRID)
     col = spec.dims.length + spec.spacing[0]
     row = spec.dims.breadth + spec.spacing[1]
-    goals = []
-    for i in range(1, spec.layers + 1):
-        for j in range(1, spec.per_layer + 1):
-            offset = Pose(np.eye(3), np.array(
-                [(j - 1) * col, (i - 1) * row, 0.0]))
-            goals.append(LayoutGoal(i, j, 1, compose(spec.base, offset)))
-    return goals
+    base = _rows(spec.base)
+    return [LayoutGoal(i, j, 1, Pose(*_compose(
+        *base, *_shift((j - 1) * col, (i - 1) * row))))
+        for i in range(1, spec.layers + 1)
+        for j in range(1, spec.per_layer + 1)]
 
 
 def layout_goals(spec):
+    """The goals of a layout, in its kind's order, one Pose each."""
     if spec.kind is LayoutKind.CORNER_WALL:
         return corner_wall_goals(spec)
     if spec.kind is LayoutKind.CEILING_GRID:
@@ -235,7 +232,8 @@ def pick_stack(base, count, dims):
     successive pick sits one object width lower, the last at the base."""
     if count < 1:
         raise InvalidLayoutError("pick stack needs at least one object")
-    return [compose(base, translation_z(dims.width * (count - 1 - n)))
+    rows = _rows(base)
+    return [Pose(*_compose(*rows, *_shift(z=dims.width * (count - 1 - n))))
             for n in range(count)]
 
 

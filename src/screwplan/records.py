@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .screws import Pose, quat_to_rot, rot_to_quat
+from .screws import Pose, _unit_quats, quat_to_rot, rot_to_quat
 
 
 class InputError(ValueError):
@@ -112,6 +112,13 @@ def pose_to_record(pose):
     q = rot_to_quat(pose.rotation)
     return {"t": [float(x) for x in pose.translation],
             "q": [float(x) for x in q]}
+
+
+def pose_records(rotation, translation):
+    """pose_to_record of each pose of a stack, rotations (n, 3, 3) and
+    translations (n, 3), with the same numbers."""
+    return [{"t": t, "q": q} for t, q in zip(translation.tolist(),
+                                             _unit_quats(rotation).tolist())]
 
 
 def pose_from_record(record):

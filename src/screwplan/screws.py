@@ -68,6 +68,24 @@ def _check_rotation(R):
         raise ValueError(f"rotation not orthonormal (deviation {dev:.3e})")
 
 
+def _refused_rotations(R):
+    """Which rotations of a stack (n, 3, 3) _check_rotation refuses, as
+    a boolean (n,): its arithmetic, entry by entry, over the stack.  A
+    non-finite entry makes its column's squared norm inf or nan, so the
+    deviation test refuses it without a test of its own."""
+    (a, b, c), (d, e, f), (g, h, i) = R.transpose(1, 2, 0)
+    with np.errstate(all="ignore"):
+        dev = np.maximum.reduce([abs(a * a + d * d + g * g - 1.0),
+                                 abs(b * b + e * e + h * h - 1.0),
+                                 abs(c * c + f * f + i * i - 1.0),
+                                 abs(a * b + d * e + g * h),
+                                 abs(a * c + d * f + g * i),
+                                 abs(b * c + e * f + h * i)])
+        det = (a * (e * i - f * h) - b * (d * i - f * g)
+               + c * (d * h - e * g))
+    return ~(dev <= _ORTHO_TOL) | (det < 0.0)
+
+
 def _mul(A, B):
     """The 3x3 product A B of two matrices given as float rows."""
     (a, b, c), (d, e, f), (g, h, i) = A
@@ -181,6 +199,24 @@ def _pose_error(Ra, pa, Rb, pb):
            + (c * l + f * o + i * r) - 1.0) / 2.0
     rot = math.atan2(min(s, 1.0), max(-1.0, min(cos, 1.0)))
     return rot, math.dist(pa, pb)
+
+
+def _pose_errors(Ra, pa, Rb, pb):
+    """_pose_error over stacks of poses a and b, rotations (n, 3, 3) and
+    translations (n, 3): arrays of n angles and n distances, by its
+    arithmetic entry by entry, with square roots of sums of squares in
+    place of hypot and dist."""
+    (a, b, c), (d, e, f), (g, h, i) = Ra.transpose(1, 2, 0)
+    (j, k, l), (m, n, o), (p, q, r) = Rb.transpose(1, 2, 0)
+    x = (c * k + f * n + i * q) - (b * l + e * o + h * r)
+    y = (a * l + d * o + g * r) - (c * j + f * m + i * p)
+    z = (b * j + e * m + h * p) - (a * k + d * n + g * q)
+    s = 0.5 * np.sqrt(x * x + y * y + z * z)
+    cos = ((a * j + d * m + g * p) + (b * k + e * n + h * q)
+           + (c * l + f * o + i * r) - 1.0) / 2.0
+    dp = pa - pb
+    return (np.arctan2(np.minimum(s, 1.0), np.clip(cos, -1.0, 1.0)),
+            np.sqrt((dp * dp).sum(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -297,6 +333,29 @@ def _quat_pivot(R):
     return (r10 - r01) * s, (r02 + r20) * s, (r12 + r21) * s, 0.5 * r
 
 
+# per pivot, where each quaternion entry sits among (0.5 r, then the
+# six sums and differences of off-diagonal entries in _quat_pivots)
+_PIVOT_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6],
+                           [3, 5, 6, 0]])
+
+
+def _quat_pivots(R):
+    """_quat_pivot of each rotation of a stack (n, 3, 3), as (n, 4): the
+    same pivot and the same float operations, row by row."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R.transpose(1, 2, 0)
+    t = r00 + r11 + r22
+    # the first largest of trace and diagonal, as the scalar branches take
+    pivot = np.argmax([t, r00, r11, r22], axis=0)
+    r = np.sqrt(np.choose(pivot, [1.0 + t, 1.0 + r00 - r11 - r22,
+                                  1.0 - r00 + r11 - r22,
+                                  1.0 - r00 - r11 + r22]))
+    s = 0.5 / r
+    entries = np.array([0.5 * r, (r21 - r12) * s, (r02 - r20) * s,
+                        (r10 - r01) * s, (r01 + r10) * s, (r02 + r20) * s,
+                        (r12 + r21) * s])
+    return entries[_PIVOT_ENTRIES[pivot], np.arange(len(R))[:, None]]
+
+
 def rot_to_quat(R):
     """Rotation matrix to unit quaternion [w, x, y, z], w >= 0 (see
     _quat_pivot)."""
@@ -304,6 +363,16 @@ def rot_to_quat(R):
     q /= _norm(q)
     if q[0] < 0.0:
         q = -q
+    return q
+
+
+def _unit_quats(R):
+    """rot_to_quat of each rotation of a stack (n, 3, 3), as (n, 4): the
+    pivot quaternions, scaled by the same dot-product norm (np.vecdot
+    takes _norm's dot row by row), with w >= 0."""
+    q = _quat_pivots(R)
+    q /= np.sqrt(np.vecdot(q, q))[:, None]
+    q[q[:, 0] < 0.0] *= -1.0
     return q
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from screwplan import records, scenarios
-from screwplan.activity import (POSITION_TOL, YAW_TOL, ActivityReport,
-                                ActivitySpec, FixedBase,
+from screwplan.activity import (POSITION_TOL, STRADDLE_TOL, YAW_TOL,
+                                ActivityReport, ActivitySpec, FixedBase,
                                 FrameGeometry, InvalidActivitySpecError,
                                 MalformedReportError, MovingBase,
                                 PairedReport, PickStation,
@@ -354,7 +354,7 @@ def reference_evaluate_ceiling(tile_poses, dims, frame):
     for pose in tile_poses:
         pts = compose(inv_frame, pose).apply(corners)
         z = pts[:, 2]
-        if z.min() >= 0.0 or z.max() <= 0.0:
+        if not (z.min() < -STRADDLE_TOL and z.max() > STRADDLE_TOL):
             continue
         for i, j in _EDGES:
             zi, zj = z[i], z[j]
@@ -449,6 +449,27 @@ def test_ceiling_corner_exactly_on_the_plane():
             assert evaluate_ceiling(sweep, dims, frame) is True
     assert not reference_evaluate_ceiling([seated, off], dims, frame)
     assert evaluate_ceiling([seated, off], dims, frame) is False
+
+
+def test_ceiling_corner_within_the_band_counts_as_on_the_plane():
+    # a pose whose corners touch the plane up to 1e-12, from above or
+    # below, is decided as the one exactly on it: it does not straddle,
+    # so its footprint far off the opening is never cut
+    frame = FrameGeometry(pose=flat([0.0, 0.0, 1.0]), opening_length=0.5,
+                          opening_breadth=0.5)
+    dims = ObjectDims(0.25, 0.25, 0.25)
+    seated = flat([0.0, 0.0, 1.125])
+    for x, y, z in ((1.0, 0.0, 1.125), (0.0, -1.0, 0.875)):
+        for nudge in (0.0, 1e-12, -1e-12):
+            off = flat([x, y, z + nudge])
+            corners = compose(inverse(frame.pose), off).apply(
+                _cuboid_corners(dims))[:, 2]
+            assert np.abs(corners).min() <= 2e-12
+            assert evaluate_ceiling([off, seated], dims, frame) is True
+            assert reference_evaluate_ceiling([off, seated], dims, frame)
+    # past the band the same footprint straddles and is cut
+    off = flat([1.0, 0.0, 1.125 - 1e-6])
+    assert evaluate_ceiling([off, seated], dims, frame) is False
 
 
 @pytest.fixture(scope="module")

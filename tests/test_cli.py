@@ -183,7 +183,7 @@ def test_q0_count_must_match_robot_joints(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_q0_must_be_finite(tmp_path, capsys, bad):
     guiding_file, out = tmp_path / "guiding.json", tmp_path / "traj.jsonl"
     records.save("pose_sequence",
@@ -223,6 +223,30 @@ def test_plan_takes_one_q0_value_per_joint(tmp_path):
                  "--guiding", str(guiding_file),
                  "--q0", *[str(v) for v in PANDA_READY],
                  "--out", str(out)]) == 2
+
+
+def test_q0_takes_negative_numbers_in_any_float_spelling(tmp_path):
+    # exponent forms and a bare fraction are values, not options
+    robot = RobotModel(
+        name="slider",
+        twists=np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+        home_pose=Pose.identity(), lower=np.array([-3.0, -1.0, -1.0]),
+        upper=np.array([3.0, 1.0, 1.0]), sew_indices=(0, 1, 2))
+    robot_file, guiding_file = tmp_path / "r.json", tmp_path / "g.json"
+    out = tmp_path / "traj.jsonl"
+    records.save("robot", robot, robot_file)
+    for q0 in (["-1e-3", "-2E-1", "-.1"], ["-2.5e0", "-1.e-1", "-0.25"]):
+        want = np.array([float(v) for v in q0])
+        records.save("pose_sequence", [forward_kinematics(robot, want)],
+                     guiding_file)
+        assert main(["plan", "--robot", str(robot_file),
+                     "--guiding", str(guiding_file), "--q0", *q0,
+                     "--out", str(out)]) == 0
+        traj = records.load("trajectory", out)
+        assert traj.outcome is Outcome.REACHED
+        assert_allclose(traj.final_q, want, atol=0.0)
 
 
 def test_plan_moves_a_robot_with_fewer_than_six_joints(tmp_path):

@@ -39,8 +39,8 @@ from screwplan.screws import (
     sclerp_path,
     unit_twist,
 )
-from util import (pinned_counts, pose_errors, python_calls, rand_pose,
-                  rand_unit)
+from util import (demo_from_poses, pinned_counts, pose_errors, python_calls,
+                  rand_pose, rand_unit)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -252,14 +252,14 @@ def test_stationary_dwell_does_not_split():
     times = np.concatenate([demo.times, [demo.times[-1] + 0.02]])
     poses = list(demo.poses)
     poses.insert(10, poses[10])
-    dwell = Demonstration(times, tuple(poses), demo.object_id)
+    dwell = demo_from_poses(times, poses, demo.object_id)
     segs = segment_demonstration(dwell)
     assert len(segs) == 1
 
 
 def test_degenerate_demo_rejected():
     g = Pose.identity()
-    demo = Demonstration(np.array([0.0, 0.1, 0.2]), (g, g, g), "b")
+    demo = demo_from_poses(np.array([0.0, 0.1, 0.2]), (g, g, g), "b")
     with pytest.raises(DegenerateDemonstrationError):
         segment_demonstration(demo)
 
@@ -268,9 +268,9 @@ def test_segmentation_frame_equivariance():
     rng = np.random.default_rng(22)
     demo = synthesize_demonstration(pick_place_keys(), samples_per_leg=40)
     h = rand_pose(rng)
-    moved = Demonstration(demo.times,
-                          tuple(compose(h, p) for p in demo.poses),
-                          demo.object_id)
+    moved = demo_from_poses(demo.times,
+                            tuple(compose(h, p) for p in demo.poses),
+                            demo.object_id)
     a = [(s.start_index, s.end_index) for s in segment_demonstration(demo)]
     b = [(s.start_index, s.end_index) for s in segment_demonstration(moved)]
     assert a == b
@@ -365,12 +365,12 @@ def _reference_cases(rng):
         poses = list(demo.poses)
         for j in (0, *rng.integers(0, len(poses), 3)):
             poses[j:j] = [poses[j]] * int(rng.integers(1, 4))
-        cases.append((Demonstration(0.02 * np.arange(len(poses)),
-                                    tuple(poses), "dwell"), tol))
+        cases.append((demo_from_poses(0.02 * np.arange(len(poses)),
+                                      tuple(poses), "dwell"), tol))
         # 2 and 3 samples
         short = tuple(rand_pose(rng) for _ in range(2 + i % 2))
-        cases.append((Demonstration(0.02 * np.arange(len(short)), short,
-                                    "short"), tol))
+        cases.append((demo_from_poses(0.02 * np.arange(len(short)), short,
+                                      "short"), tol))
     return cases
 
 
@@ -417,7 +417,8 @@ def test_split_stops_at_the_first_misfit():
     xs = ((0, 0), (1, 0), (2, 0), (1.9, 0), (4, 0), (5.8, 0), (5.8, 2),
           (5.8, 4))
     poses = tuple(Pose(np.eye(3), np.array([x, y, 0.0])) for x, y in xs)
-    demo = Demonstration(0.02 * np.arange(len(poses)), poses, "backtrack")
+    demo = demo_from_poses(0.02 * np.arange(len(poses)), poses,
+                           "backtrack")
     tol = (0.01, 0.15)
     Rs = np.stack([p.rotation for p in poses])
     ps = np.stack([p.translation for p in poses])
@@ -501,6 +502,21 @@ def test_segmentation_window_call_count(monkeypatch):
     # Python-level calls per scored window, the per-sample set-up
     # (arc length, quaternions) included: 2205 calls over 146 windows
     assert (long_calls - short_calls) / (long - short) <= 15.11
+
+
+def test_pose_count_does_not_grow_with_the_samples():
+    # synthesis and segmentation work on the stacked samples: the Pose
+    # objects they build are the four boundary poses and, per segment,
+    # the two its screw is derived through
+    keys = pick_place_keys()
+    counts = {}
+    for per_leg in (25, 50, 100):
+        segs, counts[per_leg] = python_calls(
+            lambda: segment_demonstration(synthesize_demonstration(
+                keys, samples_per_leg=[per_leg, per_leg, per_leg // 4])),
+            only=Pose.__post_init__.__code__)
+        assert len(segs) == 3
+    assert counts[25] == counts[50] == counts[100] == 10, counts
 
 
 # ------------------------------------------------- guiding poses, transfer
@@ -603,6 +619,95 @@ _poses = st.tuples(
         lambda qt: Pose(quat_to_rot(qt[0]), np.array(qt[1])))
 
 
+def _edge_scale():
+    """The largest a for which diag(a, 1, 1) passes the orthonormality
+    check, a * a - 1.0 <= 1e-9; the next float up fails it."""
+    a = math.sqrt(1.0 + 1e-9)
+    while a * a - 1.0 > 1e-9:
+        a = math.nextafter(a, 0.0)
+    while math.nextafter(a, 2.0) ** 2 - 1.0 <= 1e-9:
+        a = math.nextafter(a, 2.0)
+    return a
+
+
+_EDGE = _edge_scale()
+
+
+@st.composite
+def _sample_stacks(draw):
+    """Stacked rotations and translations of 2-6 samples, each a pose or
+    one broken in some way: a non-finite entry, a deviation near the
+    orthonormality tolerance on either side, or a reflection."""
+    n = draw(st.integers(2, 6))
+    poses = draw(st.lists(_poses, min_size=n, max_size=n))
+    R = np.array([g.rotation for g in poses])
+    p = np.array([g.translation for g in poses])
+    entry = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    for k in range(n):
+        kind = draw(st.sampled_from(
+            ("pose", "pose", "scale", "entry", "edge", "past edge",
+             "reflection", "rotation", "translation")))
+        if kind == "scale":
+            R[k] *= 1.0 + draw(st.floats(4.9e-10, 5.1e-10))
+        elif kind == "entry":
+            R[k][draw(entry)] += draw(st.floats(-2e-9, 2e-9))
+        elif kind in ("edge", "past edge"):
+            a = _EDGE if kind == "edge" else math.nextafter(_EDGE, 2.0)
+            R[k] = np.diag([a, 1.0, 1.0])
+        elif kind == "reflection":
+            R[k] = -R[k]
+        elif kind == "rotation":
+            R[k][draw(entry)] = draw(st.sampled_from(
+                (math.nan, math.inf, -math.inf)))
+        elif kind == "translation":
+            p[k, draw(st.integers(0, 2))] = draw(st.sampled_from(
+                (math.nan, math.inf, -math.inf)))
+    return R, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sample_stacks())
+def test_demonstration_refuses_exactly_what_pose_refuses(stacks):
+    # the bulk check against one Pose per sample: the same samples
+    # refused, the first of them named, with Pose's reason
+    R, p = stacks
+    refused = []
+    for k in range(len(R)):
+        try:
+            Pose(R[k], p[k])
+        except ValueError as e:
+            refused.append(f"sample {k}: {e}")
+    times = 0.02 * np.arange(len(R))
+    if not refused:
+        demo = Demonstration(times, R, p, "o")
+        assert np.array_equal(demo.rotation, R)
+        assert np.array_equal(demo.translation, p)
+        return
+    with pytest.raises(MalformedDemonstrationError) as info:
+        Demonstration(times, R, p, "o")
+    assert str(info.value) == refused[0]
+
+
+def test_demonstration_check_at_its_edges():
+    eye = np.eye(3)
+    p = np.zeros((3, 3))
+    times = [0.0, 0.1, 0.2]
+    Demonstration(times, [eye, np.diag([_EDGE, 1.0, 1.0]), eye], p, "o")
+    past = np.diag([math.nextafter(_EDGE, 2.0), 1.0, 1.0])
+    for R, k, reason in (([eye, eye, past], 2, "deviation"),
+                         ([eye, -eye, past], 1, "deviation"),
+                         ([eye, np.diag([1.0, 1.0, -1.0]), eye], 1,
+                          "deviation"),
+                         ([eye, eye, np.full((3, 3), math.nan)], 2,
+                          "non-finite")):
+        with pytest.raises(MalformedDemonstrationError,
+                           match=f"sample {k}: .*{reason}"):
+            Demonstration(times, R, p, "o")
+    with pytest.raises(MalformedDemonstrationError,
+                       match="sample 0: pose translation must be finite"):
+        Demonstration(times, [eye] * 3, [[math.inf, 0.0, 0.0]] * 3, "o")
+
+
 @st.composite
 def _constraint_models(draw):
     """Any guiding poses, initial anchors a nonempty prefix and goal
@@ -689,9 +794,9 @@ def test_demonstration_validation():
     g = Pose.identity()
     h = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        Demonstration(np.array([0.0]), (g,), "b")
+        demo_from_poses(np.array([0.0]), (g,), "b")
     with pytest.raises(ValueError):
-        Demonstration(np.array([0.0, 0.0]), (g, h), "b")
+        demo_from_poses(np.array([0.0, 0.0]), (g, h), "b")
     # a Python caller gets the reader rule too: no strings for times,
     # no number for the object id
     for times, object_id in ((["0.0", "0.02"], "b"), ([0.0, True], "b"),
@@ -701,14 +806,48 @@ def test_demonstration_validation():
                              (np.array([[0.0, 0.02]]), "b"),
                              ([0.0, 0.02], 3)):
         with pytest.raises(MalformedDemonstrationError):
-            Demonstration(times, (g, h), object_id)
-    # samples must be poses
-    for poses in (("x", "y"), (np.eye(4), np.eye(4)), (g, None)):
-        with pytest.raises(MalformedDemonstrationError, match="pose"):
-            Demonstration([0.0, 0.02], poses, "o")
+            demo_from_poses(times, (g, h), object_id)
+    # samples must be poses: a stack of 3x3 rotations and one of
+    # 3-vectors, a row each
+    R = np.stack([g.rotation, h.rotation])
+    p = np.stack([g.translation, h.translation])
+    for rotation, translation in ((("x", "y"), p), ([np.eye(4)] * 2, p),
+                                  (R, None), (R, p[:, :2]), (R[0], p),
+                                  (R[:1], p), (R.astype(str), p),
+                                  (R, p.astype(bool)), ([R[0], R[1][:2]], p),
+                                  (R, [[0.0, 0.0, None]] * 2)):
+        with pytest.raises(MalformedDemonstrationError,
+                           match="rotation|translation|poses"):
+            Demonstration([0.0, 0.02], rotation, translation, "o")
     for initial, goal in (("a", 3), (g, None), (np.eye(4), h)):
         with pytest.raises(DemonstrationError):
             TaskInstance(initial, goal)
+
+
+def test_demonstration_holds_read_only_copies_and_a_pose_view():
+    keys = pick_place_keys()
+    demo = synthesize_demonstration(keys, samples_per_leg=5)
+    R, p = demo.rotation.copy(), demo.translation.copy()
+    copy = Demonstration(list(demo.times), R, p, "o")
+    R[0] = 0.0
+    assert np.array_equal(copy.rotation, demo.rotation)
+    for a in (copy.times, copy.rotation, copy.translation):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    view = demo.poses
+    assert len(view) == len(demo.times) == 16
+    for k in (0, 7, -1):
+        assert np.array_equal(view[k].rotation, demo.rotation[k])
+        assert np.array_equal(view[k].translation, demo.translation[k])
+    assert [g.translation.tolist() for g in view[::5]] == \
+        demo.translation[::5].tolist()
+    assert [g.translation.tolist() for g in view] == \
+        demo.translation.tolist()
+    with pytest.raises(IndexError):
+        view[16]
+    for got, want in ((view[0], keys[0]), (view[-1], keys[-1])):
+        rot, trans = pose_error(got, want)
+        assert rot < 1e-12 and trans < 1e-12
 
 
 def test_numeric_arguments_are_checked():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from screwplan import records
+from screwplan import layouts, records
 from screwplan.layouts import (
     InvalidLayoutError,
     LayoutKind,
@@ -18,14 +18,11 @@ from screwplan.layouts import (
     delta_offset,
     layout_goals,
     pick_stack,
-    translation_x,
-    translation_y,
-    translation_z,
     wall_goals,
     yaw_rotation,
 )
 from screwplan.screws import Pose, compose, pose_error, quat_to_rot
-from util import rand_pose
+from util import python_calls, rand_pose
 
 BRICK = ObjectDims(length=0.1016, breadth=0.0508, width=0.0508)
 TILE = ObjectDims(length=0.302, breadth=0.302, width=0.014)
@@ -55,11 +52,14 @@ def test_delta_offset_parity():
 
 
 def test_axis_steps_and_yaw():
-    assert_allclose(translation_x(0.0528).translation, [0.0528, 0.0, 0.0])
-    assert_allclose(translation_y(-0.1).translation, [0.0, -0.1, 0.0])
-    # layer lift for the brick with 2 mm bed joint
-    assert_allclose(translation_z(0.0508 + 0.002).translation,
-                    [0.0, 0.0, 0.0528])
+    eye = Pose.identity().rotation.tolist()
+    for shift, want in ((layouts._shift(x=0.0528), [0.0528, 0.0, 0.0]),
+                        (layouts._shift(y=-0.1), [0.0, -0.1, 0.0]),
+                        # layer lift for the brick with 2 mm bed joint
+                        (layouts._shift(z=0.0508 + 0.002),
+                         [0.0, 0.0, 0.0528])):
+        assert_allclose(shift[0], eye, atol=0.0)
+        assert_allclose(shift[1], want)
     g = yaw_rotation(math.pi / 2.0)
     assert_allclose(g.rotation @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0],
                     atol=1e-15)
@@ -263,6 +263,27 @@ def test_spec_validation():
         wall_goals(LayoutSpec(kind=LayoutKind.CEILING_GRID,
                               base=Pose.identity(), dims=TILE, layers=1,
                               per_layer=1))
+
+
+def test_layout_goals_build_one_pose_per_goal():
+    rng = np.random.default_rng(31)
+    specs = [
+        straight_wall_spec(rand_pose(rng)),
+        LayoutSpec(kind=LayoutKind.CURVED_WALL, base=rand_pose(rng),
+                   dims=BRICK, layers=2, per_layer=5,
+                   layer_offset=(0.01, 0.02), per_step_yaw=0.1),
+        LayoutSpec(kind=LayoutKind.CORNER_WALL, base=rand_pose(rng),
+                   dims=BRICK, layers=3, per_layer=5, corner_index=3),
+        LayoutSpec(kind=LayoutKind.CEILING_GRID, base=rand_pose(rng),
+                   dims=TILE, layers=3, per_layer=4,
+                   spacing=(0.02, 0.02, 0.0))]
+    for spec in specs:
+        goals, poses = python_calls(lambda: layout_goals(spec),
+                                    only=Pose.__post_init__.__code__)
+        assert poses == len(goals) > 1, spec.kind
+    picks, poses = python_calls(lambda: pick_stack(specs[0].base, 4, BRICK),
+                                only=Pose.__post_init__.__code__)
+    assert poses == len(picks) == 4
 
 
 def test_pick_stack_descends_by_width():

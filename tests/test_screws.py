@@ -24,6 +24,10 @@ from screwplan.screws import (
     _check_screw,
     _check_unit_twist,
     _log,
+    _pose_errors,
+    _quat_pivot,
+    _quat_pivots,
+    _unit_quats,
     compose,
     exp_screw,
     exp_twists,
@@ -275,14 +279,31 @@ def test_pose_errors_matches_pose_error():
                                  np.zeros(3))))
         a += [g, g]
     b[-1] = a[-1]
-    rot, trans = pose_errors(np.stack([g.rotation for g in a]),
+    want = np.array([pose_error(x, y) for x, y in zip(a, b)])
+    # the test oracle, and the package's own stacked form
+    for stacked in (pose_errors, _pose_errors):
+        rot, trans = stacked(np.stack([g.rotation for g in a]),
                              np.stack([g.translation for g in a]),
                              np.stack([g.rotation for g in b]),
                              np.stack([g.translation for g in b]))
-    want = np.array([pose_error(x, y) for x, y in zip(a, b)])
-    assert_allclose(rot, want[:, 0], rtol=0.0, atol=1e-15)
-    assert_allclose(trans, want[:, 1], rtol=0.0, atol=1e-15)
-    assert rot[-1] == trans[-1] == 0.0
+        assert_allclose(rot, want[:, 0], rtol=0.0, atol=1e-15)
+        assert_allclose(trans, want[:, 1], rtol=0.0, atol=1e-15)
+        assert rot[-1] == trans[-1] == 0.0
+
+
+def test_stacked_quaternions_match_one_rotation_at_a_time():
+    # the same pivot and the same float operations: equal to the bit,
+    # half turns about each axis and near-identities included
+    rng = np.random.default_rng(12)
+    R = [rand_pose(rng).rotation for _ in range(2000)]
+    for axis in np.eye(3):
+        for angle in (math.pi, math.pi - 1e-9, 1e-12, 0.0):
+            R.append(quat_to_rot(np.append(math.cos(angle / 2),
+                                           math.sin(angle / 2) * axis)))
+    R = np.array(R)
+    pivots = _quat_pivots(R)
+    assert pivots.tolist() == [list(_quat_pivot(r)) for r in R.tolist()]
+    assert np.array_equal(_unit_quats(R), [rot_to_quat(r) for r in R])
 
 
 def test_sclerp_endpoints_exact():

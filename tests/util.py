@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from screwplan.demonstration import Demonstration
 from screwplan.kinematics import RobotModel
 from screwplan.screws import (
     INFINITE_PITCH,
@@ -24,6 +25,14 @@ from screwplan.screws import (
     quat_to_rot,
     sclerp_path,
 )
+
+
+def demo_from_poses(times, poses, object_id):
+    """A Demonstration of Pose samples, their rotations and translations
+    stacked."""
+    return Demonstration(
+        times, np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
+        np.array([p.translation for p in poses]).reshape(-1, 3), object_id)
 
 
 def rand_unit(rng):
@@ -113,13 +122,15 @@ pinned_counts = pytest.mark.skipif(
     reason="call counts are pinned to Python 3.11 and numpy 2.4")
 
 
-def python_calls(run, skip=None):
+def python_calls(run, skip=None, only=None):
     """(run(), the Python-level call events it made), leaving out the
-    calls of the code object skip."""
+    calls of the code object skip, or counting only those of the code
+    object only."""
     calls = [0]
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is not skip:
+        if event == "call" and frame.f_code is not skip and (
+                only is None or frame.f_code is only):
             calls[0] += 1
 
     sys.setprofile(profile)
