@@ -72,14 +72,7 @@ class Demonstration:
 
     def __post_init__(self):
         E = MalformedDemonstrationError
-        times = self.times
-        # a float array is checked in bulk, anything else by the reader
-        # rule, value by value
-        if not (isinstance(times, np.ndarray) and times.dtype.kind == "f"):
-            times = reals(times, "times", E)
-        times = np.array(times, dtype=float)
-        if times.ndim != 1 or not np.isfinite(times).all():
-            raise E("times must be finite numbers in one flat list")
+        times = np.array(reals(self.times, "times", E))
         text(self.object_id, "object_id", E)
         R = _stack(self.rotation, "rotation", (3, 3))
         p = _stack(self.translation, "translation", (3,))
@@ -138,8 +131,6 @@ class _Poses(Sequence):
         return len(self._demo.times)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
         return Pose(self._demo.rotation[i], self._demo.translation[i])
 
 

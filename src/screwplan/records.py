@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .screws import Pose, _unit_quats, quat_to_rot, rot_to_quat
+from .screws import Pose, _unit_quats, quat_to_rot
 
 
 class InputError(ValueError):
@@ -90,6 +90,10 @@ def _flat(x, name, error, n, ok, kind):
 
 def reals(x, name, error, n=None):
     """x as a tuple of floats: a flat list of finite numbers (n of them)."""
+    if (isinstance(x, np.ndarray) and x.dtype == float and x.ndim == 1
+            and (n is None or len(x) == n) and np.isfinite(x).all()):
+        # what the rule below accepts of a float array, checked in bulk
+        return tuple(x.tolist())
     return tuple(map(float, _flat(x, name, error, n, _finite,
                                   "finite numbers")))
 
@@ -109,14 +113,12 @@ def wholes(x, name, error, n=None, low=None):
 def pose_to_record(pose):
     """Pose to the system-wide serialization record
     {"t": [x, y, z], "q": [w, x, y, z]}."""
-    q = rot_to_quat(pose.rotation)
-    return {"t": [float(x) for x in pose.translation],
-            "q": [float(x) for x in q]}
+    return pose_records(pose.rotation[None], pose.translation[None])[0]
 
 
 def pose_records(rotation, translation):
     """pose_to_record of each pose of a stack, rotations (n, 3, 3) and
-    translations (n, 3), with the same numbers."""
+    translations (n, 3)."""
     return [{"t": t, "q": q} for t, q in zip(translation.tolist(),
                                              _unit_quats(rotation).tolist())]
 

@@ -356,20 +356,10 @@ def _quat_pivots(R):
     return entries[_PIVOT_ENTRIES[pivot], np.arange(len(R))[:, None]]
 
 
-def rot_to_quat(R):
-    """Rotation matrix to unit quaternion [w, x, y, z], w >= 0 (see
-    _quat_pivot)."""
-    q = np.array(_quat_pivot(R.tolist()))
-    q /= _norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
-
-
 def _unit_quats(R):
-    """rot_to_quat of each rotation of a stack (n, 3, 3), as (n, 4): the
-    pivot quaternions, scaled by the same dot-product norm (np.vecdot
-    takes _norm's dot row by row), with w >= 0."""
+    """Unit quaternions [w, x, y, z], w >= 0, of a stack of rotations
+    (n, 3, 3), as (n, 4): the pivot quaternions (_quat_pivots), each
+    scaled by the square root of its dot product with itself."""
     q = _quat_pivots(R)
     q /= np.sqrt(np.vecdot(q, q))[:, None]
     q[q[:, 0] < 0.0] *= -1.0

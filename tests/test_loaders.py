@@ -74,7 +74,7 @@ def _report(mode2, steps):
 # beside the object: segments' object id and tolerances, a trajectory's
 # robot name)
 SAMPLES = {
-    "pose_sequence": (lambda: _demo().poses[::4], {}),
+    "pose_sequence": (lambda: list(_demo().poses)[::4], {}),
     "demonstration": (_demo, {}),
     "segments": (lambda: segment_demonstration(_demo()),
                  {"object_id": "brick", "fit_tol": DEFAULT_FIT_TOL}),
@@ -188,7 +188,7 @@ def test_save_of_load_reproduces_the_file(name, written, tmp_path):
     src = written[name]
     again = tmp_path / src.name
     records.save(name, records.load(name, src), again, **SAMPLES[name][1])
-    # quat_to_rot then rot_to_quat is not the identity in floating point:
+    # quat_to_rot then back is not the identity in floating point:
     # quaternions come back within a few ulp, every other byte is equal
     want, got = src.read_text(), again.read_text()
     assert _QUATERNION.sub("q", got) == _QUATERNION.sub("q", want)
@@ -349,6 +349,28 @@ def test_no_loader_coerces_a_record_field():
                     and any(map(_reads_record, node.args))):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_reals_reads_an_array_as_its_list():
+    # a float array takes a bulk path through records.reals: it accepts
+    # and returns exactly what the list of its entries gives
+    def read(x, n):
+        try:
+            got = records.reals(x, "x", ValueError, n)
+        except ValueError as e:
+            return str(e)
+        assert all(type(v) is float for v in got)
+        return got
+
+    for values in ([0.0, 0.02, -1e-300], [], [1.5], [0.0, math.nan],
+                   [math.inf, 0.0], [[0.0, 0.02]], [[0.0], [1.0]]):
+        for dtype in (float, np.float32, int):
+            if dtype is int and not np.isfinite(values).all():
+                continue
+            a = np.array(values, dtype=dtype)
+            for n in (None, 1, 2):
+                assert read(a, n) == read(a.tolist(), n)
+    assert read(np.float64(1.0), None) == read(1.0, None)
 
 
 def test_screws_is_only_the_algebra():

@@ -22,6 +22,7 @@ from screwplan.screws import (
     ScrewDisplacement,
     _relative_log,
     _rows,
+    _unit_quats,
     quat_to_rot,
     sclerp_path,
 )
@@ -142,6 +143,12 @@ def python_calls(run, skip=None, only=None):
 
 
 SCREW_TRACK_TOL = (math.radians(0.5), 1e-3)  # geodesic conformance
+
+
+def rot_to_quat(R):
+    """Rotation matrix to unit quaternion [w, x, y, z], w >= 0: the
+    one-rotation case of screws._unit_quats."""
+    return _unit_quats(np.asarray(R, float)[None])[0]
 
 
 def pose_errors(Ra, pa, Rb, pb):
