@@ -20,10 +20,11 @@ import numpy as np
 from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
                       pose_from_record, pose_records, pose_to_record, real,
                       reals, text, whole, wholes)
-from .screws import (Pose, ScrewDisplacement, _check_rotation, _compose,
-                     _inverse, _pose_errors, _quat_pivots, _refused_rotations,
-                     _relative_log, _rows, compose, exp_twists, hat, inverse,
-                     sclerp_path, screw_from_pose)
+from .screws import (_ORTHO_TOL, ROT_IDENTITY_TOL, Pose, ScrewDisplacement,
+                     _check_rotation, _compose, _inverse, _pose_errors,
+                     _quat_pivots, _refused_rotations, _relative_log, _rows,
+                     compose, exp_twists, hat, inverse, sclerp_path,
+                     screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -57,7 +58,7 @@ class NoAnchorError(DemonstrationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Demonstration:
     """A timestamped sequence of object poses, one read-only array per
     field: times (n,) seconds, strictly increasing, and the object's
@@ -314,117 +315,191 @@ FORMATS.update(
 # ------------------------------------------------------------- segmentation
 
 
-# Interior samples scored in one stacked pass.  A run of windows costs
-# one pass of row arithmetic whatever its length, but its temporaries
-# (rows of up to 16 floats per sample) grow by about 0.4 KiB per sample
-# and the windows scored past the first misfit are wasted work.  The
-# saving levels off at a few hundred samples, where the temporaries
-# (about 100 KiB) are of the size of a 150-sample demonstration's float
-# rows.
-_RUN_SAMPLES = 256
+# Cells of one window grid: the windows a run scores times the interior
+# samples of its longest.  A run costs one stacked pass whatever its
+# size, but its temporaries grow with the grid (about 17 floats a cell,
+# numpy's broadcasting buffers included) and the windows scored past
+# the first misfit are wasted work.  The saving levels off near a
+# thousand cells, where one grid's temporaries take about 140 KiB and
+# segmenting a 150-sample demonstration peaks at about 190 KiB.
+_RUN_CELLS = 1024
 
 
-def _window_errors(Rl, pl, P, q, cum, a, ends):
-    """Per-sample (rotation, translation) deviations from the constant-
-    screw interpolant of each window from start a to one of ends
-    (increasing, all of positive arc), and each sample's window end:
-    the windows' interior samples a + 1 ... end - 1, one window after
-    another.  Rl, pl are the samples as float rows, and P and q their
-    translations (3, n) and unit quaternions (4, n) as rows.
+def _cross(u, v):
+    """u x v for 3-vectors given as their three rows (arrays of shapes
+    that broadcast, or floats), as one array."""
+    return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
-    Each chord is one _relative_log [v; w], theta, and its interpolant
-    at tau is exp(phi [v; w]) applied to the start, phi = tau theta.
-    Rodrigues' formula and its integral (Lynch & Park, Modern Robotics,
-    2017, section 3.3) put the start's translation p_a at
-    p_a + phi D + sin phi E + (1 - cos phi) F, with D = v + w x (w x v),
-    E = w x p_a - w x (w x v) and F = w x v + w x (w x p_a), and its
-    rotation relative to the start at the quaternion (cos phi/2,
-    sin phi/2 w).  A sample's rotation error is the angle of that
+
+def _chords(R, p, a, e0):
+    """_relative_log of the chord from start a to each sample e0 ... n - 1
+    of the stacks R (n, 3, 3), p (n, 3): v (3, m), w (3, m), theta (m,),
+    and which chords it refuses (m,).  Its arithmetic row by row, to
+    rounding: the one product R_e R_a^T and p_e - R_e R_a^T p_a entry by
+    entry, the rotation check, the pivot quaternion, the unit-axis check
+    and the series below 1e-4; below ROT_IDENTITY_TOL a pure translation
+    [p / |p|; 0], |p|, with |p| taken as s |p / s| for s the largest
+    entry (how _log takes a subnormal length; no square underflows), and
+    the zero chord [0; z], 0 at p = 0."""
+    S, Ra = R[e0:], R[a]
+    Rr = (S[:, :, None, 0] * Ra[:, 0] + S[:, :, None, 1] * Ra[:, 1]
+          + S[:, :, None, 2] * Ra[:, 2])
+    t0, t1, t2 = _inverse(Ra.tolist(), p[a].tolist())[1]
+    P = (S[:, :, 0] * t0 + S[:, :, 1] * t1 + S[:, :, 2] * t2 + p[e0:]).T
+    refused = _refused_rotations(Rr)
+    q = _quat_pivots(Rr).T
+    q *= np.where(q[0] < 0.0, -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.sqrt((q[1:] * q[1:]).sum(axis=0))
+        theta = 2.0 * np.arctan2(n, q[0])
+        turn = ~(theta < ROT_IDENTITY_TOL)
+        w = q[1:] / n
+        refused |= turn & ~(abs((w * w).sum(axis=0) - 1.0) <= _ORTHO_TOL)
+        c2 = np.where(theta < 1e-4, theta / 12.0 + theta ** 3 / 720.0,
+                      1.0 / theta - 0.5 / np.tan(0.5 * theta))
+        v = P / theta - 0.5 * _cross(w, P) \
+            + c2 * (w * (w * P).sum(axis=0) - P)
+        s = abs(P).max(axis=0)
+        P /= s
+        u = np.sqrt((P * P).sum(axis=0))
+        zero = s == 0.0
+        return (np.where(turn, v, np.where(zero, 0.0, P / u)),
+                np.where(turn, w, [[0.0], [0.0], [1.0]] * zero),
+                np.where(turn, theta, np.where(zero, 0.0, s * u)), refused)
+
+
+class _Windows:
+    """The windows of positive arc length, with interior samples, from
+    segment start a: window k ends at e0 + k and holds the base + k
+    samples a + 1 ... e0 + k - 1, base = e0 - a - 1.  Built once per
+    start from the stacks R, p, the samples' unit quaternions q (4, n)
+    and their arc lengths cum: each window's chord rows and each
+    sample's rows, so that a run of windows is scored by broadcasting.
+
+    Each chord is one _relative_log [v; w], theta (_chords), and its
+    interpolant at tau is exp(phi [v; w]) applied to the start, phi =
+    tau theta.  Rodrigues' formula and its integral (Lynch & Park,
+    Modern Robotics, 2017, section 3.3) put the start's translation p_a
+    at p_a + phi D + sin phi E + (1 - cos phi) F, with D = v + w x (w x
+    v), E = w x p_a - w x (w x v) and F = w x v + w x (w x p_a), and its
+    rotation relative to the start at the quaternion (cos phi/2, sin
+    phi/2 w).  A sample's rotation error is the angle of that
     quaternion's conjugate times the sample's quaternion relative to the
     start, 2 atan2(|e_v|, |e_w|); for a pure translation (w = 0) both
     parts scale by cos phi/2, which leaves the angle alone."""
-    a0, a1, a2 = pl[a]
-    rows, first = [], a + 1
-    for e in ends:
-        xi, theta = _relative_log(Rl[e], pl[e], Rl[a], pl[a])
-        v0, v1, v2, w0, w1, w2 = xi.tolist()
-        # w x v, w x (w x v), w x p_a and w x (w x p_a) on floats
-        u0, u1, u2 = w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0
-        uu0, uu1, uu2 = (w1 * u2 - w2 * u1, w2 * u0 - w0 * u2,
-                         w0 * u1 - w1 * u0)
-        r0, r1, r2 = w1 * a2 - w2 * a1, w2 * a0 - w0 * a2, w0 * a1 - w1 * a0
-        # first: the sample index of a window's first entry, less the
-        # entry's position in the stacked samples
-        rows.append((theta, cum[e] - cum[a], e, first,
-                     v0 + uu0, v1 + uu1, v2 + uu2,
-                     r0 - uu0, r1 - uu1, r2 - uu2,
-                     u0 + w1 * r2 - w2 * r1, u1 + w2 * r0 - w0 * r2,
-                     u2 + w0 * r1 - w1 * r0, w0, w1, w2))
-        first -= e - a - 1
-    # one column per interior sample of each window
-    cols = np.repeat(np.array(rows, dtype=float).T,
-                     [e - a - 1 for e in ends], axis=1)
-    idx = (np.arange(cols.shape[1]) + cols[3]).astype(np.intp)
-    theta, span, end = cols[:3]
-    D, E, F, W = cols[4:7], cols[7:10], cols[10:13], cols[13:16]
-    w0, w1, w2 = W
-    phi = theta * ((cum[idx] - cum[a]) / span)
-    sh, ch = np.sin(0.5 * phi), np.cos(0.5 * phi)
-    d = P[:, a, None] - P.take(idx, axis=1)
-    d += phi * D
-    # sin phi, and 2 sin^2(phi/2) == 1 - cos phi without cancellation
-    d += (2.0 * sh * ch) * E
-    d += (2.0 * (sh * sh)) * F
-    trans = np.sqrt((d * d).sum(axis=0))
-    # the samples' quaternions relative to the start, q_s q_a^*
-    aw, ax, ay, az = q[:, a].tolist()
-    Q = np.array([[aw, ax, ay, az], [-ax, aw, -az, ay], [-ay, az, aw, -ax],
-                  [-az, -ay, ax, aw]]) @ q.take(idx, axis=1)
-    Qw, Qx, Qy, Qz = Q
-    Qv = Q[1:]
-    # (cos phi/2, -sin phi/2 w) times (Qw, Qv)
-    ew = ch * Qw + sh * (W * Qv).sum(axis=0)
-    ev = ch * Qv - sh * (Qw * W + np.array([w1 * Qz - w2 * Qy,
-                                             w2 * Qx - w0 * Qz,
-                                             w0 * Qy - w1 * Qx]))
-    rot = 2.0 * np.arctan2(np.sqrt((ev * ev).sum(axis=0)), np.abs(ew))
-    return rot, trans, end
+
+    def __init__(self, R, p, q, cum, a, e0):
+        self.base = e0 - a - 1
+        v, w, theta, self.refused = _chords(R, p, a, e0)
+        pa = p[a].tolist()
+        u = _cross(w, v)
+        uu = _cross(w, u)
+        r = _cross(w, pa)
+        # per window: theta, its arc length, D, E, F and w, as (14, m, 1)
+        self.chord = np.concatenate([
+            theta[None], (cum[e0:] - cum[a])[None], v + uu, r - uu,
+            u + _cross(w, r), w])[:, :, None]
+        # per sample s = a + 1 ... n - 2: its quaternion relative to the
+        # start q_s q_a^*, p_a - p_s and its arc length from the start,
+        # as (8, 1, n - a - 2)
+        aw, ax, ay, az = q[:, a].tolist()
+        s = slice(a + 1, len(p) - 1)
+        self.sample = np.concatenate([
+            np.array([[aw, ax, ay, az], [-ax, aw, -az, ay],
+                      [-ay, az, aw, -ax], [-az, -ay, ax, aw]]) @ q[:, s],
+            np.array(pa)[:, None] - p[s].T,
+            (cum[s] - cum[a])[None]])[:, None]
+
+    def errors(self, lo, hi):
+        """Per-sample (rotation, translation) deviations of windows lo ...
+        hi - 1 from their interpolants, at an interpolation parameter
+        proportional to arc length, on a grid of a row per window and a
+        column per interior sample of the last (base + hi - 1); a cell
+        past its window's interior holds the interpolant's
+        extrapolation."""
+        theta, span = self.chord[:2, lo:hi]
+        D, E, F, W = self.chord[2:, lo:hi].reshape(4, 3, hi - lo, 1)
+        S = self.sample[:, :, :self.base + hi - 1]
+        # in place where that keeps the grid's temporaries few
+        phi = S[7] / span
+        phi *= theta
+        sh, ch = np.sin(0.5 * phi), np.cos(0.5 * phi)
+        d = phi * D
+        d += S[4:7]
+        # sin phi, and 2 sin^2(phi/2) == 1 - cos phi without cancellation,
+        # each in phi's buffer
+        d += np.multiply(2.0 * sh, ch, out=phi) * E
+        d += np.multiply(2.0 * sh, sh, out=phi) * F
+        d *= d
+        trans = np.sqrt(d.sum(axis=0))
+        # (cos phi/2, -sin phi/2 w) times (Qw, Qv), ev in d's buffer
+        Qw, Qv = S[0], S[1:4]
+        ew = (W * Qv).sum(axis=0)
+        ew *= sh
+        ew += ch * Qw
+        ev = np.multiply(Qw, W, out=d)
+        ev += _cross(W, Qv)
+        ev *= sh
+        np.subtract(ch * Qv, ev, out=ev)
+        ev *= ev
+        return (2.0 * np.arctan2(np.sqrt(ev.sum(axis=0)), np.abs(ew)), trans)
 
 
-def _first_misfit(Rl, pl, P, q, cum, a, ends, tol):
-    """The first of the window ends (increasing, all after start a) whose
-    window misfits, or None when every window fits (see _window_errors
-    for the arguments).
-
-    A window fits when each interior sample lies within tol (rotation
-    radians, translation meters) of the constant-screw interpolant
-    between the window's endpoints, at an interpolation parameter
-    proportional to accumulated pose-error arc length; a window of zero
-    arc length fits."""
-    ends = [e for e in ends if cum[e] > cum[a]]
-    if not ends:
-        return None
-    rot, trans, end = _window_errors(Rl, pl, P, q, cum, a, ends)
-    bad = np.flatnonzero((rot > tol[0]) | (trans > tol[1]))
-    return int(end[bad[0]]) if bad.size else None
+def _segment_end(R, p, q, cum, a, tol):
+    """The end of the longest window from start a that fits tol (see
+    segment_demonstration for the rule; R, p, q and cum as _Windows
+    takes them).  Its windows are scored in runs of consecutive ends,
+    each run on one grid of at most _RUN_CELLS cells (and at least one
+    window); a window whose chord _relative_log refuses raises its
+    ValueError when the greedy reaches it."""
+    n = len(R)
+    # windows of zero arc length fit, and they come first: cum does not
+    # decrease
+    e0 = max(a + 2, int(cum.searchsorted(cum[a], side="right")))
+    if e0 >= n:
+        return n - 1
+    windows = _Windows(R, p, q, cum, a, e0)
+    base, lo = windows.base, 0
+    while lo < n - e0:
+        # the most windows lo ... hi - 1 whose rows times columns, (hi -
+        # lo) (g + hi - lo) with g = base + lo - 1, stay within the bound
+        g = base + lo - 1
+        hi = min(max(lo + (math.isqrt(g * g + 4 * _RUN_CELLS) - g) // 2,
+                     lo + 1), n - e0)
+        rot, trans = windows.errors(lo, hi)
+        out = (rot > tol[0]) | (trans > tol[1])
+        # column j lies in window k's interior when j < base + k
+        out &= np.arange(base + hi - 1) < np.arange(base + lo,
+                                                    base + hi)[:, None]
+        stop = out.any(axis=1) | windows.refused[lo:hi]
+        if stop.any():
+            k = lo + int(stop.argmax())
+            if windows.refused[k]:
+                # the same arithmetic on one window raises its ValueError
+                _relative_log(R[e0 + k].tolist(), p[e0 + k].tolist(),
+                              R[a].tolist(), p[a].tolist())
+            return e0 + k - 1
+        lo = hi
+    return n - 1
 
 
 def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     """Greedy longest-fit split into constant-screw segments.
 
     Each window grows while every interior sample stays within fit_tol
-    (rotation radians, translation meters) of the screw interpolant between
-    the window endpoints; consecutive segments share their boundary sample.
-    Windows from one start are scored in runs of ends, and a segment stops
-    before the first window that misfits.
+    (rotation radians, translation meters) of the constant-screw
+    interpolant between the window endpoints, at an interpolation
+    parameter proportional to accumulated pose-error arc length; a
+    window of zero arc length fits.  Consecutive segments share their
+    boundary sample, and a segment stops before the first window that
+    misfits.
     """
     tol = reals(fit_tol, "fit_tol", DemonstrationError, 2)
     if min(tol) < 0.0:
         raise DemonstrationError("fit tolerances must be finite numbers >= 0")
     R, p = demo.rotation, demo.translation
     n = len(R)
-    Rl, pl = R.tolist(), p.tolist()
-    P = np.ascontiguousarray(p.T)
     q = _quat_pivots(R).T
     q /= np.sqrt((q * q).sum(axis=0))
     # arc length: one radian of rotation counts as one meter
@@ -436,19 +511,7 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
     segments = []
     a, start = 0, Pose(R[0], p[0])
     while a < n - 1:
-        b = a + 1
-        while b < n - 1:
-            ends, total = [], 0
-            for e in range(b + 1, n):
-                total += e - a - 1
-                if ends and total > _RUN_SAMPLES:
-                    break
-                ends.append(e)
-            misfit = _first_misfit(Rl, pl, P, q, cum, a, ends, tol)
-            if misfit is not None:
-                b = misfit - 1
-                break
-            b = ends[-1]
+        b = _segment_end(R, p, q, cum, a, tol)
         end = Pose(R[b], p[b])
         segments.append(ScrewSegment(a, b, start, end))
         a, start = b, end

@@ -3,6 +3,8 @@ extraction and transfer."""
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from screwplan.screws import (
     Pose,
     ScrewDisplacement,
     _quat_pivot,
+    _relative_log,
     compose,
     exp_screw,
     inverse,
@@ -392,20 +395,23 @@ def test_closed_form_errors_match_the_interpolant_per_sample():
         Rs = np.stack([p.rotation for p in poses])
         ps = np.stack([p.translation for p in poses])
         cum = _arc_length(poses)
-        Rl, pl = Rs.tolist(), ps.tolist()
-        q = np.array([_quat_pivot(R) for R in Rl]).T
+        q = np.array([_quat_pivot(R) for R in Rs.tolist()]).T
         q /= np.linalg.norm(q, axis=0)
         for a in sorted({0, n // 2, max(n - 3, 0)}):
             ends = [e for e in range(a + 2, n) if cum[e] > cum[a]]
             if not ends:
                 continue
-            rot, trans, end = demonstration._window_errors(
-                Rl, pl, ps.T.copy(), q, cum, a, ends)
-            want = [_chord_errors(poses, Rs, ps, a, e, cum) for e in ends]
-            assert_allclose(end, np.repeat(ends, [e - a - 1 for e in ends]))
-            want_rot, want_trans = map(np.concatenate, zip(*want))
-            worst = max(worst, np.abs(rot - want_rot).max(),
-                        np.abs(trans - want_trans).max())
+            # every window from the start on one grid: a row per window,
+            # its own interior first
+            rot, trans = demonstration._Windows(
+                Rs, ps, q, cum, a, ends[0]).errors(0, len(ends))
+            assert rot.shape == trans.shape == (len(ends), n - a - 2)
+            for row, e in enumerate(ends):
+                want_rot, want_trans = _chord_errors(poses, Rs, ps, a, e,
+                                                     cum)
+                worst = max(worst,
+                            np.abs(rot[row, :e - a - 1] - want_rot).max(),
+                            np.abs(trans[row, :e - a - 1] - want_trans).max())
     assert worst <= 1e-12
 
 
@@ -430,6 +436,109 @@ def test_split_stops_at_the_first_misfit():
     want = [(0, 2), (2, 3), (3, 5), (5, 7)]
     assert reference_segment(demo, tol) == want
     assert _spans(segment_demonstration(demo, tol)) == want
+
+
+def test_run_size_is_only_a_speed_setting(monkeypatch):
+    # one window per run, grids of 64 cells, the default and one run
+    # per segment start split every reference case alike
+    cases = _reference_cases(np.random.default_rng(24))
+    want = [_spans(segment_demonstration(demo, tol)) for demo, tol in cases]
+    errors, grids = demonstration._Windows.errors, []
+
+    def recorded(self, lo, hi):
+        out = errors(self, lo, hi)
+        grids.append(out[0].shape)
+        return out
+
+    monkeypatch.setattr(demonstration._Windows, "errors", recorded)
+    for cells in (1, 64, sys.maxsize):
+        grids.clear()
+        monkeypatch.setattr(demonstration, "_RUN_CELLS", cells)
+        assert [_spans(segment_demonstration(demo, tol))
+                for demo, tol in cases] == want
+        assert all(rows == 1 or rows * cols <= cells for rows, cols in grids)
+        if cells == 1:
+            assert {rows for rows, _ in grids} == {1}
+        if cells == sys.maxsize:
+            # one run reaches the misfit or the last sample
+            assert len(grids) <= sum(map(len, want))
+
+
+def _chord_stacks(rng):
+    """(R, p) stacks whose first sample starts a window to each of the
+    others: random ends, ends near pi and near the identity about each
+    axis (either side of the series' 1e-4 and of ROT_IDENTITY_TOL), pure
+    translations down to a subnormal one and the zero chord, and a noisy
+    demonstration's samples."""
+    start = rand_pose(rng)
+    ends = [start] + [rand_pose(rng) for _ in range(100)]
+    for axis in (*np.eye(3), rand_unit(rng)):
+        for angle in (math.pi, math.pi - 1e-9, 3.0, 2e-4, 1e-4, 5e-5, 1e-6,
+                      1e-8, 1e-12, 0.0):
+            rel = quat_to_rot(np.append(math.cos(angle / 2),
+                                        math.sin(angle / 2) * axis))
+            ends += [compose(Pose(rel, t), start)
+                     for t in (rng.uniform(-1.0, 1.0, 3), np.zeros(3))]
+    stacks = [ends]
+    eye = Pose.identity()
+    stacks.append([eye] + [Pose(np.eye(3), t) for t in (
+        np.zeros(3), np.array([5e-324, 0.0, 0.0]),
+        np.array([1e-310, -2e-310, 3e-311]), np.array([0.0, 0.3, -0.4]))])
+    noisy = synthesize_demonstration(
+        pick_place_keys(rand_pose(rng)), samples_per_leg=30,
+        noise=(math.radians(0.2), 0.001), rng=rng)
+    stacks.append(list(noisy.poses))
+    return [(np.array([g.rotation for g in poses]),
+             np.array([g.translation for g in poses])) for poses in stacks]
+
+
+def test_stacked_chords_match_one_window_at_a_time():
+    # _relative_log's arithmetic over the stack, to rounding: the pivot
+    # quaternion and its branches row by row
+    for R, p in _chord_stacks(np.random.default_rng(28)):
+        for a in (0, 1):
+            v, w, theta, refused = demonstration._chords(R, p, a, a + 1)
+            assert not refused.any()
+            for e in range(a + 1, len(R)):
+                xi, th = _relative_log(R[e].tolist(), p[e].tolist(),
+                                       R[a].tolist(), p[a].tolist())
+                want = np.append(xi, th)
+                k = e - a - 1
+                got = np.concatenate([v[:, k], w[:, k], [theta[k]]])
+                assert np.all(np.abs(got - want)
+                              <= 1e-15 * np.maximum(1.0, np.abs(want))), e
+
+
+def test_refused_chord_raises_only_when_its_window_is_scored():
+    # a start and an end each off orthonormal by 8e-10, which a sample
+    # may be, make a relative rotation off by 1.6e-9, which
+    # _relative_log refuses
+    demo = synthesize_demonstration(pick_place_keys(), samples_per_leg=50)
+    assert _spans(segment_demonstration(demo)) == \
+        [(0, 50), (50, 102), (102, 150)]
+
+    def scaled(*samples):
+        R = demo.rotation.copy()
+        R[list(samples)] *= 1.0 + 4e-10
+        return Demonstration(demo.times, R, demo.translation, "scaled")
+
+    # window (0, 52) lies past the first misfit, (0, 51)
+    past = scaled(0, 52)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _relative_log(past.rotation[52].tolist(),
+                      past.translation[52].tolist(),
+                      past.rotation[0].tolist(), past.translation[0].tolist())
+    assert _spans(segment_demonstration(past)) == \
+        [(0, 50), (50, 102), (102, 150)]
+    # window (0, 20) is scored: the scalar chord's own error
+    inside = scaled(0, 20)
+    with pytest.raises(ValueError) as want:
+        _relative_log(inside.rotation[20].tolist(),
+                      inside.translation[20].tolist(),
+                      inside.rotation[0].tolist(),
+                      inside.translation[0].tolist())
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        segment_demonstration(inside)
 
 
 def reference_synthesize(keys, samples_per_leg, noise, rng):
@@ -479,29 +588,20 @@ def test_stacked_wobble_matches_per_sample_loop():
 
 
 @pinned_counts
-def test_segmentation_window_call_count(monkeypatch):
-    window_errors = demonstration._window_errors
-    windows = [0]
-
-    def counted(*args):
-        windows[0] += len(args[6])  # the window ends scored
-        return window_errors(*args)
-
-    monkeypatch.setattr(demonstration, "_window_errors", counted)
-    counts = {}
-    for per_leg in (50, 100):
+def test_segmentation_window_call_count():
+    # Python-level calls per segmentation of the pick-place demo, the
+    # per-sample set-up (arc length, quaternions) included.  A scalar
+    # log per window, with runs packed by samples, took 1491, 3397 and
+    # 9866; chord tables per segment start and one grid per run of
+    # windows keep each to at most half of that
+    for per_leg, ends, before in ((50, [50, 102, 150], 1491),
+                                  (100, [100, 204, 300], 3397),
+                                  (200, [200, 409, 600], 9866)):
         demo = synthesize_demonstration(pick_place_keys(),
                                         samples_per_leg=per_leg)
-        windows[0] = 0
-        segs, calls = python_calls(lambda: segment_demonstration(demo),
-                                   skip=counted.__code__)
-        assert len(segs) == 3
-        counts[per_leg] = windows[0], calls
-    (short, short_calls), (long, long_calls) = counts[50], counts[100]
-    assert (short, long) == (153, 299)
-    # Python-level calls per scored window, the per-sample set-up
-    # (arc length, quaternions) included: 2205 calls over 146 windows
-    assert (long_calls - short_calls) / (long - short) <= 15.11
+        segs, calls = python_calls(lambda: segment_demonstration(demo))
+        assert [s.end_index for s in segs] == ends
+        assert calls <= before // 2, (per_leg, calls)
 
 
 def test_pose_count_does_not_grow_with_the_samples():
@@ -846,6 +946,16 @@ def test_demonstration_holds_read_only_copies_and_a_pose_view():
     for got, want in ((view[0], keys[0]), (view[-1], keys[-1])):
         rot, trans = pose_error(got, want)
         assert rot < 1e-12 and trans < 1e-12
+
+
+def test_demonstrations_compare_by_identity():
+    # arrays make no truth value: a demonstration equals itself only and
+    # hashes, as a JointTrajectory does
+    a, b = (synthesize_demonstration(pick_place_keys(), samples_per_leg=5)
+            for _ in range(2))
+    assert np.array_equal(a.rotation, b.rotation)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_numeric_arguments_are_checked():
