@@ -324,6 +324,12 @@ FORMATS.update(
 # segmenting a 150-sample demonstration peaks at about 190 KiB.
 _RUN_CELLS = 1024
 
+# Segmentation keeps to the numpy kernels the rest of the library
+# already runs: no np.tan, no np.where or integer comparison over
+# broadcast shapes, no matrix product with a transposed operand.  Each
+# new kernel pages in 64-200 KiB of library code on its first call,
+# which shows in every process's peak resident memory.
+
 
 def _cross(u, v):
     """u x v for 3-vectors given as their three rows (arrays of shapes
@@ -349,24 +355,29 @@ def _chords(R, p, a, e0):
     P = (S[:, :, 0] * t0 + S[:, :, 1] * t1 + S[:, :, 2] * t2 + p[e0:]).T
     refused = _refused_rotations(Rr)
     q = _quat_pivots(Rr).T
-    q *= np.where(q[0] < 0.0, -1.0, 1.0)
+    q[:, q[0] < 0.0] *= -1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.sqrt((q[1:] * q[1:]).sum(axis=0))
         theta = 2.0 * np.arctan2(n, q[0])
-        turn = ~(theta < ROT_IDENTITY_TOL)
+        still = theta < ROT_IDENTITY_TOL
         w = q[1:] / n
-        refused |= turn & ~(abs((w * w).sum(axis=0) - 1.0) <= _ORTHO_TOL)
-        c2 = np.where(theta < 1e-4, theta / 12.0 + theta ** 3 / 720.0,
-                      1.0 / theta - 0.5 / np.tan(0.5 * theta))
+        refused |= ~still & ~(abs((w * w).sum(axis=0) - 1.0) <= _ORTHO_TOL)
+        # the scalar log's math.tan (and no numpy tan kernel)
+        c2 = 1.0 / theta - 0.5 / np.array(
+            list(map(math.tan, (0.5 * theta).tolist())))
+        series = theta < 1e-4
+        c2[series] = theta[series] / 12.0 + theta[series] ** 3 / 720.0
         v = P / theta - 0.5 * _cross(w, P) \
             + c2 * (w * (w * P).sum(axis=0) - P)
-        s = abs(P).max(axis=0)
-        P /= s
-        u = np.sqrt((P * P).sum(axis=0))
-        zero = s == 0.0
-        return (np.where(turn, v, np.where(zero, 0.0, P / u)),
-                np.where(turn, w, [[0.0], [0.0], [1.0]] * zero),
-                np.where(turn, theta, np.where(zero, 0.0, s * u)), refused)
+        T = P[:, still]
+        s = abs(T).max(axis=0)
+        T /= s
+        u = np.sqrt((T * T).sum(axis=0))
+        v[:, still], w[:, still], theta[still] = T / u, 0.0, s * u
+    zero = np.flatnonzero(still)[s == 0.0]
+    v[:, zero], theta[zero] = 0.0, 0.0
+    w[2, zero] = 1.0
+    return v, w, theta, refused
 
 
 class _Windows:
@@ -456,7 +467,7 @@ def _segment_end(R, p, q, cum, a, tol):
     n = len(R)
     # windows of zero arc length fit, and they come first: cum does not
     # decrease
-    e0 = max(a + 2, int(cum.searchsorted(cum[a], side="right")))
+    e0 = max(a + 2, a + 1 + int(np.count_nonzero(cum[a + 1:] <= cum[a])))
     if e0 >= n:
         return n - 1
     windows = _Windows(R, p, q, cum, a, e0)
@@ -469,9 +480,10 @@ def _segment_end(R, p, q, cum, a, tol):
                      lo + 1), n - e0)
         rot, trans = windows.errors(lo, hi)
         out = (rot > tol[0]) | (trans > tol[1])
-        # column j lies in window k's interior when j < base + k
-        out &= np.arange(base + hi - 1) < np.arange(base + lo,
-                                                    base + hi)[:, None]
+        # column j lies in window k's interior when j < base + k (as
+        # floats, for the kernels already in use)
+        out &= np.arange(base + hi - 1.0) < np.arange(base + lo, base + hi,
+                                                      dtype=float)[:, None]
         stop = out.any(axis=1) | windows.refused[lo:hi]
         if stop.any():
             k = lo + int(stop.argmax())
@@ -500,7 +512,7 @@ def segment_demonstration(demo, fit_tol=DEFAULT_FIT_TOL):
         raise DemonstrationError("fit tolerances must be finite numbers >= 0")
     R, p = demo.rotation, demo.translation
     n = len(R)
-    q = _quat_pivots(R).T
+    q = np.ascontiguousarray(_quat_pivots(R).T)
     q /= np.sqrt((q * q).sum(axis=0))
     # arc length: one radian of rotation counts as one meter
     rot, trans = _pose_errors(R[:-1], p[:-1], R[1:], p[1:])
