@@ -29,7 +29,7 @@ from . import records
 from .records import (FORMATS, UNITS, Format, InputError, decode, flag,
                       instance, pose_from_record, pose_to_record, real, reals,
                       text, whole, wholes)
-from .screws import Pose, compose, inverse, pose_error
+from .screws import Pose, _Rows, compose, inverse, pose_error
 
 # placement is scored on translation distance and heading alone; the
 # full rotation error is recorded but does not gate success
@@ -239,8 +239,7 @@ def attached_object_poses(traj, grasp_offset=None):
     guiding pose (the pick) through the final step (the place)."""
     start = traj.segment_starts[1] if len(traj.segment_starts) > 1 else 0
     inv = None if grasp_offset is None else inverse(grasp_offset)
-    flanges = (Pose(R, p) for R, p in zip(traj.rotation[start:],
-                                          traj.translation[start:]))
+    flanges = _Rows(Pose, traj.rotation, traj.translation)[start:]
     return [f if inv is None else compose(f, inv) for f in flanges]
 
 

@@ -12,7 +12,6 @@ relative screw inside a group.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +19,11 @@ import numpy as np
 from .records import (FORMATS, UNITS, Format, InputError, decode, instance,
                       pose_from_record, pose_records, pose_to_record, real,
                       reals, text, whole, wholes)
-from .screws import (_ORTHO_TOL, ROT_IDENTITY_TOL, Pose, ScrewDisplacement,
-                     _check_rotation, _compose, _inverse, _pose_errors,
-                     _quat_pivots, _refused_rotations, _relative_log, _rows,
-                     compose, exp_twists, hat, inverse, sclerp_path,
-                     screw_from_pose)
+from .screws import (_ORTHO_TOL, ROT_IDENTITY_TOL, Pose, _Rows,
+                     ScrewDisplacement, _check_rotation, _compose, _inverse,
+                     _pose_errors, _quat_pivots, _refused_rotations,
+                     _relative_log, _rows, compose, exp_twists, hat, inverse,
+                     sclerp_path, screw_from_pose)
 
 DEFAULT_FIT_TOL = (0.02, 0.005)
 DEFAULT_ROI_RADIUS = 0.15
@@ -100,7 +99,7 @@ class Demonstration:
     def poses(self):
         """The samples as Pose objects, each built when it is indexed or
         iterated."""
-        return _Poses(self)
+        return _Rows(Pose, self.rotation, self.translation)
 
 
 def _stack(x, name, shape):
@@ -116,23 +115,6 @@ def _stack(x, name, shape):
             f"{name} must be numbers of shape (n, "
             f"{', '.join(map(str, shape))}), got {a.dtype} {a.shape}")
     return a.astype(float, copy=False)
-
-
-class _Poses(Sequence):
-    """A demonstration's samples as Pose objects, each built when it is
-    indexed or iterated; the view holds the demonstration and nothing
-    else."""
-
-    __slots__ = ("_demo",)
-
-    def __init__(self, demo):
-        self._demo = demo
-
-    def __len__(self):
-        return len(self._demo.times)
-
-    def __getitem__(self, i):
-        return Pose(self._demo.rotation[i], self._demo.translation[i])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ angle; kinematics.arm_state, their composition, is kept for the tracer.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -32,9 +31,10 @@ from .kinematics import (_Chain, arm_state, check_eps, limit_band,
                          limit_margin, limit_status, pseudoinverse,
                          self_motion, self_motion_direction, within)
 from .records import (FORMATS, UNITS, Format, InputError, decode, flag,
-                      pose_from_record, pose_to_record, real, reals, whole,
+                      pose_from_record, pose_records, real, reals, whole,
                       wholes)
-from .screws import Pose, _pose_error, _relative_log, log_pose, pose_error
+from .screws import (Pose, _Rows, _pose_error, _relative_log, log_pose,
+                     pose_error)
 
 STEP_CLAMP = 0.05  # per-joint displacement cap per iteration, radians
 PSI_TOL = 1e-3  # elbow angle convergence tolerance, radians
@@ -118,42 +118,10 @@ class TrajectoryStep:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def end_effector(self):
-        """The flange Pose, built and checked on each call."""
-        return Pose(self.rotation, self.translation)
-
 
 # the per-row fields of a trajectory, in row order, and their dtypes
 _ROWS = {"q": float, "rotation": float, "translation": float,
          "mode": object, "damped": bool}
-
-
-class _Steps(Sequence):
-    """A trajectory's rows as TrajectoryStep objects, each built when it
-    is indexed or iterated; the view holds the trajectory and nothing
-    else."""
-
-    __slots__ = ("_traj",)
-
-    def __init__(self, traj):
-        self._traj = traj
-
-    def __len__(self):
-        return len(self._traj)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        t = self._traj
-        return TrajectoryStep(t.q[i], t.mode[i], t.rotation[i],
-                              t.translation[i], bool(t.damped[i]))
-
-    def __iter__(self):
-        t = self._traj
-        for row in zip(t.q, t.mode, t.rotation, t.translation,
-                       t.damped.tolist()):
-            yield TrajectoryStep(*row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +172,8 @@ class JointTrajectory:
     @property
     def steps(self):
         """The rows as TrajectoryStep objects, built on demand."""
-        return _Steps(self)
+        return _Rows(TrajectoryStep, self.q, self.mode, self.rotation,
+                     self.translation, self.damped.tolist())
 
     @property
     def final_q(self):
@@ -434,11 +403,12 @@ def _trajectory_to_lines(traj, robot=""):
     }, *({
         "step": i,
         "mode": mode.value,
-        "q": q.tolist(),
-        "pose": pose_to_record(Pose(R, p)),
+        "q": q,
+        "pose": pose,
         "damped": damped,
-    } for i, (q, mode, R, p, damped) in enumerate(zip(
-        traj.q, traj.mode, traj.rotation, traj.translation,
+    } for i, (q, mode, pose, damped) in enumerate(zip(
+        traj.q.tolist(), traj.mode,
+        pose_records(traj.rotation, traj.translation),
         traj.damped.tolist())))]
 
 

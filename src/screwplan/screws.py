@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,31 @@ class Pose:
     def apply(self, point):
         """Transform a 3-point (or an (n, 3) stack of points)."""
         return np.asarray(point, float) @ self.rotation.T + self.translation
+
+
+class _Rows(Sequence):
+    """Stacked columns as a read-only sequence of objects: row i is
+    make(c[i] for each column c), built when it is indexed or iterated,
+    and a slice is the view of the sliced columns.  The view holds make
+    and the columns and nothing else."""
+
+    __slots__ = ("_make", "_columns")
+
+    def __init__(self, make, *columns):
+        self._make = make
+        self._columns = columns
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        picked = [c[i] for c in self._columns]
+        if isinstance(i, slice):
+            return _Rows(self._make, *picked)
+        return self._make(*picked)
+
+    def __iter__(self):
+        return map(self._make, *self._columns)
 
 
 def _rows(pose):

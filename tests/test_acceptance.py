@@ -264,7 +264,8 @@ def test_06_planner_tracking():
         assert traj.outcome is Outcome.REACHED
         assert all(s.mode is Mode.MODE1 for s in traj.steps)
         rot, trans = geodesic_deviation(
-            start_pose, gd, [s.end_effector for s in traj.steps])
+            start_pose, gd,
+            [Pose(s.rotation, s.translation) for s in traj.steps])
         worst_track = max(worst_track, (rot, trans))
         frot, ftrans = pose_error(traj.final_pose, gd)
         worst_final = max(worst_final, (frot, ftrans))

@@ -935,14 +935,22 @@ def test_demonstration_holds_read_only_copies_and_a_pose_view():
         with pytest.raises(ValueError):
             a[0] = 1.0
     view = demo.poses
+    assert not hasattr(view, "__dict__")
     assert len(view) == len(demo.times) == 16
     for k in (0, 7, -1):
         assert np.array_equal(view[k].rotation, demo.rotation[k])
         assert np.array_equal(view[k].translation, demo.translation[k])
     assert [g.translation.tolist() for g in view] == \
         demo.translation.tolist()
+    part = view[3:11:2]
+    assert len(part) == 4 and not hasattr(part, "__dict__")
+    assert [g.translation.tolist() for g in part] == \
+        demo.translation[3:11:2].tolist()
+    assert np.array_equal(part[-1].rotation, demo.rotation[9])
     with pytest.raises(IndexError):
         view[16]
+    with pytest.raises(IndexError):
+        part[4]
     for got, want in ((view[0], keys[0]), (view[-1], keys[-1])):
         rot, trans = pose_error(got, want)
         assert rot < 1e-12 and trans < 1e-12

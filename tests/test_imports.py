@@ -9,11 +9,14 @@ rebound.  The package's ``__init__`` uses what its ``__all__`` names.
 A module-level function, class or constant counts as read when a name
 or attribute by its name is read in gallery/ or perfbench/ code, or in
 src/screwplan outside its own definition by code that is itself read;
-a name the tracer rebinds counts too.  An import or an ``__all__`` entry
-alone does not: code that only the tests reach belongs in tests/.
+a name the tracer rebinds counts too.  A method, property or
+staticmethod of a class counts as read when that code reads an
+attribute by its name; dunders are exempt.  An import or an ``__all__``
+entry alone does not: code that only the tests reach belongs in tests/.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,16 +69,19 @@ def test_every_import_is_used():
     assert unused == {}
 
 
-# "module.py::name" of definitions that may go unread; keep it empty
+# "module.py::name" and "module.py::Class.member" of definitions that may
+# go unread; keep it empty
 UNREAD_ALLOWED = frozenset()
 
 
 def _reads(tree):
-    """The names read in tree, as a Name or as an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute))
-            and isinstance(n.ctx, ast.Load)}
+    """The names read in tree, as a Name or as an attribute, and the
+    names read as an attribute alone."""
+    loads = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))
+             and isinstance(n.ctx, ast.Load)]
+    attrs = {n.attr for n in loads if isinstance(n, ast.Attribute)}
+    return attrs | {n.id for n in loads if isinstance(n, ast.Name)}, attrs
 
 
 def _defines(stmt):
@@ -90,33 +96,59 @@ def _defines(stmt):
     return {n for n in names if not n.startswith("__")}
 
 
+def _units(module, stmt):
+    """(label, names, member, reads) of a top-level statement and, when
+    it is a class, of each method, property or staticmethod it defines
+    with a name that is not a dunder.  A member is its own unit, which
+    only an attribute read reaches; the class keeps the rest of its
+    body."""
+    members = [s for s in stmt.body if isinstance(s, ast.FunctionDef)
+               and not s.name.startswith("__")] \
+        if isinstance(stmt, ast.ClassDef) else []
+    rest = stmt
+    if members:
+        rest = copy.copy(stmt)
+        rest.body = [s for s in stmt.body if s not in members]
+    yield module, _defines(stmt), False, _reads(rest)
+    for m in members:
+        yield f"{module}::{stmt.name}.{m.name}", {m.name}, True, _reads(m)
+
+
 def unread_definitions():
     """Sorted "module.py::name" of the definitions in src/screwplan that
-    no program code reaches.  The walk starts from the top-level
-    statements that define no name (imports, format registrations, the
-    command line's main guard) and the definitions gallery/, perfbench/
-    or the tracer read; a definition is reached when a reached statement
-    reads its name.  Names are matched by spelling alone."""
-    outside = set().union(*(
-        _reads(ast.parse(path.read_text()))
-        for folder in ("gallery", "perfbench")
-        for path in sorted((ROOT / folder).glob("*.py"))))
-    outside |= set().union(*rebound_names().values())
-    stmts = [(path.name, _defines(stmt), _reads(stmt))
-             for path in sorted(SRC.glob("*.py"))
-             for stmt in ast.parse(path.read_text()).body]
-    todo = [i for i, (_, names, _) in enumerate(stmts)
-            if not names or names & outside]
+    no program code reaches, and "module.py::Class.member" of the class
+    members.  The walk starts from the top-level statements that define
+    no name (imports, format registrations, the command line's main
+    guard) and the definitions gallery/, perfbench/ or the tracer read;
+    a definition is reached when a reached statement reads its name,
+    and a member when one reads it as an attribute.  Names are matched
+    by spelling alone."""
+    outside = [_reads(ast.parse(path.read_text()))
+               for folder in ("gallery", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    names = set().union(*(n for n, _ in outside),
+                        *rebound_names().values())
+    attrs = set().union(*(a for _, a in outside))
+    units = [unit for path in sorted(SRC.glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body
+             for unit in _units(path.name, stmt)]
+
+    def read_by(unit, names, attrs):
+        _, defined, member, _ = unit
+        return defined & (attrs if member else names)
+
+    todo = [i for i, unit in enumerate(units)
+            if not unit[1] or read_by(unit, names, attrs)]
     reached = set(todo)
     while todo:
-        read = stmts[todo.pop()][2]
-        for i, (_, names, _) in enumerate(stmts):
-            if i not in reached and names & read:
+        read = units[todo.pop()][3]
+        for i, unit in enumerate(units):
+            if i not in reached and read_by(unit, *read):
                 reached.add(i)
                 todo.append(i)
-    return sorted(f"{module}::{name}"
-                  for i, (module, names, _) in enumerate(stmts)
-                  if i not in reached for name in names)
+    return sorted(label if member else f"{label}::{name}"
+                  for i, (label, defined, member, _) in enumerate(units)
+                  if i not in reached for name in defined)
 
 
 def test_every_definition_is_read():

@@ -151,7 +151,7 @@ def test_reaches_goal_within_tolerance():
     # recorded flange poses are the forward kinematics of recorded q
     for s in traj.steps[:: max(1, len(traj.steps) // 7)]:
         rot, trans = pose_error(forward_kinematics(MODEL, s.q),
-                                s.end_effector)
+                                Pose(s.rotation, s.translation))
         assert rot < 1e-9 and trans < 1e-9
 
 
@@ -159,8 +159,8 @@ def test_tracking_stays_on_geodesic():
     goal = screw_goal([0.1, 0.8, 0.5], START.translation - 0.1, -0.04, 0.8)
     traj = plan_to_pose(READY, goal, MODEL, PlannerConfig())
     assert traj.outcome is Outcome.REACHED
-    rot, trans = geodesic_deviation(START, goal,
-                                    [s.end_effector for s in traj.steps])
+    rot, trans = geodesic_deviation(
+        START, goal, [Pose(s.rotation, s.translation) for s in traj.steps])
     assert rot < SCREW_TRACK_TOL[0]
     assert trans < SCREW_TRACK_TOL[1]
 
@@ -219,7 +219,7 @@ def test_geodesic_deviation_matches_scalar_reference():
                              START), 1.0)]
     for model, goal, scale in plans:
         traj = plan_to_pose(READY, goal, model, PlannerConfig())
-        poses = [s.end_effector for s in traj.steps]
+        poses = [Pose(s.rotation, s.translation) for s in traj.steps]
         got = geodesic_deviation(START, goal, poses, scale)
         want = reference_geodesic_deviation(START, goal, poses, scale)
         assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -238,7 +238,7 @@ def test_mode1_error_is_monotone():
     assert traj.outcome is Outcome.REACHED
     last = None
     for s in traj.steps:
-        rot, trans = pose_error(s.end_effector, goal)
+        rot, trans = pose_error(Pose(s.rotation, s.translation), goal)
         combined = rot + trans
         if last is not None:
             assert combined <= last + 1e-9
@@ -298,7 +298,8 @@ def test_recovery_preserves_pose_and_swings_elbow():
     last = max(i for i, m in enumerate(modes) if m is Mode.MODE2)
     entry = traj.steps[first - 1]
     exit_ = traj.steps[last]
-    rot, trans = pose_error(entry.end_effector, exit_.end_effector)
+    rot, trans = pose_error(Pose(entry.rotation, entry.translation),
+                            Pose(exit_.rotation, exit_.translation))
     assert trans < 1e-4
     assert rot < math.radians(0.1)
     swing = sew_angle(LIMIT_MODEL, exit_.q) - sew_angle(LIMIT_MODEL,
@@ -367,7 +368,7 @@ def test_mode2_recovery_fragment():
     frag = mode2_recovery(READY, -0.3, MODEL, config)
     assert frag.outcome is Outcome.REACHED
     assert all(s.mode is Mode.MODE2 for s in frag.steps)
-    rot, trans = pose_error(frag.steps[-1].end_effector, START)
+    rot, trans = pose_error(frag.final_pose, START)
     assert trans < 1e-4 and rot < math.radians(0.1)
     swing = sew_angle(MODEL, frag.final_q) - sew_angle(MODEL, READY)
     assert abs(swing - (-0.3)) < 2e-3
@@ -408,14 +409,15 @@ def test_plan_through_guiding_poses():
     # the step where segment k begins sits on guiding pose k-1
     for k in range(1, 4):
         boundary = traj.steps[traj.segment_starts[k]]
-        rot, trans = pose_error(boundary.end_effector, guiding[k - 1])
+        rot, trans = pose_error(
+            Pose(boundary.rotation, boundary.translation), guiding[k - 1])
         assert rot < config.goal_tol[0] and trans < config.goal_tol[1]
     rot, trans = pose_error(traj.final_pose, down)
     assert rot < config.goal_tol[0] and trans < config.goal_tol[1]
     # vertical lift leg stays on the vertical line
     seg = traj.steps[traj.segment_starts[1]:traj.segment_starts[2] + 1]
     for s in seg:
-        assert_allclose(s.end_effector.translation[:2],
+        assert_allclose(s.translation[:2],
                         START.translation[:2], atol=SCREW_TRACK_TOL[1])
 
 
@@ -706,15 +708,10 @@ def test_array_step_matches_pose_route_bitwise(monkeypatch):
 def test_trajectory_step_builds_its_pose_on_demand():
     step = TrajectoryStep(READY, Mode.MODE1, START.rotation,
                           START.translation)
-    pose = step.end_effector
-    assert np.array_equal(pose.rotation, START.rotation)
-    assert np.array_equal(pose.translation, START.translation)
+    assert np.array_equal(step.rotation, START.rotation)
+    assert np.array_equal(step.translation, START.translation)
     assert not any(a.flags.writeable
                    for a in (step.q, step.rotation, step.translation))
-    skewed = TrajectoryStep(READY, Mode.MODE1, 1.01 * START.rotation,
-                            START.translation)
-    with pytest.raises(ValueError, match="not orthonormal"):
-        skewed.end_effector
 
 
 def test_plan_builds_no_pose_per_step(monkeypatch):
@@ -856,7 +853,14 @@ def test_steps_view_builds_each_step_from_its_row():
         for name in ("q", "rotation", "translation"):
             assert np.array_equal(getattr(step, name),
                                   getattr(traj, name)[i])
-    assert [s.q.tolist() for s in view[3:9:2]] == traj.q[3:9:2].tolist()
+    part = view[3:9:2]
+    assert len(part) == 3 and not hasattr(part, "__dict__")
+    assert [s.q.tolist() for s in part] == traj.q[3:9:2].tolist()
+    assert part[-1].damped is bool(traj.damped[7])
+    with pytest.raises(IndexError):
+        view[len(traj)]
+    with pytest.raises(IndexError):
+        part[3]
     assert not any(getattr(traj, name).flags.writeable
                    for name in ("q", "rotation", "translation", "mode",
                                 "damped"))
